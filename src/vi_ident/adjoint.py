@@ -5,8 +5,11 @@ At a converged regularized solution u the linearized operator
     J = T(e) + gamma^* diag(w f M''_eps(gamma u)) gamma
 
 is symmetric positive definite and shared by every sensitivity direction and
-by the adjoint equation, so one sparse factorization (:class:`LinearizedMap`)
-serves them all.  Directional derivatives of the solution map solve
+by the adjoint equation.  It differs from T(e) only by a diagonal on the
+friction set, so :class:`LinearizedMap` factorizes nothing: it solves with the
+operator's cached :class:`~vi_ident.forward.Factorization` (the one the
+forward solve used) plus a |D| x |D| capacitance correction.  Directional
+derivatives of the solution map solve
 
     J du = -T(delta_e) u            (ellipticity direction)
     J du = -gamma^*(delta_f M'_eps(gamma u))   (friction direction)
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .discretization import (
     Mesh,
@@ -35,7 +37,7 @@ from .discretization import (
     matrix_for_direction,
     trace_adjoint,
 )
-from .forward import ForwardState, Problem, solution_map
+from .forward import ForwardState, Problem, factorize, solution_map
 from .kernels import KernelSpec, modulus_smooth
 
 __all__ = [
@@ -76,10 +78,14 @@ class OptimalityBundle:
 
 
 class LinearizedMap:
-    """Factorized Newton Jacobian at a converged regularized state.
+    """Newton Jacobian ``J = T(e) + E_D diag(w f M''_eps) E_D^T`` at a
+    converged regularized state.
 
-    Reused across sensitivity and adjoint solves; building it twice for the
-    same state gives results identical to reuse (pure function of the state).
+    Solves go through the cached factorization of ``T(e)`` with the diagonal
+    shift applied by a capacitance correction, so building a map costs no
+    factorization.  Reused across sensitivity and adjoint solves; building it
+    twice for the same state gives results identical to reuse (pure function
+    of the state).  ``matrix`` assembles ``J`` explicitly, for checks.
     """
 
     def __init__(
@@ -92,19 +98,24 @@ class LinearizedMap:
         eps: float,
     ):
         mesh = problem.mesh
-        op = problem.operator(e)
+        self._op = problem.operator(e)
         self.mesh = mesh
         self.problem = problem
         self.u_free = free_part(mesh, state.u)
         pos = mesh.friction_free_positions
         self.smooth = modulus_smooth(kernel, eps, self.u_free[pos])
-        wf = mesh.friction_weights * f.values
-        diag = np.bincount(pos, weights=wf * self.smooth.second_derivative, minlength=op.load.size)
-        self.matrix = (op.matrix + sp.diags(diag)).tocsc()
-        self._lu = splu(self.matrix)
+        self._shift = mesh.friction_weights * f.values * self.smooth.second_derivative
+        self._factorization = factorize(self._op, mesh)
+
+    @property
+    def matrix(self) -> sp.csc_matrix:
+        diag = np.bincount(
+            self.mesh.friction_free_positions, weights=self._shift, minlength=self._op.load.size
+        )
+        return (self._op.matrix + sp.diags(diag)).tocsc()
 
     def solve(self, rhs_free: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs_free)
+        return self._factorization.solve_shifted(self._shift, rhs_free)
 
 
 def _linmap(state, problem, e, f, kernel, eps, linmap):

@@ -311,10 +311,16 @@ def _restrict(mesh: Mesh, A: sp.csr_matrix) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Assembled operator and load on the free (non-Dirichlet) nodes."""
+    """Assembled operator and load on the free (non-Dirichlet) nodes.
+
+    ``factorization`` is filled on first use by
+    :func:`vi_ident.forward.factorize` and shared by every later solve with
+    this operator, so ``matrix`` must not be modified in place.
+    """
 
     matrix: sp.csr_matrix
     load: np.ndarray
+    factorization: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def assemble_operator(

@@ -13,17 +13,26 @@ Two routes to a discrete solution:
   Jacobian ``K + gamma^* diag(w f M''_eps(gamma u)) gamma`` is SPD because
   M'' >= 0, so the Newton direction always descends the smoothed energy.
 
+Every system either solver meets differs from ``K = T(e)`` only on the
+friction set D: the Newton Jacobian adds a diagonal there, and the oracle's
+active-set subproblem pins the stick nodes to zero.  :func:`factorize`
+therefore factorizes K once per assembled operator, condenses it onto D as
+the dense SPD capacitance matrix ``C = E_D^T K^{-1} E_D`` (|D| x |D|), and
+solves each friction-modified system with two K-solves and one small dense
+solve.  The factorization is cached on the operator, so the sensitivities and
+the adjoint (:mod:`vi_ident.adjoint`) reuse it as well.
+
 :func:`solution_map` dispatches on ``eps`` (0 means oracle) and caches the
-assembled operator per coefficient vector.
+assembled operator, with its factorization, per coefficient vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .discretization import (
@@ -38,7 +47,9 @@ from .kernels import KernelSpec, modulus_smooth
 
 __all__ = [
     "ForwardState",
+    "Factorization",
     "Problem",
+    "factorize",
     "solve_vi_oracle",
     "solve_regularized",
     "solution_map",
@@ -66,11 +77,13 @@ class ForwardState:
 
 @dataclass
 class Problem:
-    """Mesh, bilinear form, and source bundled with an assembly cache.
+    """Mesh, bilinear form, and source bundled with an operator cache.
 
-    The cache maps coefficient bytes to assembled operators; identification
-    drivers re-solve at unchanged ``e`` for sensitivities and adjoints, so the
-    last few operators are kept around.
+    The cache maps coefficient bytes to assembled operators, each carrying its
+    :class:`Factorization` once a solve has needed it.  Identification drivers
+    re-solve at unchanged ``e`` (other ``f`` or ``eps``, sensitivities,
+    adjoints), so the last few operators are kept around and none of those
+    solves factorizes ``T(e)`` again.
     """
 
     mesh: Mesh
@@ -90,6 +103,86 @@ class Problem:
                 self._cache.pop(next(iter(self._cache)))
             self._cache[key] = op
         return op
+
+
+# Capacitance columns solved per block: bounds the dense T^{-1} E_D block held
+# at once to n x _BLOCK doubles.
+_BLOCK = 32
+
+
+class Factorization:
+    """One sparse LU of ``T(e)`` on the free dofs, condensed onto D.
+
+    :meth:`solve` applies ``T^{-1}``.  :meth:`solve_shifted` and
+    :meth:`solve_pinned` solve the systems that differ from ``T`` only on the
+    friction set by a capacitance correction with ``C = E_D^T T^{-1} E_D``,
+    which is built on first use.  ``tau`` is the oracle's proximal step
+    length ``1 / max(1, max row sum of |T|)``.
+    """
+
+    def __init__(self, op: DiscreteOperator, mesh: Mesh):
+        K = op.matrix
+        self.positions = mesh.friction_free_positions
+        self.tau = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
+        # T is SPD: a symmetric ordering on the diagonal keeps the fill low.
+        self._lu = splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+    @cached_property
+    def capacitance(self) -> np.ndarray:
+        """The dense SPD matrix ``C = E_D^T T^{-1} E_D``."""
+        pos = self.positions
+        C = np.empty((pos.size, pos.size))
+        for start in range(0, pos.size, _BLOCK):
+            cols = pos[start : start + _BLOCK]
+            unit = np.zeros((self._lu.shape[0], cols.size))
+            unit[cols, np.arange(cols.size)] = 1.0
+            C[:, start : start + cols.size] = self._lu.solve(unit)[pos]
+        return 0.5 * (C + C.T)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``T x = rhs``."""
+        return self._lu.solve(rhs)
+
+    def solve_shifted(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``(T + E_D diag(shift) E_D^T) x = rhs``.
+
+        With ``y = T^{-1} rhs`` the correction ``s = shift * x_D`` solves
+        ``(I + diag(shift) C) s = shift * y_D``, and ``x = T^{-1}(rhs - E_D s)``.
+        """
+        y = self._lu.solve(rhs)
+        if not np.any(shift):
+            return y
+        pos = self.positions
+        s = np.linalg.solve(np.eye(pos.size) + shift[:, None] * self.capacitance, shift * y[pos])
+        corrected = np.array(rhs, dtype=float)
+        corrected[pos] -= s
+        return self._lu.solve(corrected)
+
+    def solve_pinned(self, stick: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``T x = rhs`` with ``x = 0`` on the friction nodes flagged in
+        the boolean D-mask ``stick``, dropping their equations.
+
+        The multipliers ``lam`` of the pinned nodes S solve
+        ``C_SS lam = (T^{-1} rhs)_S``, and ``x = T^{-1}(rhs - E_S lam)``.
+        """
+        y = self._lu.solve(rhs)
+        if not np.any(stick):
+            return y
+        S = self.positions[stick]
+        lam = np.linalg.solve(self.capacitance[np.ix_(stick, stick)], y[S])
+        corrected = np.array(rhs, dtype=float)
+        corrected[S] -= lam
+        x = self._lu.solve(corrected)
+        x[S] = 0.0
+        return x
+
+
+def factorize(op: DiscreteOperator, mesh: Mesh) -> Factorization:
+    """The operator's :class:`Factorization`, built on the first call and
+    cached on ``op`` for every later solve."""
+    if op.factorization is None:
+        object.__setattr__(op, "factorization", Factorization(op, mesh))
+    return op.factorization
 
 
 def _check_friction(f: ParameterField, mesh: Mesh) -> np.ndarray:
@@ -123,11 +216,10 @@ def smoothed_energy(
     return float(0.5 * u_free @ (op.matrix @ u_free) - op.load @ u_free + wf @ M)
 
 
-def _prox_residual(op, mesh, f, u_free) -> float:
+def _prox_residual(op, mesh, f, u_free, tau) -> float:
     """Norm of the scaled proximal-gradient step; zero exactly at the minimizer."""
     K, l = op.matrix, op.load
     wf = mesh.friction_weights * f.values
-    tau = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
     z = u_free - tau * (K @ u_free - l)
     prox = z.copy()
     pos = mesh.friction_free_positions
@@ -148,20 +240,22 @@ def solve_vi_oracle(
     Each friction node is classified as slip+ (u > 0, multiplier at +w f),
     slip- (u < 0, multiplier at -w f), or stick (u = 0, multiplier free in
     the box); the classification is updated from the indicator
-    ``xi = mu + c u`` until it is a fixed point.  A damping line search keeps
-    the energy non-increasing.  Stops when the proximal-gradient residual
-    drops below ``tol``.
+    ``xi = mu + c u`` until it is a fixed point; each classification is
+    solved with the stick nodes pinned by :meth:`Factorization.solve_pinned`.
+    A damping line search keeps the energy non-increasing.  Stops when the
+    proximal-gradient residual drops below ``tol``.
 
     Raises
     ------
     SolverError
         If the residual has not dropped below ``tol`` within the cap
-        (2 |D| + 10 by default).
+        (2 |D| + 10 by default), or if damping cannot find a step that does
+        not increase the energy.
     """
     fvals = _check_friction(f, mesh)
-    K = op.matrix.tocsc()
+    fac = factorize(op, mesh)
+    K = op.matrix
     l = op.load
-    n = l.size
     pos = mesh.friction_free_positions
     wf = mesh.friction_weights * fvals
     cap = max_iter if max_iter is not None else 2 * pos.size + 10
@@ -169,13 +263,12 @@ def solve_vi_oracle(
 
     # Start from the frictionless solve: exact when f = 0, a good sign
     # predictor otherwise.
-    lu_full = splu(K)
-    u = lu_full.solve(l)
+    u = fac.solve(l)
     mu = l - K @ u
     status = np.sign(np.where(np.abs(mu[pos] + c_weight * u[pos]) <= wf, 0.0, mu[pos] + c_weight * u[pos]))
     energy = nonsmooth_energy(op, mesh, f, u)
     energies = [energy]
-    residual = _prox_residual(op, mesh, f, u)
+    residual = _prox_residual(op, mesh, f, u, fac.tau)
     iterations = 0
 
     while residual > tol:
@@ -187,22 +280,21 @@ def solve_vi_oracle(
             )
         iterations += 1
 
-        stick = pos[status == 0.0]
         rhs = l.copy()
         rhs[pos] -= wf * status
-        keep = np.ones(n, dtype=bool)
-        keep[stick] = False
-        ki = np.flatnonzero(keep)
-        u_trial = np.zeros(n)
-        if ki.size:
-            sub = K[np.ix_(ki, ki)].tocsc()
-            u_trial[ki] = splu(sub).solve(rhs[ki])
+        u_trial = fac.solve_pinned(status == 0.0, rhs)
 
         # Energy-monotone damping between the previous and the trial point.
         theta = 1.0
         u_new = u_trial
         e_new = nonsmooth_energy(op, mesh, f, u_new)
-        while e_new > energy + 1e-14 * (1.0 + abs(energy)) and theta > 1e-8:
+        while e_new > energy + 1e-14 * (1.0 + abs(energy)):
+            if theta <= 1e-8:
+                raise SolverError(
+                    f"active-set damping found no energy decrease "
+                    f"(residual {residual:.3e})",
+                    residual=residual,
+                )
             theta *= 0.5
             u_new = (1.0 - theta) * u + theta * u_trial
             e_new = nonsmooth_energy(op, mesh, f, u_new)
@@ -213,7 +305,7 @@ def solve_vi_oracle(
         mu = l - K @ u
         xi = mu[pos] + c_weight * u[pos]
         status = np.sign(np.where(np.abs(xi) <= wf, 0.0, xi))
-        residual = _prox_residual(op, mesh, f, u)
+        residual = _prox_residual(op, mesh, f, u, fac.tau)
 
     return ForwardState(
         u=full_part(mesh, u),
@@ -244,6 +336,16 @@ def solve_regularized(
     a few larger epsilon levels first) so that small-epsilon stick problems
     start inside the Newton basin; the reported iteration count and residual
     history cover the target-epsilon solve only.
+
+    Each Newton step solves with the Jacobian through
+    :meth:`Factorization.solve_shifted`, so the whole solve, warm-up included,
+    uses the operator's one factorization.
+
+    Raises
+    ------
+    SolverError
+        If Newton stalls, exhausts ``max_iter``, or its line search finds no
+        sufficient energy decrease.
     """
     _check_friction(f, mesh)
     if not eps > 0:
@@ -257,7 +359,7 @@ def solve_regularized(
         except SolverError:
             pass  # a poor warm start: fall through to the robust cold path
 
-    u_start = full_part(mesh, splu(op.matrix.tocsc()).solve(op.load))
+    u_start = full_part(mesh, factorize(op, mesh).solve(op.load))
     if np.any(f.values > 0.0):
         level = 1e-1
         while level > 3.0 * eps:
@@ -281,7 +383,8 @@ def _newton_regularized(
 ) -> ForwardState:
     """One damped-Newton run at a fixed eps from the given full-vector start."""
     fvals = f.values
-    K = op.matrix.tocsc()
+    fac = factorize(op, mesh)
+    K = op.matrix
     l = op.load
     pos = mesh.friction_free_positions
     wf = mesh.friction_weights * fvals
@@ -309,10 +412,7 @@ def _newton_regularized(
             )
         iterations += 1
         rnorm_prev = rnorm
-        J = K + sp.diags(
-            np.bincount(pos, weights=wf * sm.second_derivative, minlength=l.size)
-        ).tocsc()
-        d = splu(J).solve(-r)
+        d = fac.solve_shifted(wf * sm.second_derivative, -r)
 
         # Full step first: near the solution Newton contracts the residual and
         # the energy decrease underflows double precision, so the Armijo test
@@ -329,8 +429,14 @@ def _newton_regularized(
             while True:
                 u_trial = u + step * d
                 e_trial = smoothed_energy(op, mesh, f, kernel, eps, u_trial)
-                if e_trial <= energy + 1e-4 * step * slope or step < 1e-12:
+                if e_trial <= energy + 1e-4 * step * slope:
                     break
+                if step < 1e-12:
+                    raise SolverError(
+                        f"Newton line search found no sufficient decrease at eps {eps:g} "
+                        f"(residual {rnorm:.3e})",
+                        residual=rnorm,
+                    )
                 step *= 0.5
             u = u_trial
             energy = e_trial
@@ -361,7 +467,8 @@ def solution_map(
 ) -> ForwardState:
     """Evaluate S(e, f) (eps = 0) or S_eps(e, f) (eps > 0).
 
-    The assembled operator is cached on the problem per coefficient vector.
+    The assembled operator and its factorization are cached on the problem
+    per coefficient vector.
     """
     op = problem.operator(e)
     if eps == 0:

@@ -1,10 +1,16 @@
 """Forward-solver tests: the nonsmooth oracle and the regularized Newton path."""
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from vi_ident import (
+    LinearizedMap,
     Problem,
     SolverError,
     assemble_operator,
@@ -18,8 +24,10 @@ from vi_ident import (
     unit_square_mesh,
     v_norm,
 )
+from vi_ident import adjoint, forward
 from vi_ident.discretization import free_part
-from vi_ident.forward import nonsmooth_energy, smoothed_energy
+from vi_ident.forward import factorize, nonsmooth_energy, smoothed_energy
+from vi_ident.kernels import KERNEL_NAMES, modulus_smooth
 
 from .helpers import benchmark_solution, benchmark_tip
 
@@ -238,3 +246,103 @@ def test_variable_coefficient_flux_balance():
         (0.5 - 0.125) + ((x - x * x / 2) - 0.375) / 2.0,
     )
     assert np.max(np.abs(state.u - u_exact)) < 2e-3
+
+
+# --- one factorization per operator -----------------------------------------------
+
+MESHES = {"1d": lambda: interval_mesh(0.0, 1.0, 32), "2d": lambda: unit_square_mesh(16)}
+
+
+def varied_operator(mesh):
+    j = np.arange(mesh.n_elements)
+    return assemble_operator(mesh, ellipticity_field(mesh, 1.0 + 0.5 * np.sin(3.0 * j)))
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+@pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_shifted_solve_matches_a_direct_factorization(mesh_name, kernel_name, eps):
+    mesh = MESHES[mesh_name]()
+    op = varied_operator(mesh)
+    pos = mesh.friction_free_positions
+    rng = np.random.default_rng(4)
+    # friction values straddling the smoothing zone, where M'' ~ 1/eps
+    u_d = eps * rng.uniform(-2.0, 2.0, pos.size)
+    shift = mesh.friction_weights * 0.7 * modulus_smooth(get_kernel(kernel_name), eps, u_d).second_derivative
+    rhs = rng.standard_normal(op.load.size)
+    x = factorize(op, mesh).solve_shifted(shift, rhs)
+    J = op.matrix + sp.diags(np.bincount(pos, weights=shift, minlength=op.load.size))
+    direct = splu(J.tocsc()).solve(rhs)
+    assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+@pytest.mark.parametrize("pattern", ["none", "all", "mixed"])
+def test_pinned_solve_matches_the_reduced_system(mesh_name, pattern):
+    mesh = MESHES[mesh_name]()
+    op = varied_operator(mesh)
+    pos = mesh.friction_free_positions
+    stick = {
+        "none": np.zeros(pos.size, dtype=bool),
+        "all": np.ones(pos.size, dtype=bool),
+        "mixed": np.arange(pos.size) % 3 == 1,
+    }[pattern]
+    rhs = np.random.default_rng(5).standard_normal(op.load.size)
+    x = factorize(op, mesh).solve_pinned(stick, rhs)
+    keep = np.ones(rhs.size, dtype=bool)
+    keep[pos[stick]] = False
+    ki = np.flatnonzero(keep)
+    direct = np.zeros(rhs.size)
+    direct[ki] = splu(op.matrix[np.ix_(ki, ki)].tocsc()).solve(rhs[ki])
+    assert np.all(x[pos[stick]] == 0.0)
+    assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_one_factorization_serves_every_solve_at_one_coefficient(monkeypatch):
+    factorizations = []
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "splu", counting_splu)
+    mesh = unit_square_mesh(8)
+    problem = Problem(mesh)
+    e = ellipticity_field(mesh, 1.0)
+    f = friction_field(mesh, 0.05)
+    eps = 1e-3
+    exact = solution_map(e, f, 0.0, problem)
+    assert exact.iterations >= 1
+    state = solve_regularized(problem.operator(e), mesh, f, KERNEL, eps, tol=1e-11)
+    warm = solution_map(e, f, eps, problem, KERNEL, u0_full=state.u)
+    lin = LinearizedMap(warm, problem, e, f, KERNEL, eps)
+    adjoint.sensitivity_e(warm, problem, e, f, KERNEL, eps, np.ones(mesh.n_elements), linmap=lin)
+    adjoint.sensitivity_f(warm, problem, e, f, KERNEL, eps, np.ones(f.values.size))
+    adjoint.adjoint_solve(warm, problem, e, f, KERNEL, eps, exact.u)
+    assert len(factorizations) == 1
+
+
+def test_newton_raises_when_its_line_search_fails():
+    # closed_P smooths -|t| against closed_Pt's +|t|, so the Newton direction
+    # of the residual ascends the energy; with M'' = 0 the full step overshoots
+    # the friction node, and the Armijo backtracking must give up
+    sigmoid = get_kernel("sigmoid")
+    contradictory = replace(
+        sigmoid,
+        kind="contradictory",
+        closed_P=lambda eps, t: -sigmoid.closed_P(eps, t),
+        closed_Ptt=lambda eps, t: np.zeros_like(np.asarray(t, dtype=float)),
+    )
+    mesh, _, f_of, op = benchmark(16)
+    with pytest.raises(SolverError, match="line search") as err:
+        solve_regularized(op, mesh, f_of(1.0), contradictory, 1e-2)
+    assert err.value.residual > 0
+
+
+def test_oracle_raises_when_damping_finds_no_decrease(monkeypatch):
+    energies = itertools.count()
+    monkeypatch.setattr(forward, "nonsmooth_energy", lambda *args: float(next(energies)))
+    mesh, _, f_of, op = benchmark(16)
+    with pytest.raises(SolverError, match="damping") as err:
+        solve_vi_oracle(op, mesh, f_of(1.0))
+    assert err.value.residual > 0

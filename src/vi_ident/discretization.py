@@ -316,6 +316,8 @@ class DiscreteOperator:
     ``factorization`` is filled on first use by
     :func:`vi_ident.forward.factorize` and shared by every later solve with
     this operator, so ``matrix`` must not be modified in place.
+    :meth:`vi_ident.forward.Problem.operator` drops it again once another
+    operator is requested.
     """
 
     matrix: sp.csr_matrix

@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .discretization import (
     DiscreteOperator,
@@ -79,11 +79,13 @@ class ForwardState:
 class Problem:
     """Mesh, bilinear form, and source bundled with an operator cache.
 
-    The cache maps coefficient bytes to assembled operators, each carrying its
-    :class:`Factorization` once a solve has needed it.  Identification drivers
-    re-solve at unchanged ``e`` (other ``f`` or ``eps``, sensitivities,
-    adjoints), so the last few operators are kept around and none of those
-    solves factorizes ``T(e)`` again.
+    The cache maps coefficient bytes to assembled operators.  Identification
+    drivers re-solve at unchanged ``e`` (other ``f`` or ``eps``,
+    sensitivities, adjoints), so the last few operators are kept around and
+    none of those solves assembles or factorizes ``T(e)`` again.  Only the
+    operator requested last keeps its :class:`Factorization`: the sparse LU is
+    many times the size of the matrix, and a driver that moves ``e`` does not
+    come back to an earlier one.
     """
 
     mesh: Mesh
@@ -102,12 +104,19 @@ class Problem:
             if len(self._cache) >= self._cache_cap:
                 self._cache.pop(next(iter(self._cache)))
             self._cache[key] = op
+        for other in self._cache.values():
+            if other is not op:
+                object.__setattr__(other, "factorization", None)
         return op
 
 
 # Capacitance columns solved per block: bounds the dense T^{-1} E_D block held
-# at once to n x _BLOCK doubles.
-_BLOCK = 32
+# at once to n x _BLOCK doubles.  Wider blocks are slower at 2D n = 128.
+_BLOCK = 8
+# Below this many friction nodes, |D| unit solves through the LU build C
+# faster than the triangular solve restricted to the rows D reaches in L,
+# whose fixed cost is about a millisecond.
+_REACH_MIN = 32
 
 
 class Factorization:
@@ -124,20 +133,48 @@ class Factorization:
         K = op.matrix
         self.positions = mesh.friction_free_positions
         self.tau = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
-        # T is SPD: a symmetric ordering on the diagonal keeps the fill low.
-        self._lu = splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        # T is SPD: a symmetric ordering with diagonal pivots never breaks
+        # down, and gives P T P^T = L diag(U) L^T, which `capacitance` uses.
+        self._lu = splu(
+            K.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
 
     @cached_property
     def capacitance(self) -> np.ndarray:
         """The dense SPD matrix ``C = E_D^T T^{-1} E_D``."""
-        pos = self.positions
-        C = np.empty((pos.size, pos.size))
-        for start in range(0, pos.size, _BLOCK):
-            cols = pos[start : start + _BLOCK]
-            unit = np.zeros((self._lu.shape[0], cols.size))
-            unit[cols, np.arange(cols.size)] = 1.0
-            C[:, start : start + cols.size] = self._lu.solve(unit)[pos]
-        return 0.5 * (C + C.T)
+        lu, pos = self._lu, self.positions
+        if pos.size < _REACH_MIN:
+            C = np.empty((pos.size, pos.size))
+            for start in range(0, pos.size, _BLOCK):
+                cols = pos[start : start + _BLOCK]
+                unit = np.zeros((lu.shape[0], cols.size))
+                unit[cols, np.arange(cols.size)] = 1.0
+                C[:, start : start + cols.size] = lu.solve(unit)[pos]
+            return 0.5 * (C + C.T)
+        # C = W^T diag(U)^{-1} W with W = L^{-1} P E_D, whose rows vanish
+        # outside the set R of rows that D reaches in the graph of L.
+        pivots = lu.U.diagonal()
+        L = lu.L
+        start = lu.perm_r[pos]
+        reached = np.zeros(lu.shape[0], dtype=bool)
+        reached[start] = True
+        frontier = start
+        while frontier.size:
+            rows = L[:, frontier].indices
+            frontier = np.unique(rows[~reached[rows]])
+            reached[frontier] = True
+        R = np.flatnonzero(reached)
+        L_RR = L[:, R][R, :]
+        del L  # release the full copy of L before the solve allocates W
+        W = np.zeros((R.size, pos.size))
+        W[np.searchsorted(R, start), np.arange(pos.size)] = 1.0
+        W = spsolve_triangular(
+            L_RR, W, lower=True, unit_diagonal=True, overwrite_A=True, overwrite_b=True
+        )
+        return W.T @ (W / pivots[R][:, None])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``T x = rhs``."""
@@ -146,17 +183,22 @@ class Factorization:
     def solve_shifted(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(T + E_D diag(shift) E_D^T) x = rhs``.
 
-        With ``y = T^{-1} rhs`` the correction ``s = shift * x_D`` solves
-        ``(I + diag(shift) C) s = shift * y_D``, and ``x = T^{-1}(rhs - E_D s)``.
+        With ``y = T^{-1} rhs`` the friction values solve
+        ``(I + C diag(shift)) x_D = y_D``, and
+        ``x = T^{-1}(rhs - E_D (shift * x_D))``.  ``x_D`` is taken from the
+        small solve, not from the second ``T``-solve, where it is the
+        difference of two nearly equal terms once ``shift * C >> 1``.
         """
         y = self._lu.solve(rhs)
         if not np.any(shift):
             return y
         pos = self.positions
-        s = np.linalg.solve(np.eye(pos.size) + shift[:, None] * self.capacitance, shift * y[pos])
+        x_D = np.linalg.solve(np.eye(pos.size) + self.capacitance * shift, y[pos])
         corrected = np.array(rhs, dtype=float)
-        corrected[pos] -= s
-        return self._lu.solve(corrected)
+        corrected[pos] -= shift * x_D
+        x = self._lu.solve(corrected)
+        x[pos] = x_D
+        return x
 
     def solve_pinned(self, stick: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``T x = rhs`` with ``x = 0`` on the friction nodes flagged in

@@ -250,7 +250,17 @@ def test_variable_coefficient_flux_balance():
 
 # --- one factorization per operator -----------------------------------------------
 
-MESHES = {"1d": lambda: interval_mesh(0.0, 1.0, 32), "2d": lambda: unit_square_mesh(16)}
+# 2d_40 has |D| = 39 friction nodes, enough for the reach-restricted build of C
+MESHES = {
+    "1d": lambda: interval_mesh(0.0, 1.0, 32),
+    "2d": lambda: unit_square_mesh(16),
+    "2d_40": lambda: unit_square_mesh(40),
+}
+
+
+def test_the_meshes_cover_both_builds_of_the_capacitance_matrix():
+    sizes = {name: make().friction_free_positions.size for name, make in MESHES.items()}
+    assert sizes["2d"] < forward._REACH_MIN <= sizes["2d_40"]
 
 
 def varied_operator(mesh):
@@ -274,6 +284,9 @@ def test_shifted_solve_matches_a_direct_factorization(mesh_name, kernel_name, ep
     J = op.matrix + sp.diags(np.bincount(pos, weights=shift, minlength=op.load.size))
     direct = splu(J.tocsc()).solve(rhs)
     assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+    # the friction values are small where shift * C >> 1 and must keep their
+    # own relative accuracy: the friction gradient is built from them
+    assert np.abs(x[pos] - direct[pos]).max() <= 1e-12 * np.abs(direct[pos]).max()
 
 
 @pytest.mark.parametrize("mesh_name", MESHES)
@@ -320,6 +333,21 @@ def test_one_factorization_serves_every_solve_at_one_coefficient(monkeypatch):
     adjoint.sensitivity_f(warm, problem, e, f, KERNEL, eps, np.ones(f.values.size))
     adjoint.adjoint_solve(warm, problem, e, f, KERNEL, eps, exact.u)
     assert len(factorizations) == 1
+
+
+def test_only_the_operator_requested_last_keeps_its_factorization():
+    mesh = unit_square_mesh(8)
+    problem = Problem(mesh)
+    e1, e2 = ellipticity_field(mesh, 1.0), ellipticity_field(mesh, 2.0)
+    f = friction_field(mesh, 0.05)
+    solution_map(e1, f, 0.0, problem)
+    op1 = problem.operator(e1)
+    assert op1.factorization is not None
+    solution_map(e2, f, 0.0, problem)
+    assert op1.factorization is None
+    assert problem.operator(e2).factorization is not None
+    # the assembled operator itself stays cached
+    assert problem.operator(e1) is op1
 
 
 def test_newton_raises_when_its_line_search_fails():

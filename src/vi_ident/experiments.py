@@ -251,6 +251,7 @@ def run_identify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
         "stationarity_f": st_f,
         "f_error_max": float(np.abs(res.f_hat.values - f_true.values).max()),
         "e_error_max": float(np.abs(res.e_hat.values - e_true.values).max()),
+        "stop_reason": res.stop_reason,
         "checks_passed": max(st_e, st_f) <= icfg.stop_tol,
     }
 
@@ -285,6 +286,7 @@ def run_continuation(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
         "distance_to_final": dist["to_final"],
         "successive_decreasing": dist["successive_decreasing"],
         "f_error_max": float(np.abs(results[-1].f_hat.values - f_true.values).max()),
+        "stop_reasons": [res.stop_reason for res in results],
         "checks_passed": dist["successive_decreasing"],
     }
 

@@ -5,11 +5,13 @@ The driver minimizes
     J_eps(e, f) + alpha/2 |e|_E^2 + beta/2 |f|_F^2,
     J_eps(e, f) = 1/2 ||S_eps(e, f) - observation||^2,
 
-over the admissible boxes by a projected-gradient method: a spectral
-(Barzilai-Borwein) trial step seeds a monotone Armijo backtracking search, so
-the objective history is non-increasing and every iterate stays feasible.
-Stationarity is measured by the projected-gradient residuals, which vanish
-exactly at discrete KKT points of the box-constrained problem.
+over the admissible boxes with scipy's L-BFGS-B (Byrd, Lu, Nocedal, Zhu, SIAM
+J. Sci. Comput. 16, 1995); one forward and one adjoint solve give the value and
+the reduced gradient.  Scipy's own stopping tests are off: a run stops on the
+projected-gradient residuals of :func:`~vi_ident.adjoint.reduced_gradients`,
+which vanish exactly at discrete KKT points of the box-constrained problem.
+Only accepted iterates enter the histories, so the objective history is
+non-increasing and every iterate stays feasible.
 
 :func:`continuation_identify` repeats the minimization over a decreasing
 epsilon schedule with warm starts, recording the parameter distances used by
@@ -18,11 +20,13 @@ the convergence report.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import Bounds, minimize
 
-from .adjoint import LinearizedMap, adjoint_solve, reduced_gradients, reduced_objective
+from .adjoint import adjoint_solve, reduced_gradients, reduced_objective
 from .discretization import ParameterField, reg_inner
 from .errors import ConfigError, SolverError
 from .forward import ForwardState, Problem, solution_map
@@ -42,8 +46,8 @@ __all__ = [
 class IdentificationConfig:
     """Driver settings.
 
-    ``initial_step``, ``backtrack`` and ``sufficient_decrease`` are the Armijo
-    line-search parameters; ``eps_schedule`` is only consulted by
+    ``max_iters`` caps the accepted iterates and ``stop_tol`` is the
+    stationarity at which a run stops; ``eps_schedule`` is only consulted by
     :func:`continuation_identify` and must be strictly decreasing.
     """
 
@@ -51,9 +55,6 @@ class IdentificationConfig:
     beta: float = 1e-8
     eps_schedule: tuple[float, ...] = (1e-2,)
     max_iters: int = 500
-    initial_step: float = 1.0
-    backtrack: float = 0.5
-    sufficient_decrease: float = 1e-4
     stop_tol: float = 1e-9
     noise_level: float = 0.0
     misfit_norm: str = "L2"
@@ -66,10 +67,6 @@ class IdentificationConfig:
         sched = self.eps_schedule
         if any(x <= 0 for x in sched) or any(later >= earlier for earlier, later in zip(sched[:-1], sched[1:])):
             raise ConfigError("eps_schedule must be positive and strictly decreasing")
-        if not 0 < self.backtrack < 1 or not 0 < self.sufficient_decrease < 1:
-            raise ConfigError("Armijo constants must lie in (0, 1)")
-        if self.initial_step <= 0:
-            raise ConfigError("initial_step must be positive")
         if self.noise_level < 0:
             raise ConfigError("noise_level must be nonnegative")
 
@@ -83,6 +80,11 @@ class IdentificationResult:
     final_state: ForwardState
     eps_used: float
     misfit: float = field(default=float("nan"))
+    stop_reason: str = ""  # "stationary", "max_iters" or scipy's message
+
+
+# One evaluation: the optimizer's variable x and what the driver needs at it.
+_Point = namedtuple("_Point", "x e f value misfit state grad stationarity")
 
 
 def identify(
@@ -97,99 +99,90 @@ def identify(
     free_f: bool = True,
     u0_full: np.ndarray | None = None,
 ) -> IdentificationResult:
-    """Projected-gradient minimization of the regularized objective at fixed eps.
+    """L-BFGS-B minimization of the regularized objective at fixed eps.
 
-    Parameters held fixed (``free_e``/``free_f`` False) contribute zero
-    gradient and zero stationarity residual.  A forward-solver failure inside
-    an iteration raises ``SolverError`` with the offending iterate attached as
-    ``err.iterate = {"iteration", "e", "f"}``; the iterate reached so far is
-    not silently kept.
+    The variable is ``concat(e, f)``; a field held fixed (``free_e``/``free_f``
+    False) gets equal bounds, zero gradient and zero stationarity residual.
+    The run stops at the first accepted iterate whose stationarity is at most
+    ``stop_tol`` (the start included), after ``max_iters`` accepted iterates,
+    or when the line search gives up; the last accepted iterate is returned.
+    A forward-solver failure raises ``SolverError`` with the point it failed at
+    attached as ``err.iterate = {"iteration", "e", "f"}``.
     """
-    e, f = e0, f0
-    iteration = 0
+    ne, nf = e0.values.size, f0.values.size
+    x0 = np.concatenate([e0.values, f0.values])
+    free = np.repeat([free_e, free_f], [ne, nf])
+    lower = np.where(free, np.repeat([e0.lower_bound, f0.lower_bound], [ne, nf]), x0)
+    upper = np.where(free, np.repeat([e0.upper_bound, f0.upper_bound], [ne, nf]), x0)
+    objective_history: list[float] = []
+    stationarity_history: list[tuple[float, float]] = []
+    last = accepted = None  # the last evaluated and the last accepted _Point
 
-    def evaluate(e_, f_, warm):
+    def evaluate(x):
+        nonlocal last
+        if last is not None and np.array_equal(x, last.x):
+            return last
+        clipped = np.clip(x, lower, upper)
+        e, f = e0.with_values(clipped[:ne]), f0.with_values(clipped[ne:])
         try:
             value, misfit, state = reduced_objective(
-                e_, f_, problem, observation, kernel, eps,
+                e, f, problem, observation, kernel, eps,
                 config.alpha, config.beta, config.misfit_norm,
-                tol=config.forward_tol, u0_full=warm,
+                tol=config.forward_tol, u0_full=u0_full if last is None else last.state.u,
+            )
+            p = adjoint_solve(state, problem, e, f, kernel, eps, observation, config.misfit_norm)
+            bundle = reduced_gradients(
+                state, p, problem, e, f, kernel, eps, config.alpha, config.beta
             )
         except SolverError as err:
-            err.iterate = {
-                "iteration": iteration,
-                "e": np.array(e_.values, copy=True),
-                "f": np.array(f_.values, copy=True),
-            }
+            err.iterate = {"iteration": len(objective_history),
+                           "e": e.values.copy(), "f": f.values.copy()}
             raise
-        return value, misfit, state
+        grad = np.where(free, np.concatenate([bundle.grad_e, bundle.grad_f]), 0.0)
+        stationarity = (bundle.stationarity_e if free_e else 0.0,
+                        bundle.stationarity_f if free_f else 0.0)
+        last = _Point(x.copy(), e, f, value, misfit, state, grad, stationarity)
+        return last
 
-    def gradients(e_, f_, state):
-        lm = LinearizedMap(state, problem, e_, f_, kernel, eps)
-        p = adjoint_solve(
-            state, problem, e_, f_, kernel, eps, observation, config.misfit_norm, linmap=lm
+    def fun(x):
+        point = evaluate(x)
+        return point.value, point.grad
+
+    def accept(x):
+        """Record an accepted iterate; True once it is stationary."""
+        nonlocal accepted
+        accepted = evaluate(x)
+        objective_history.append(accepted.value)
+        stationarity_history.append(accepted.stationarity)
+        return max(accepted.stationarity) <= config.stop_tol
+
+    def callback(intermediate_result):
+        if accept(intermediate_result.x):
+            raise StopIteration
+
+    scipy_result = None
+    if not accept(x0) and config.max_iters > 0:
+        scipy_result = minimize(
+            fun, x0, jac=True, method="L-BFGS-B", bounds=Bounds(lower, upper),
+            callback=callback,
+            options={"ftol": 0.0, "gtol": 0.0, "maxiter": config.max_iters, "maxfun": np.inf},
         )
-        bundle = reduced_gradients(
-            state, p, problem, e_, f_, kernel, eps, config.alpha, config.beta
-        )
-        ge = bundle.grad_e if free_e else np.zeros_like(bundle.grad_e)
-        gf = bundle.grad_f if free_f else np.zeros_like(bundle.grad_f)
-        st_e = bundle.stationarity_e if free_e else 0.0
-        st_f = bundle.stationarity_f if free_f else 0.0
-        return ge, gf, st_e, st_f
-
-    obj, misfit, state = evaluate(e, f, u0_full)
-    ge, gf, st_e, st_f = gradients(e, f, state)
-    objective_history = [obj]
-    stationarity_history = [(st_e, st_f)]
-    step = config.initial_step
-
-    for iteration in range(1, config.max_iters + 1):
-        if max(st_e, st_f) <= config.stop_tol:
-            break
-
-        accepted = False
-        trial_step = step
-        while trial_step >= 1e-14:
-            ye = e.project(e.values - trial_step * ge) if free_e else e.values
-            yf = f.project(f.values - trial_step * gf) if free_f else f.values
-            de = ye - e.values
-            df = yf - f.values
-            pred = float(ge @ de + gf @ df)
-            if pred >= 0.0:
-                break  # projected direction no longer descends: stationary
-            e_try = e.with_values(ye)
-            f_try = f.with_values(yf)
-            obj_try, misfit_try, state_try = evaluate(e_try, f_try, state.u)
-            if obj_try <= obj + config.sufficient_decrease * pred:
-                accepted = True
-                break
-            trial_step *= config.backtrack
-        if not accepted:
-            break  # line search exhausted at machine scale: report current point
-
-        ge_new, gf_new, st_e, st_f = gradients(e_try, f_try, state_try)
-        # Spectral (BB1) step from the accepted move seeds the next search.
-        s = np.concatenate([de, df])
-        y = np.concatenate([ge_new - ge, gf_new - gf])
-        sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 1e-300 else config.initial_step
-        step = min(max(step, 1e-10), 1e10)
-
-        e, f = e_try, f_try
-        obj, misfit, state = obj_try, misfit_try, state_try
-        ge, gf = ge_new, gf_new
-        objective_history.append(obj)
-        stationarity_history.append((st_e, st_f))
+    if max(accepted.stationarity) <= config.stop_tol:
+        stop_reason = "stationary"
+    elif len(objective_history) > config.max_iters:
+        stop_reason = "max_iters"
+    else:
+        stop_reason = scipy_result.message
 
     return IdentificationResult(
-        e_hat=e,
-        f_hat=f,
+        e_hat=accepted.e,
+        f_hat=accepted.f,
         objective_history=tuple(objective_history),
         stationarity_history=tuple(stationarity_history),
-        final_state=state,
+        final_state=accepted.state,
         eps_used=float(eps),
-        misfit=misfit,
+        misfit=accepted.misfit,
+        stop_reason=stop_reason,
     )
 
 

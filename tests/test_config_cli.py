@@ -147,6 +147,8 @@ def test_identify_run_artifacts(tmp_path):
     f_rows = [r for r in params if r[0] == "friction"]
     assert len(f_rows) == 1
     assert abs(f_rows[0][2] - 0.25) < 1e-3
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["results"]["stop_reason"] == "stationary"
 
 
 def test_identical_seeds_reproduce_csv_bytes(tmp_path):
@@ -241,6 +243,8 @@ def test_cli_continuation_smoke(tmp_path):
     header, rows = read_csv(tmp_path / "o" / "continuation.csv")
     assert header[0] == "level"
     assert len(rows) == 3
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert len(manifest["results"]["stop_reasons"]) == 3
 
 
 def test_cli_seed_changes_noisy_results(tmp_path):

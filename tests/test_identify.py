@@ -1,6 +1,8 @@
 """Identification-driver tests: descent, feasibility, recovery, continuation."""
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from vi_ident import (
 )
 
 KERNEL = get_kernel("sigmoid")
+# The package re-exports the function ``identify`` under the submodule's name.
+identify_module = importlib.import_module("vi_ident.identify")
 
 
 def twin(n=16, e_true_val=1.0, f_true_val=0.25, noise=0.0, seed=0):
@@ -58,12 +62,6 @@ def test_armijo_and_weights_validated():
     with pytest.raises(ConfigError):
         IdentificationConfig(alpha=-1.0)
     with pytest.raises(ConfigError):
-        IdentificationConfig(backtrack=1.5)
-    with pytest.raises(ConfigError):
-        IdentificationConfig(sufficient_decrease=0.0)
-    with pytest.raises(ConfigError):
-        IdentificationConfig(initial_step=0.0)
-    with pytest.raises(ConfigError):
         IdentificationConfig(noise_level=-0.1)
 
 
@@ -80,6 +78,30 @@ def test_zero_iterations_at_the_global_minimum():
     st = res.stationarity_history[0]
     assert max(st) <= 1e-8
     assert res.objective_history[0] < 1e-20
+    assert res.stop_reason == "stationary"
+
+
+def test_iteration_cap_bounds_the_history():
+    mesh, problem, _, _, obs = twin()
+    cfg = config(alpha=1e-8, beta=1e-8, max_iters=3)
+    res = identify(cfg, problem, obs, ellipticity_field(mesh, 1.3),
+                   friction_field(mesh, 0.1), KERNEL, 1e-3)
+    assert len(res.objective_history) - 1 <= cfg.max_iters
+    assert len(res.stationarity_history) == len(res.objective_history)
+    assert res.stop_reason == "max_iters"
+
+
+def test_run_stops_at_the_first_stationary_iterate():
+    # a loose tolerance, met long before the optimizer itself would stop
+    mesh, problem, _, _, obs = twin()
+    cfg = config(alpha=1e-8, beta=1e-8, stop_tol=1e-6)
+    res = identify(cfg, problem, obs, ellipticity_field(mesh, 1.3),
+                   friction_field(mesh, 0.1), KERNEL, 1e-3)
+    worst = [max(st) for st in res.stationarity_history]
+    assert len(worst) > 1
+    assert worst[-1] <= cfg.stop_tol
+    assert all(w > cfg.stop_tol for w in worst[:-1])
+    assert res.stop_reason == "stationary"
 
 
 def test_objective_history_is_non_increasing():
@@ -137,6 +159,28 @@ def test_solver_failure_carries_the_iterate_snapshot():
     snap = err.value.iterate
     assert snap["iteration"] == 0
     assert np.array_equal(snap["f"], f0.values)
+
+
+def test_failure_inside_the_line_search_carries_the_trial_point(monkeypatch):
+    mesh, problem, _, _, obs = twin()
+    real = identify_module.reduced_objective
+    calls = []
+
+    def failing_on_third_call(e, f, *args, **kwargs):
+        calls.append((e.values.copy(), f.values.copy()))
+        if len(calls) == 3:
+            raise SolverError("injected failure", residual=1.0)
+        return real(e, f, *args, **kwargs)
+
+    monkeypatch.setattr(identify_module, "reduced_objective", failing_on_third_call)
+    with pytest.raises(SolverError) as err:
+        identify(config(), problem, obs, ellipticity_field(mesh, 1.3),
+                 friction_field(mesh, 0.1), KERNEL, 1e-3)
+    snap = err.value.iterate
+    assert snap["iteration"] >= 1
+    assert np.array_equal(snap["e"], calls[-1][0])
+    assert np.array_equal(snap["f"], calls[-1][1])
+    assert not np.array_equal(calls[-1][1], calls[0][1])  # a trial, not the start
 
 
 def test_regularization_weight_shrinks_the_recovered_field():

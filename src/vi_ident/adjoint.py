@@ -32,8 +32,6 @@ from .discretization import (
     elementwise_energy,
     free_part,
     full_part,
-    h1_gram,
-    mass_matrix,
     matrix_for_direction,
     trace_adjoint,
 )
@@ -161,13 +159,9 @@ def sensitivity_f(
 def misfit_riesz_matrix(problem: Problem, misfit_norm: str = "L2") -> sp.csr_matrix:
     """Gram matrix turning a free-dof residual into the misfit Riesz vector."""
     if misfit_norm == "L2":
-        if problem._mass_gram is None:
-            problem._mass_gram = mass_matrix(problem.mesh)
-        return problem._mass_gram
+        return problem.mass_gram
     if misfit_norm == "V":
-        if problem._v_gram is None:
-            problem._v_gram = h1_gram(problem.mesh)
-        return problem._v_gram
+        return problem.v_gram
     raise ValueError(f"misfit_norm must be 'L2' or 'V', got {misfit_norm!r}")
 
 

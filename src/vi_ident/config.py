@@ -183,6 +183,8 @@ def _validate_experiment(block) -> dict:
         out["max_iters"] = int(block.get("max_iters", 500))
         out["stop_tol"] = float(block.get("stop_tol", 1e-9))
         out["noise_level"] = float(block.get("noise_level", 0.0))
+        if out["noise_level"] < 0:
+            raise ConfigError("experiment.noise_level: must be >= 0")
         out["free_e"] = bool(block.get("free_e", False))
         out["free_f"] = bool(block.get("free_f", True))
         out["true_ellipticity"] = float(block.get("true_ellipticity", 1.0))

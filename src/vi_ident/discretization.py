@@ -15,6 +15,8 @@ nonsmooth friction term is mass-lumped on D: s(f; v) = sum_i w_i f_i |v_i|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import combinations
 from typing import Callable, Mapping
 
 import numpy as np
@@ -79,6 +81,29 @@ class Mesh:
         """Positions of the friction nodes inside the free-dof vector."""
         return self.free_index[self.friction_nodes]
 
+    @cached_property
+    def local_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-element coefficient-one local stiffness and mass matrices.
+
+        Arrays of shape (E, m, m) with m = dimension + 1, built once per mesh.
+        """
+        meas = element_measures(self)
+        if self.dimension == 1:
+            k = np.array([[1.0, -1.0], [-1.0, 1.0]])
+            m = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+            return k[None, :, :] / meas[:, None, None], m[None, :, :] * meas[:, None, None]
+        # P1 triangle: grad(phi_i) = b_i / (2A) with the usual edge-normal vectors.
+        pts = self.nodes[self.elements]
+        x = pts[:, :, 0]
+        y = pts[:, :, 1]
+        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        K = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+            4.0 * meas[:, None, None]
+        )
+        m = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        return K, m[None, :, :] * meas[:, None, None]
+
 
 def _finish_mesh(dimension, nodes, elements, dirichlet, friction, weights) -> Mesh:
     dirichlet = np.asarray(dirichlet, dtype=int)
@@ -132,16 +157,15 @@ def unit_square_mesh(n: int) -> Mesh:
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])  # node id = j*(n+1) + i
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    elements = np.asarray(tris, dtype=int)
+    # Cell (i, j) in row-major order, lower-left corner v00 = j*(n+1) + i,
+    # split into the triangles (v00, v10, v11) and (v00, v11, v01).  The
+    # element order is part of the output: per-element CSV rows follow it.
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01 = v00 + 1, v00 + (n + 1)
+    v11 = v01 + 1
+    lower = np.column_stack([v00, v10, v11])
+    upper = np.column_stack([v00, v11, v01])
+    elements = np.stack([lower, upper], axis=1).reshape(-1, 3)
 
     ii = np.arange(n + 1)
     bottom = ii  # j = 0
@@ -254,59 +278,28 @@ def element_midpoints(mesh: Mesh) -> np.ndarray:
     return mesh.nodes[mesh.elements].mean(axis=1)
 
 
-def _local_matrices(mesh: Mesh):
-    """Per-element coefficient-one local stiffness and mass matrices.
-
-    Returns arrays of shape (E, m, m) with m = dimension + 1.
-    """
-    pts = mesh.nodes[mesh.elements]
-    meas = element_measures(mesh)
-    if mesh.dimension == 1:
-        h = meas
-        k = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        m = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-        K = k[None, :, :] / h[:, None, None]
-        M = m[None, :, :] * h[:, None, None]
-        return K, M
-    # P1 triangle: grad(phi_i) = b_i / (2A) with the usual edge-normal vectors.
-    x = pts[:, :, 0]
-    y = pts[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    K = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        4.0 * meas[:, None, None]
-    )
-    m = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    M = m[None, :, :] * meas[:, None, None]
-    return K, M
-
-
-def _assemble_full(mesh: Mesh, coeff: np.ndarray, form: str) -> sp.csr_matrix:
-    """Assemble T(coeff) on all nodes (no boundary elimination)."""
+def _form_matrices(mesh: Mesh, form: str) -> np.ndarray:
+    """Coefficient-one local matrices of the bilinear form, shape (E, m, m)."""
     if form not in FORMS:
         raise ConfigError(f"form must be one of {FORMS}, got {form!r}")
-    K, M = _local_matrices(mesh)
-    loc = K + M if form == "grad_grad_plus_mass" else K
-    loc = loc * np.asarray(coeff, dtype=float)[:, None, None]
-    m = mesh.elements.shape[1]
-    rows = np.repeat(mesh.elements, m, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, m)).ravel()
-    A = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
+    K, M = mesh.local_matrices
+    return K + M if form == "grad_grad_plus_mass" else K
+
+
+def _assemble(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
+    """Assemble per-element matrices of shape (E, m, m) on the free nodes.
+
+    Entries in a Dirichlet row or column are dropped before the duplicates
+    are summed.
+    """
+    idx = mesh.free_index[mesh.elements]
+    m = idx.shape[1]
+    rows = np.repeat(idx, m, axis=1).ravel()
+    cols = np.tile(idx, (1, m)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.free_nodes.size
+    A = sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n))
     return A.tocsr()
-
-
-def _mass_full(mesh: Mesh) -> sp.csr_matrix:
-    _, M = _local_matrices(mesh)
-    m = mesh.elements.shape[1]
-    rows = np.repeat(mesh.elements, m, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, m)).ravel()
-    A = sp.coo_matrix((M.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
-    return A.tocsr()
-
-
-def _restrict(mesh: Mesh, A: sp.csr_matrix) -> sp.csr_matrix:
-    free = mesh.free_nodes
-    return A[free][:, free].tocsr()
 
 
 @dataclass(frozen=True)
@@ -315,9 +308,10 @@ class DiscreteOperator:
 
     ``factorization`` is filled on first use by
     :func:`vi_ident.forward.factorize` and shared by every later solve with
-    this operator, so ``matrix`` must not be modified in place.
-    :meth:`vi_ident.forward.Problem.operator` drops it again once another
-    operator is requested.
+    this operator, so ``matrix`` must not be modified in place.  A
+    :class:`vi_ident.forward.Problem` holds only the operator requested last,
+    so an earlier operator is freed, with its factorization, once no caller
+    holds it.
     """
 
     matrix: sp.csr_matrix
@@ -351,7 +345,7 @@ def assemble_operator(
         )
     if vals.min() < e.lower_bound or vals.max() > e.upper_bound:
         raise ValueError("ellipticity values outside the admissible box")
-    A = _restrict(mesh, _assemble_full(mesh, vals, form))
+    A = _assemble(mesh, _form_matrices(mesh, form) * vals[:, None, None])
 
     mids = element_midpoints(mesh)
     meas = element_measures(mesh)
@@ -368,7 +362,7 @@ def matrix_for_direction(mesh: Mesh, delta_e: np.ndarray, form: str) -> sp.csr_m
     delta_e = np.asarray(delta_e, dtype=float)
     if delta_e.shape != (mesh.n_elements,):
         raise ValueError("direction length must equal the element count")
-    return _restrict(mesh, _assemble_full(mesh, delta_e, form))
+    return _assemble(mesh, _form_matrices(mesh, form) * delta_e[:, None, None])
 
 
 def elementwise_energy(mesh: Mesh, form: str, u_full: np.ndarray, p_full: np.ndarray) -> np.ndarray:
@@ -377,11 +371,9 @@ def elementwise_energy(mesh: Mesh, form: str, u_full: np.ndarray, p_full: np.nda
     Returns the vector whose j-th entry is u^T (K_j + M_j) p over element j
     with unit coefficient, so that t(e; u, p) = sum_j e_j * out_j.
     """
-    K, M = _local_matrices(mesh)
-    loc = K + M if form == "grad_grad_plus_mass" else K
     ue = u_full[mesh.elements]
     pe = p_full[mesh.elements]
-    return np.einsum("eij,ei,ej->e", loc, ue, pe)
+    return np.einsum("eij,ei,ej->e", _form_matrices(mesh, form), ue, pe)
 
 
 # ---------------------------------------------------------------------------
@@ -444,38 +436,29 @@ def elementwise_h1_gram(mesh: Mesh) -> sp.csr_matrix:
     Mass part: diagonal of element measures.  Stiffness part: a finite-volume
     difference across each interior facet with weight |facet| / (centroid
     distance), the two-point flux analogue of int grad e . grad e for fields
-    that are constant per element.
+    that are constant per element.  A facet is a sorted (m-1)-subset of an
+    element's nodes (an edge in 2D, a node in 1D, where |facet| = 1); the
+    interior ones are those two elements share.
     """
-    E = mesh.n_elements
-    meas = element_measures(mesh)
+    E, m = mesh.elements.shape
+    subsets = list(combinations(range(m), m - 1))
+    facets = np.sort(mesh.elements[:, subsets], axis=2).reshape(-1, m - 1)
+    key = np.ravel_multi_index(tuple(facets.T), (mesh.n_nodes,) * (m - 1))
+    order = np.argsort(key, kind="stable")
+    twin = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    first, second = order[twin], order[twin + 1]
+    a, b = first // m, second // m
     mids = element_midpoints(mesh)
-    pairs = []
-    weights = []
-    if mesh.dimension == 1:
-        order = np.argsort(mids[:, 0])
-        for a, b in zip(order[:-1], order[1:]):
-            pairs.append((a, b))
-            weights.append(1.0 / np.linalg.norm(mids[a] - mids[b]))
-    else:
-        seen: dict[tuple[int, int], int] = {}
-        for j, tri in enumerate(mesh.elements):
-            for k in range(3):
-                edge = tuple(sorted((int(tri[k]), int(tri[(k + 1) % 3]))))
-                if edge in seen:
-                    a = seen.pop(edge)
-                    elen = np.linalg.norm(mesh.nodes[edge[0]] - mesh.nodes[edge[1]])
-                    pairs.append((a, j))
-                    weights.append(elen / np.linalg.norm(mids[a] - mids[j]))
-                else:
-                    seen[edge] = j
-    G = sp.lil_matrix((E, E))
-    G.setdiag(meas)
-    for (a, b), w in zip(pairs, weights):
-        G[a, a] += w
-        G[b, b] += w
-        G[a, b] -= w
-        G[b, a] -= w
-    return G.tocsr()
+    size = 1.0
+    if mesh.dimension == 2:
+        ends = mesh.nodes[facets[first]]
+        size = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1)
+    w = size / np.linalg.norm(mids[a] - mids[b], axis=1)
+    diag = np.arange(E)
+    rows = np.concatenate([diag, a, b, a, b])
+    cols = np.concatenate([diag, a, b, b, a])
+    vals = np.concatenate([element_measures(mesh), w, w, -w, -w])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(E, E)).tocsr()
 
 
 def friction_gram(mesh: Mesh):
@@ -489,41 +472,29 @@ def friction_gram(mesh: Mesh):
     if mesh.dimension == 1:
         return np.eye(nf)
     xs = mesh.nodes[mesh.friction_nodes, 0]
-    order = np.argsort(xs)
-    if not np.array_equal(order, np.arange(nf)):
+    if np.any(np.diff(xs) <= 0):
         raise ConfigError("friction nodes are expected ordered along the edge")
-    # Segment lengths including the two boundary segments to the corners.
-    corners = np.array([0.0, 1.0])
-    coords = np.concatenate([[corners[0]], xs, [corners[1]]])
-    hseg = np.diff(coords)
-    G = sp.lil_matrix((nf, nf))
-    for s in range(hseg.size):
-        left = s - 1  # index into friction nodes; -1 or nf means corner (fixed)
-        right = s
-        h = hseg[s]
-        k = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
-        m = np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
-        loc = k + m
-        idx = (left, right)
-        for a in range(2):
-            if not 0 <= idx[a] < nf:
-                continue
-            for b in range(2):
-                if not 0 <= idx[b] < nf:
-                    continue
-                G[idx[a], idx[b]] += loc[a, b]
-    return G.tocsr()
+    # Segment lengths including the two boundary segments to the corners;
+    # friction node i sits between segments i and i + 1.
+    hseg = np.diff(np.concatenate([[0.0], xs, [1.0]]))
+    left, right = hseg[:-1], hseg[1:]
+    diag = (1.0 / left + 2.0 * left / 6.0) + (1.0 / right + 2.0 * right / 6.0)
+    off = -1.0 / right[:-1] + right[:-1] / 6.0
+    i = np.arange(nf)
+    rows = np.concatenate([i, i[:-1], i[1:]])
+    cols = np.concatenate([i, i[1:], i[:-1]])
+    return sp.coo_matrix((np.concatenate([diag, off, off]), (rows, cols)), shape=(nf, nf)).tocsr()
 
 
 def h1_gram(mesh: Mesh) -> sp.csr_matrix:
     """Discrete H1 (V-norm) Gram matrix on the free nodes."""
-    ones = np.ones(mesh.n_elements)
-    return _restrict(mesh, _assemble_full(mesh, ones, "grad_grad") + _mass_full(mesh))
+    K, M = mesh.local_matrices
+    return _assemble(mesh, K) + _assemble(mesh, M)
 
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """P1 mass matrix on the free nodes (L2 inner product on V)."""
-    return _restrict(mesh, _mass_full(mesh))
+    return _assemble(mesh, mesh.local_matrices[1])
 
 
 def v_norm(mesh: Mesh, v_full: np.ndarray, gram: sp.csr_matrix | None = None) -> float:

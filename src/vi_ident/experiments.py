@@ -213,7 +213,6 @@ def _ident_config(cfg: ExperimentConfig, eps_schedule) -> IdentificationConfig:
         eps_schedule=tuple(eps_schedule),
         max_iters=exp["max_iters"],
         stop_tol=exp["stop_tol"],
-        noise_level=exp["noise_level"],
         forward_tol=cfg.solver["newton_tol"],
     )
 

@@ -22,8 +22,9 @@ solves each friction-modified system with two K-solves and one small dense
 solve.  The factorization is cached on the operator, so the sensitivities and
 the adjoint (:mod:`vi_ident.adjoint`) reuse it as well.
 
-:func:`solution_map` dispatches on ``eps`` (0 means oracle) and caches the
-assembled operator, with its factorization, per coefficient vector.
+:func:`solution_map` dispatches on ``eps`` (0 means oracle); the
+:class:`Problem` keeps the operator of the last coefficient vector, with its
+factorization, for the next solve at the same ``e``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .discretization import (
@@ -41,6 +43,8 @@ from .discretization import (
     ParameterField,
     assemble_operator,
     full_part,
+    h1_gram,
+    mass_matrix,
 )
 from .errors import SolverError
 from .kernels import KernelSpec, modulus_smooth
@@ -77,37 +81,35 @@ class ForwardState:
 
 @dataclass
 class Problem:
-    """Mesh, bilinear form, and source bundled with an operator cache.
+    """Mesh, bilinear form, and source, holding the operator requested last.
 
-    The cache maps coefficient bytes to assembled operators.  Identification
-    drivers re-solve at unchanged ``e`` (other ``f`` or ``eps``,
-    sensitivities, adjoints), so the last few operators are kept around and
-    none of those solves assembles or factorizes ``T(e)`` again.  Only the
-    operator requested last keeps its :class:`Factorization`: the sparse LU is
-    many times the size of the matrix, and a driver that moves ``e`` does not
-    come back to an earlier one.
+    Identification drivers re-solve at unchanged ``e`` (other ``f`` or
+    ``eps``, sensitivities, adjoints), so :meth:`operator` keeps the last
+    assembled operator, and with it its :class:`Factorization`, and none of
+    those solves assembles or factorizes ``T(e)`` again.  A driver that moves
+    ``e`` does not come back to an earlier one, so a new coefficient replaces
+    the operator held.  The L2 and V Gram matrices of the misfit are built on
+    first use.
     """
 
     mesh: Mesh
     form: str = "grad_grad"
     source: Callable | float = 1.0
-    _cache: dict = field(default_factory=dict, repr=False)
-    _cache_cap: int = field(default=8, repr=False)
-    _mass_gram: object = field(default=None, repr=False)
-    _v_gram: object = field(default=None, repr=False)
+    _last: tuple = field(default=(None, None), init=False, repr=False)
 
     def operator(self, e: ParameterField) -> DiscreteOperator:
         key = e.values.tobytes()
-        op = self._cache.get(key)
-        if op is None:
-            op = assemble_operator(self.mesh, e, self.form, self.source)
-            if len(self._cache) >= self._cache_cap:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = op
-        for other in self._cache.values():
-            if other is not op:
-                object.__setattr__(other, "factorization", None)
-        return op
+        if self._last[0] != key:
+            self._last = (key, assemble_operator(self.mesh, e, self.form, self.source))
+        return self._last[1]
+
+    @cached_property
+    def mass_gram(self) -> sp.csr_matrix:
+        return mass_matrix(self.mesh)
+
+    @cached_property
+    def v_gram(self) -> sp.csr_matrix:
+        return h1_gram(self.mesh)
 
 
 # Capacitance columns solved per block: bounds the dense T^{-1} E_D block held
@@ -509,8 +511,8 @@ def solution_map(
 ) -> ForwardState:
     """Evaluate S(e, f) (eps = 0) or S_eps(e, f) (eps > 0).
 
-    The assembled operator and its factorization are cached on the problem
-    per coefficient vector.
+    The problem keeps the assembled operator and its factorization for the
+    next call with the same coefficient vector.
     """
     op = problem.operator(e)
     if eps == 0:

@@ -56,7 +56,6 @@ class IdentificationConfig:
     eps_schedule: tuple[float, ...] = (1e-2,)
     max_iters: int = 500
     stop_tol: float = 1e-9
-    noise_level: float = 0.0
     misfit_norm: str = "L2"
     forward_tol: float | None = None
 
@@ -67,8 +66,6 @@ class IdentificationConfig:
         sched = self.eps_schedule
         if any(x <= 0 for x in sched) or any(later >= earlier for earlier, later in zip(sched[:-1], sched[1:])):
             raise ConfigError("eps_schedule must be positive and strictly decreasing")
-        if self.noise_level < 0:
-            raise ConfigError("noise_level must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,13 @@ def test_cli_rejects_kind_mismatch(tmp_path, capsys):
     assert "experiment.kind" in err
 
 
+def test_cli_rejects_negative_noise_level(tmp_path, capsys):
+    cfg_path = write(tmp_path, IDENTIFY_TWIN + "  noise_level: -0.1\n")
+    assert main(["identify", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "experiment.noise_level" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_strict_fails_on_unmet_checks(tmp_path, capsys):
     # a gradient check with an impossible tolerance must fail under --strict
     text = (

@@ -1,6 +1,8 @@
 """Mesh, assembly, parameter-field, and inner-product tests."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -76,6 +78,16 @@ def test_unit_square_mesh_layout():
     )
     expected_dirichlet = set(np.where(on_boundary)[0]) - set(mesh.friction_nodes)
     assert set(mesh.dirichlet_nodes) == expected_dirichlet
+
+
+def test_unit_square_elements_are_pinned():
+    # cells row by row from the bottom left, each split along its rising diagonal
+    mesh = unit_square_mesh(2)
+    expected = [
+        [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+        [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7],
+    ]
+    assert mesh.elements.tolist() == expected
 
 
 def test_unit_square_smallest_case_has_one_friction_node():
@@ -154,6 +166,22 @@ def test_1d_stiffness_matches_hand_assembly():
     K = assemble_operator(mesh, e).matrix.toarray()
     expected = (np.diag([2.0] * (n - 1) + [1.0]) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)) / h
     assert np.allclose(K, expected)
+
+
+def test_2d_stiffness_is_the_five_point_laplacian():
+    # free nodes: columns i = 1..n-1 (Dirichlet sides), rows j = 0..n-1 (Dirichlet
+    # top); the bottom row carries the natural condition, so it has half the
+    # horizontal coupling and only the upward vertical one
+    n = 5
+    mesh = unit_square_mesh(n)
+    K = assemble_operator(mesh, ellipticity_field(mesh, 1.0)).matrix.toarray()
+    lap = lambda size: 2 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
+    half = np.eye(n)
+    half[0, 0] = 0.5
+    vertical = lap(n)
+    vertical[0, 0] = 1.0
+    expected = np.kron(half, lap(n - 1)) + np.kron(vertical, np.eye(n - 1))
+    assert np.allclose(K, expected, rtol=0, atol=1e-12)
 
 
 def test_load_vector_one_point_rule():
@@ -244,6 +272,65 @@ def test_grams_are_spd():
         G = friction_gram(mesh)
         assert spd_check(G)
         assert G.shape == (mesh.friction_nodes.size,) * 2
+
+
+def test_elementwise_h1_gram_values():
+    # two right triangles: measure 1/2 each, one shared edge of length sqrt(2)
+    # between centroids sqrt(2)/3 apart, so weight 3
+    G = elementwise_h1_gram(unit_square_mesh(1)).toarray()
+    assert np.allclose(G, [[3.5, -3.0], [-3.0, 3.5]], rtol=0, atol=1e-14)
+    for n in (2, 3, 16):
+        mesh = unit_square_mesh(n)
+        G = elementwise_h1_gram(mesh)
+        row_sums = np.asarray(G.sum(axis=1)).ravel()
+        assert np.allclose(row_sums, element_measures(mesh), rtol=0, atol=1e-12)
+        # one pair per interior edge: n(n-1) horizontal, n(n-1) vertical, n^2 diagonal
+        off = G - sp.diags(G.diagonal())
+        assert off.count_nonzero() == 2 * (3 * n * n - 2 * n)
+    n = 8
+    h = 1.0 / n
+    G = elementwise_h1_gram(interval_mesh(0, 1, n)).toarray()
+    chain = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    chain[0, 0] = chain[-1, -1] = 1.0
+    assert np.allclose(G, h * np.eye(n) + chain / h, rtol=1e-14, atol=0)
+
+
+def loop_h1_gram(mesh):
+    """Reference: the elementwise H1 Gram built facet by facet in Python."""
+    mids = mesh.nodes[mesh.elements].mean(axis=1)
+    G = np.diag(element_measures(mesh))
+    owner = {}
+    for j, elem in enumerate(mesh.elements):
+        for facet in itertools.combinations(sorted(elem), mesh.dimension):
+            if facet not in owner:
+                owner[facet] = j
+                continue
+            a = owner.pop(facet)
+            size = np.linalg.norm(mesh.nodes[facet[0]] - mesh.nodes[facet[-1]]) if len(facet) == 2 else 1.0
+            w = size / np.linalg.norm(mids[a] - mids[j])
+            G[[a, j], [a, j]] += w
+            G[[a, j], [j, a]] -= w
+    return G
+
+
+def test_elementwise_h1_gram_matches_the_facet_loop():
+    # the summation order differs, so equality holds to a few ulps of the largest entry
+    for mesh in (interval_mesh(0, 2, 5), interval_mesh(0, 1, 32), unit_square_mesh(3), unit_square_mesh(16)):
+        expected = loop_h1_gram(mesh)
+        G = elementwise_h1_gram(mesh).toarray()
+        assert np.abs(G - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_friction_gram_values():
+    assert friction_gram(unit_square_mesh(1)).shape == (0, 0)
+    n = 8
+    h = 1.0 / n
+    G = friction_gram(unit_square_mesh(n)).toarray()
+    off = -1.0 / h + h / 6.0
+    expected = (2.0 / h + 2.0 * h / 3.0) * np.eye(n - 1) + off * (
+        np.eye(n - 1, k=1) + np.eye(n - 1, k=-1)
+    )
+    assert np.allclose(G, expected, rtol=1e-14, atol=0)
 
 
 def test_v_norm_of_a_linear_function():

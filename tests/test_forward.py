@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -344,10 +345,13 @@ def test_only_the_operator_requested_last_keeps_its_factorization():
     op1 = problem.operator(e1)
     assert op1.factorization is not None
     solution_map(e2, f, 0.0, problem)
-    assert op1.factorization is None
     assert problem.operator(e2).factorization is not None
-    # the assembled operator itself stays cached
-    assert problem.operator(e1) is op1
+    # the problem no longer holds op1, so op1 and its LU go with the last reference
+    op1_ref, lu1_ref = weakref.ref(op1), weakref.ref(op1.factorization)
+    del op1
+    assert op1_ref() is None and lu1_ref() is None
+    # e1 again assembles a new operator, not yet factorized
+    assert problem.operator(e1).factorization is None
 
 
 def test_newton_raises_when_its_line_search_fails():

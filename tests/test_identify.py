@@ -61,8 +61,6 @@ def test_schedule_must_be_positive_and_decreasing():
 def test_armijo_and_weights_validated():
     with pytest.raises(ConfigError):
         IdentificationConfig(alpha=-1.0)
-    with pytest.raises(ConfigError):
-        IdentificationConfig(noise_level=-0.1)
 
 
 # --- driver basics ----------------------------------------------------------------

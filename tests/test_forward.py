@@ -184,6 +184,46 @@ def test_2d_regularized_close_to_oracle():
     assert v_norm(mesh, state.u - exact.u) < 1e-2 * max(v_norm(mesh, exact.u), 1.0)
 
 
+def _reproducer(n: int, s: float):
+    mesh = unit_square_mesh(n)
+    j = np.arange(mesh.n_elements)
+    e = ellipticity_field(mesh, 1.0 + 0.9 * np.sin(7.0 * j))
+    x = mesh.nodes[mesh.friction_nodes, 0]
+    f = friction_field(mesh, s * (0.5 + 0.5 * np.cos(5.0 * x)))
+    source = lambda p: 10.0 * np.sin(3.0 * np.pi * p[:, 0]) * np.cos(2.0 * np.pi * p[:, 1])
+    return mesh, e, f, source
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("s", [1.0, 5.0])
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
+def test_cold_smoothed_solve_converges_near_the_oracle(kernel_name, eps, s, n):
+    # the smoothed solver must converge wherever the oracle does, from the
+    # public cold path, for every built-in kernel down to eps = 1e-8
+    tol = 1e-12  # the solver's default
+    mesh, e, f, source = _reproducer(n, s)
+    problem = Problem(mesh, source=source)
+    kernel = get_kernel(kernel_name)
+    exact = solution_map(e, f, 0.0, problem)
+    state = solution_map(e, f, eps, problem, kernel)
+    # residual recomputed from a separately assembled operator
+    op = assemble_operator(mesh, e, "grad_grad", source)
+    pos = mesh.friction_free_positions
+    wf = mesh.friction_weights * f.values
+    u = free_part(mesh, state.u)
+    r = op.matrix @ u - op.load
+    r[pos] += wf * modulus_smooth(kernel, eps, u[pos]).first_derivative
+    assert np.linalg.norm(r) <= tol
+    # |M_eps - |t|| <= 2 k eps gives E(u_eps) - E(u) <= 4 k eps sum(w f), so
+    # |u_eps - u|_K <= sqrt(8 k eps sum(w f)); with v = 0 on x = 0 and x = 1,
+    # |v|_L2^2 <= |grad v|^2 / pi^2 gives |v|_V^2 <= (1 + 1/pi^2) / min e |v|_K^2
+    bound = np.sqrt(8.0 * kernel.absolute_mean_k * eps * wf.sum()) * np.sqrt(
+        (1.0 + 1.0 / np.pi**2) / e.values.min()
+    )
+    assert v_norm(mesh, state.u - exact.u) <= bound
+
+
 def test_solver_error_carries_residual():
     mesh, _, f_of, op = benchmark(32)
     with pytest.raises(SolverError) as err:

@@ -28,7 +28,7 @@ for f_val in (0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 1.0):
     f = friction_field(mesh, f_val)
     exact = max(0.5 - f_val, 0.0)
     oracle = solve_vi_oracle(op, mesh, f)
-    smooth = solve_regularized(op, mesh, f, kernel, 1e-6, tol=1e-11, u0_full=oracle.u)
+    smooth = solve_regularized(op, mesh, f, kernel, 1e-6, tol=1e-11)
     regime = "slip" if f_val < 0.5 else "stick"
     print(
         f"{f_val:6.2f} {exact:12.8f} {oracle.u[-1]:12.8f} "

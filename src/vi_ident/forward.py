@@ -1,26 +1,37 @@
 """Forward solvers for the friction model.
 
-Two routes to a discrete solution:
+Both solvers iterate on the friction values ``x = u_D`` alone.  With
+``y = T^{-1} l`` and the dense SPD capacitance matrix ``C = E_D^T T^{-1} E_D``
+(|D| x |D|), the ``u`` that solves ``T u = l - E_D lam`` for a friction
+multiplier ``lam`` has ``u_D = y_D - C lam``, and minimizing the energy over
+the other dofs at fixed ``x`` leaves the condensed energy
 
-* :func:`solve_vi_oracle` minimizes the nonsmooth energy
-  ``1/2 u^T K u - l^T u + sum_i w_i f_i |u_i|`` (the convex program equivalent
-  to the variational inequality of the second kind) by a primal-dual active
-  set method over the three per-node subdifferential cases.  It terminates
-  finitely and serves as the epsilon-independent ground truth.
+    1/2 (x - y_D)^T C^{-1} (x - y_D) + sum_i w_i f_i m(x_i)
+
+with ``m = |.|`` for the variational inequality and ``m = M_eps`` for the
+smoothed equation.
+
+* :func:`solve_vi_oracle` minimizes the nonsmooth energy (the convex program
+  equivalent to the variational inequality of the second kind) by a
+  primal-dual active set method on D.  Slip nodes carry the multiplier
+  ``+-w f``; stick nodes are pinned to zero and take their multipliers from
+  ``C_SS``.  It terminates finitely and serves as the epsilon-independent
+  ground truth.
 
 * :func:`solve_regularized` solves the smoothed variational equation
-  ``K u + gamma^*(f M'_eps(gamma u)) = l`` by a damped Newton method; the
-  Jacobian ``K + gamma^* diag(w f M''_eps(gamma u)) gamma`` is SPD because
-  M'' >= 0, so the Newton direction always descends the smoothed energy.
+  ``K u + gamma^*(w f M'_eps(gamma u)) = l`` by a damped Newton method on the
+  condensed gradient ``C^{-1}(x - y_D) + w f M'_eps(x)``, which is the
+  full-space residual of the harmonic extension of ``x``.  Its Hessian
+  ``C^{-1} + diag(w f M''_eps(x))`` is SPD because M'' >= 0.  A cold start
+  begins at the oracle's friction values: the smoothed solution lies within
+  ``sqrt(8 k eps sum(w f))`` of the oracle's in the energy norm.
 
-Every system either solver meets differs from ``K = T(e)`` only on the
-friction set D: the Newton Jacobian adds a diagonal there, and the oracle's
-active-set subproblem pins the stick nodes to zero.  :func:`factorize`
-therefore factorizes K once per assembled operator, condenses it onto D as
-the dense SPD capacitance matrix ``C = E_D^T K^{-1} E_D`` (|D| x |D|), and
-solves each friction-modified system with two K-solves and one small dense
-solve.  The factorization is cached on the operator, so the sensitivities and
-the adjoint (:mod:`vi_ident.adjoint`) reuse it as well.
+Each solver builds its ``u`` with one final ``T``-solve and reports the
+full-space residual of that ``u``.  :func:`factorize` factorizes ``T(e)`` once
+per assembled operator and keeps ``y``, ``C`` and ``C^{-1}`` with it, so a
+solve at an operator factorized before takes one ``T``-solve.  The
+sensitivities and the adjoint (:mod:`vi_ident.adjoint`) reuse the same
+factorization.
 
 :func:`solution_map` dispatches on ``eps`` (0 means oracle); the
 :class:`Problem` keeps the operator of the last coefficient vector, with its
@@ -35,6 +46,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .discretization import (
@@ -42,12 +54,13 @@ from .discretization import (
     Mesh,
     ParameterField,
     assemble_operator,
+    free_part,
     full_part,
     h1_gram,
     mass_matrix,
 )
 from .errors import SolverError
-from .kernels import KernelSpec, modulus_smooth
+from .kernels import KernelSpec, modulus_smooth, modulus_value
 
 __all__ = [
     "ForwardState",
@@ -67,8 +80,10 @@ class ForwardState:
     """A converged forward solution.
 
     ``u`` is the full nodal vector (zeros on the Dirichlet set); ``eps`` is 0
-    for the unregularized oracle solution.  Histories hold one entry per
-    accepted iterate for diagnostics.
+    for the unregularized oracle solution.  ``residual_norm`` is the
+    full-space residual of ``u``.  Histories hold one entry per accepted
+    iterate for diagnostics: the condensed energy on D (oracle), or the
+    gradient norm on D (Newton), whose last entry is ``residual_norm``.
     """
 
     u: np.ndarray
@@ -119,22 +134,28 @@ _BLOCK = 8
 # faster than the triangular solve restricted to the rows D reaches in L,
 # whose fixed cost is about a millisecond.
 _REACH_MIN = 32
+# Default stopping tolerance of the oracle, also used for the oracle start of
+# a cold smoothed solve.
+_ORACLE_TOL = 1e-10
 
 
 class Factorization:
     """One sparse LU of ``T(e)`` on the free dofs, condensed onto D.
 
-    :meth:`solve` applies ``T^{-1}``.  :meth:`solve_shifted` and
-    :meth:`solve_pinned` solve the systems that differ from ``T`` only on the
-    friction set by a capacitance correction with ``C = E_D^T T^{-1} E_D``,
-    which is built on first use.  ``tau`` is the oracle's proximal step
-    length ``1 / max(1, max row sum of |T|)``.
+    :meth:`solve` applies ``T^{-1}``; :meth:`solve_shifted` solves a system
+    that differs from ``T`` by a diagonal on the friction set, by a
+    capacitance correction.  Built on first use and kept for every later
+    solve: ``load_solution`` ``y = T^{-1} l``, ``capacitance``
+    ``C = E_D^T T^{-1} E_D`` and ``capacitance_inverse``, from a Cholesky
+    factor of ``C``; the forward solvers iterate on these alone.  ``tau`` is
+    the oracle's proximal step length ``1 / max(1, max row sum of |T|)``.
     """
 
     def __init__(self, op: DiscreteOperator, mesh: Mesh):
         K = op.matrix
         self.positions = mesh.friction_free_positions
         self.tau = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
+        self._load = op.load
         # T is SPD: a symmetric ordering with diagonal pivots never breaks
         # down, and gives P T P^T = L diag(U) L^T, which `capacitance` uses.
         self._lu = splu(
@@ -143,6 +164,11 @@ class Factorization:
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
+
+    @cached_property
+    def load_solution(self) -> np.ndarray:
+        """``y = T^{-1} l``, the frictionless solution."""
+        return self._lu.solve(self._load)
 
     @cached_property
     def capacitance(self) -> np.ndarray:
@@ -178,6 +204,11 @@ class Factorization:
         )
         return W.T @ (W / pivots[R][:, None])
 
+    @cached_property
+    def capacitance_inverse(self) -> np.ndarray:
+        """``C^{-1}``, the Schur complement of ``T`` onto D."""
+        return cho_solve(cho_factor(self.capacitance), np.eye(self.positions.size))
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``T x = rhs``."""
         return self._lu.solve(rhs)
@@ -202,23 +233,14 @@ class Factorization:
         x[pos] = x_D
         return x
 
-    def solve_pinned(self, stick: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``T x = rhs`` with ``x = 0`` on the friction nodes flagged in
-        the boolean D-mask ``stick``, dropping their equations.
-
-        The multipliers ``lam`` of the pinned nodes S solve
-        ``C_SS lam = (T^{-1} rhs)_S``, and ``x = T^{-1}(rhs - E_S lam)``.
-        """
-        y = self._lu.solve(rhs)
-        if not np.any(stick):
-            return y
-        S = self.positions[stick]
-        lam = np.linalg.solve(self.capacitance[np.ix_(stick, stick)], y[S])
-        corrected = np.array(rhs, dtype=float)
-        corrected[S] -= lam
-        x = self._lu.solve(corrected)
-        x[S] = 0.0
-        return x
+    def extend(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """The ``u`` with ``u_D = x`` that solves ``T u = l - E_D lam`` off D:
+        one ``T``-solve."""
+        rhs = np.array(self._load, dtype=float)
+        rhs[self.positions] -= lam
+        u = self._lu.solve(rhs)
+        u[self.positions] = x
+        return u
 
 
 def factorize(op: DiscreteOperator, mesh: Mesh) -> Factorization:
@@ -256,8 +278,15 @@ def smoothed_energy(
     """Energy with |.| replaced by the smoothed modulus M_eps."""
     wf = mesh.friction_weights * f.values
     ud = u_free[mesh.friction_free_positions]
-    M = modulus_smooth(kernel, eps, ud).value
+    M = modulus_value(kernel, eps, ud)
     return float(0.5 * u_free @ (op.matrix @ u_free) - op.load @ u_free + wf @ M)
+
+
+def _condensed_energy(r: np.ndarray, q: np.ndarray, wf: np.ndarray, m: np.ndarray) -> float:
+    """Condensed energy ``1/2 r^T C^{-1} r + wf . m`` with ``r = x - y_D``,
+    given ``q = C^{-1} r``; it differs from the full energy of the harmonic
+    extension of ``x`` by the constant ``-1/2 l^T y``."""
+    return float(0.5 * r @ q + wf @ m)
 
 
 def _prox_residual(op, mesh, f, u_free, tau) -> float:
@@ -272,47 +301,49 @@ def _prox_residual(op, mesh, f, u_free, tau) -> float:
     return float(np.linalg.norm(u_free - prox) / tau)
 
 
-def solve_vi_oracle(
-    op: DiscreteOperator,
-    mesh: Mesh,
-    f: ParameterField,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> ForwardState:
-    """Solve the variational inequality by primal-dual active set.
+def _pin_stick(C: np.ndarray, y: np.ndarray, lam: np.ndarray, stick: np.ndarray):
+    """Friction values ``x = y - C lam`` of the active-set subproblem.
 
-    Each friction node is classified as slip+ (u > 0, multiplier at +w f),
-    slip- (u < 0, multiplier at -w f), or stick (u = 0, multiplier free in
-    the box); the classification is updated from the indicator
-    ``xi = mu + c u`` until it is a fixed point; each classification is
-    solved with the stick nodes pinned by :meth:`Factorization.solve_pinned`.
-    A damping line search keeps the energy non-increasing.  Stops when the
-    proximal-gradient residual drops below ``tol``.
-
-    Raises
-    ------
-    SolverError
-        If the residual has not dropped below ``tol`` within the cap
-        (2 |D| + 10 by default), or if damping cannot find a step that does
-        not increase the energy.
+    ``lam`` holds the multipliers of the slip nodes; the stick nodes S (the
+    boolean mask ``stick``) are pinned to ``x_S = 0``, so their multipliers
+    solve ``C_SS lam_S = y_S - C_{S,~S} lam_{~S}``.  Returns ``(x, lam)``.
     """
-    fvals = _check_friction(f, mesh)
-    fac = factorize(op, mesh)
-    K = op.matrix
-    l = op.load
-    pos = mesh.friction_free_positions
-    wf = mesh.friction_weights * fvals
-    cap = max_iter if max_iter is not None else 2 * pos.size + 10
-    c_weight = 1.0
+    lam = lam.copy()
+    if np.any(stick):
+        rhs = y[stick] - C[np.ix_(stick, ~stick)] @ lam[~stick]
+        lam[stick] = np.linalg.solve(C[np.ix_(stick, stick)], rhs)
+    x = y - C @ lam
+    x[stick] = 0.0
+    return x, lam
+
+
+def _active_set(fac: Factorization, wf: np.ndarray, tol: float, cap: int):
+    """Primal-dual active set on D; returns ``(x, lam, iterations, energies)``.
+
+    Each friction node is classified as slip+ (multiplier +w f), slip-
+    (multiplier -w f), or stick (x = 0) from the indicator ``xi = lam + x``;
+    each classification is solved by :func:`_pin_stick`, and a damping
+    between the previous and the new point keeps the condensed energy
+    non-increasing.  Stops when the proximal-gradient residual on D, where
+    ``T u - l = -E_D lam``, drops below ``tol``.
+    """
+    y = fac.load_solution[fac.positions]
+    C, tau = fac.capacitance, fac.tau
+
+    def energy_of(x, lam):
+        # C^{-1} (x - y) = -lam: no solve with C
+        return _condensed_energy(x - y, -lam, wf, np.abs(x))
+
+    def residual_of(x, lam):
+        z = x + tau * lam
+        return float(np.linalg.norm(x - np.sign(z) * np.maximum(np.abs(z) - tau * wf, 0.0)) / tau)
 
     # Start from the frictionless solve: exact when f = 0, a good sign
     # predictor otherwise.
-    u = fac.solve(l)
-    mu = l - K @ u
-    status = np.sign(np.where(np.abs(mu[pos] + c_weight * u[pos]) <= wf, 0.0, mu[pos] + c_weight * u[pos]))
-    energy = nonsmooth_energy(op, mesh, f, u)
+    x, lam = y.copy(), np.zeros_like(y)
+    energy = energy_of(x, lam)
     energies = [energy]
-    residual = _prox_residual(op, mesh, f, u, fac.tau)
+    residual = residual_of(x, lam)
     iterations = 0
 
     while residual > tol:
@@ -323,15 +354,14 @@ def solve_vi_oracle(
                 residual=residual,
             )
         iterations += 1
-
-        rhs = l.copy()
-        rhs[pos] -= wf * status
-        u_trial = fac.solve_pinned(status == 0.0, rhs)
+        xi = lam + x
+        status = np.sign(np.where(np.abs(xi) <= wf, 0.0, xi))
+        x_trial, lam_trial = _pin_stick(C, y, wf * status, status == 0.0)
 
         # Energy-monotone damping between the previous and the trial point.
         theta = 1.0
-        u_new = u_trial
-        e_new = nonsmooth_energy(op, mesh, f, u_new)
+        x_new, lam_new = x_trial, lam_trial
+        e_new = energy_of(x_new, lam_new)
         while e_new > energy + 1e-14 * (1.0 + abs(energy)):
             if theta <= 1e-8:
                 raise SolverError(
@@ -340,17 +370,49 @@ def solve_vi_oracle(
                     residual=residual,
                 )
             theta *= 0.5
-            u_new = (1.0 - theta) * u + theta * u_trial
-            e_new = nonsmooth_energy(op, mesh, f, u_new)
-        u = u_new
-        energy = e_new
+            x_new = (1.0 - theta) * x + theta * x_trial
+            lam_new = (1.0 - theta) * lam + theta * lam_trial
+            e_new = energy_of(x_new, lam_new)
+        x, lam, energy = x_new, lam_new, e_new
         energies.append(energy)
+        residual = residual_of(x, lam)
 
-        mu = l - K @ u
-        xi = mu[pos] + c_weight * u[pos]
-        status = np.sign(np.where(np.abs(xi) <= wf, 0.0, xi))
-        residual = _prox_residual(op, mesh, f, u, fac.tau)
+    return x, lam, iterations, energies
 
+
+def solve_vi_oracle(
+    op: DiscreteOperator,
+    mesh: Mesh,
+    f: ParameterField,
+    tol: float = _ORACLE_TOL,
+    max_iter: int | None = None,
+) -> ForwardState:
+    """Solve the variational inequality by primal-dual active set on D.
+
+    The active-set iteration runs on the friction values alone (see
+    :func:`_active_set`); ``u`` is then built from the converged multipliers
+    with one ``T``-solve, and its full-space proximal-gradient residual is
+    the reported ``residual_norm``.
+
+    Raises
+    ------
+    SolverError
+        If the residual has not dropped below ``tol`` within the cap
+        (2 |D| + 10 by default), if damping cannot find a step that does not
+        increase the energy, or if the returned ``u`` misses ``tol``.
+    """
+    fvals = _check_friction(f, mesh)
+    fac = factorize(op, mesh)
+    wf = mesh.friction_weights * fvals
+    cap = max_iter if max_iter is not None else 2 * wf.size + 10
+    x, lam, iterations, energies = _active_set(fac, wf, tol, cap)
+    u = fac.extend(x, lam)
+    residual = _prox_residual(op, mesh, f, u, fac.tau)
+    if residual > tol:
+        raise SolverError(
+            f"active-set solution has residual {residual:.3e} above tol {tol:.1e}",
+            residual=residual,
+        )
     return ForwardState(
         u=full_part(mesh, u),
         residual_norm=residual,
@@ -370,134 +432,136 @@ def solve_regularized(
     max_iter: int = 100,
     u0_full: np.ndarray | None = None,
 ) -> ForwardState:
-    """Newton solve of the regularized variational equation.
+    """Newton solve of the regularized variational equation on D.
 
-    The residual is ``R(u) = K u + gamma^*(w f M'_eps(gamma u)) - l`` on the
-    free dofs; an Armijo backtracking line search on the smoothed energy
-    guards against the large curvature ``M'' ~ 1/eps`` far from the solution.
-    Warm-starts from ``u0_full`` when given.  Cold starts use the frictionless
-    linear solve, improved by a short epsilon-continuation warm-up (solving at
-    a few larger epsilon levels first) so that small-epsilon stick problems
-    start inside the Newton basin; the reported iteration count and residual
-    history cover the target-epsilon solve only.
-
-    Each Newton step solves with the Jacobian through
-    :meth:`Factorization.solve_shifted`, so the whole solve, warm-up included,
-    uses the operator's one factorization.
+    Damped Newton on the friction values ``x`` with gradient
+    ``C^{-1}(x - y_D) + w f M'_eps(x)`` and Hessian
+    ``C^{-1} + diag(w f M''_eps(x))``: a full step is taken when it cuts the
+    gradient norm by 10%, otherwise an Armijo backtracking on the condensed
+    energy guards against the large curvature ``M'' ~ 1/eps`` far from the
+    solution.  Starts from ``u0_full`` on D when given; if that run fails it
+    falls back to the cold start, the oracle's friction values at the same
+    operator.  ``u`` is built with one final ``T``-solve, and
+    ``residual_norm`` (also the last entry of ``residual_history``) is the
+    full-space residual ``|K u - l + E_D (w f M'_eps(u_D))|`` of that ``u``.
+    Where the round-off of that solve alone exceeds ``tol``, one full-space
+    Newton step through :meth:`Factorization.solve_shifted` removes it.
 
     Raises
     ------
     SolverError
-        If Newton stalls, exhausts ``max_iter``, or its line search finds no
-        sufficient energy decrease.
+        If Newton stalls on full steps, exhausts ``max_iter``, its line search
+        finds no sufficient energy decrease, or the returned ``u`` misses
+        ``tol``.
     """
-    _check_friction(f, mesh)
+    fvals = _check_friction(f, mesh)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    fac = factorize(op, mesh)
+    wf = mesh.friction_weights * fvals
+    pos = fac.positions
+
+    def residual_of(u, sm):
+        r = op.matrix @ u - op.load
+        r[pos] += wf * sm.first_derivative
+        return r
+
+    def run(x0):
+        x, q, sm, iterations, history = _newton(fac, wf, kernel, eps, tol, max_iter, x0)
+        # the harmonic extension of x: its multiplier on D is -C^{-1}(x - y_D)
+        u = fac.extend(x, -q)
+        r = residual_of(u, sm)
+        if np.linalg.norm(r) > tol:
+            # The round-off of the T-solve, which the gradient on D does not
+            # see, is above tol: one full-space Newton step takes it out.
+            u += fac.solve_shifted(wf * sm.second_derivative, -r)
+            sm = modulus_smooth(kernel, eps, u[pos])
+            r = residual_of(u, sm)
+        residual = float(np.linalg.norm(r))
+        if residual > tol:
+            raise SolverError(
+                f"Newton solution has full-space residual {residual:.3e} above tol {tol:.1e}",
+                residual=residual,
+            )
+        history[-1] = residual
+        return ForwardState(
+            u=full_part(mesh, u),
+            residual_norm=residual,
+            iterations=iterations,
+            eps=float(eps),
+            residual_history=tuple(history),
+        )
 
     if u0_full is not None:
         try:
-            return _newton_regularized(
-                op, mesh, f, kernel, eps, tol, max_iter, np.asarray(u0_full, dtype=float)
-            )
+            return run(free_part(mesh, np.asarray(u0_full, dtype=float))[pos])
         except SolverError:
-            pass  # a poor warm start: fall through to the robust cold path
-
-    u_start = full_part(mesh, factorize(op, mesh).solve(op.load))
-    if np.any(f.values > 0.0):
-        level = 1e-1
-        while level > 3.0 * eps:
-            warm = _newton_regularized(
-                op, mesh, f, kernel, level, max(tol, 1e-9), max_iter, u_start
-            )
-            u_start = warm.u
-            level /= 10.0
-    return _newton_regularized(op, mesh, f, kernel, eps, tol, max_iter, u_start)
+            pass  # a poor warm start: fall through to the cold path
+    return run(_active_set(fac, wf, _ORACLE_TOL, 2 * wf.size + 10)[0])
 
 
-def _newton_regularized(
-    op: DiscreteOperator,
-    mesh: Mesh,
-    f: ParameterField,
-    kernel: KernelSpec,
-    eps: float,
-    tol: float,
-    max_iter: int,
-    u0_full: np.ndarray,
-) -> ForwardState:
-    """One damped-Newton run at a fixed eps from the given full-vector start."""
-    fvals = f.values
-    fac = factorize(op, mesh)
-    K = op.matrix
-    l = op.load
-    pos = mesh.friction_free_positions
-    wf = mesh.friction_weights * fvals
-    u = np.asarray(u0_full, dtype=float)[mesh.free_nodes]
+def _newton(fac, wf, kernel, eps, tol, max_iter, x):
+    """Damped Newton on D from ``x``; returns ``(x, C^{-1}(x - y_D), modulus
+    at x, iterations, gradient-norm history)``."""
+    y = fac.load_solution[fac.positions]
+    Cinv = fac.capacitance_inverse
 
-    def residual_vec(u_free):
-        sm = modulus_smooth(kernel, eps, u_free[pos])
-        r = K @ u_free - l
-        r[pos] += wf * sm.first_derivative
-        return r, sm
+    def gradient(x):
+        r = x - y
+        q = Cinv @ r
+        sm = modulus_smooth(kernel, eps, x)
+        return x, q + wf * sm.first_derivative, r, q, sm
 
-    r, sm = residual_vec(u)
-    rnorm = float(np.linalg.norm(r))
-    history = [rnorm]
-    energy = smoothed_energy(op, mesh, f, kernel, eps, u)
+    x, g, r, q, sm = gradient(x)
+    gnorm = float(np.linalg.norm(g))
+    history = [gnorm]
+    energy = _condensed_energy(r, q, wf, sm.value)
     iterations = 0
     stalled = 0
 
-    while rnorm > tol:
+    while gnorm > tol:
         if iterations >= max_iter or stalled >= 2:
             reason = "stalled at the attainable precision" if stalled >= 2 else f"did not converge in {max_iter} iterations"
             raise SolverError(
-                f"Newton {reason} (residual {rnorm:.3e}, tol {tol:.1e})",
-                residual=rnorm,
+                f"Newton {reason} (residual {gnorm:.3e}, tol {tol:.1e})",
+                residual=gnorm,
             )
         iterations += 1
-        rnorm_prev = rnorm
-        d = fac.solve_shifted(wf * sm.second_derivative, -r)
+        gnorm_prev = gnorm
+        d = -cho_solve(cho_factor(Cinv + np.diag(wf * sm.second_derivative)), g)
 
         # Full step first: near the solution Newton contracts the residual and
         # the energy decrease underflows double precision, so the Armijo test
         # is reserved for the globalization phase.
-        u_trial = u + d
-        r_trial, sm_trial = residual_vec(u_trial)
-        rn_trial = float(np.linalg.norm(r_trial))
-        if rn_trial <= 0.9 * rnorm:
-            u, r, sm, rnorm = u_trial, r_trial, sm_trial, rn_trial
-            energy = smoothed_energy(op, mesh, f, kernel, eps, u)
-        else:
-            slope = float(r @ d)  # = grad E . d, negative since J is SPD
-            step = 1.0
+        step = 1.0
+        trial = gradient(x + d)
+        if np.linalg.norm(trial[1]) > 0.9 * gnorm:
+            slope = float(g @ d)  # negative: the Hessian is SPD
+            Cd = Cinv @ d
             while True:
-                u_trial = u + step * d
-                e_trial = smoothed_energy(op, mesh, f, kernel, eps, u_trial)
+                x_trial = x + step * d
+                m = modulus_value(kernel, eps, x_trial)
+                e_trial = _condensed_energy(x_trial - y, q + step * Cd, wf, m)
                 if e_trial <= energy + 1e-4 * step * slope:
                     break
                 if step < 1e-12:
                     raise SolverError(
                         f"Newton line search found no sufficient decrease at eps {eps:g} "
-                        f"(residual {rnorm:.3e})",
-                        residual=rnorm,
+                        f"(residual {gnorm:.3e})",
+                        residual=gnorm,
                     )
                 step *= 0.5
-            u = u_trial
-            energy = e_trial
-            r, sm = residual_vec(u)
-            rnorm = float(np.linalg.norm(r))
-        history.append(rnorm)
-        # Residual no longer improving: double precision is exhausted, so
-        # fail fast instead of looping to the iteration cap.
-        stalled = stalled + 1 if rnorm >= 0.9999 * rnorm_prev else 0
+            if step < 1.0:
+                trial = gradient(x_trial)
+        x, g, r, q, sm = trial
+        gnorm = float(np.linalg.norm(g))
+        energy = _condensed_energy(r, q, wf, sm.value)
+        history.append(gnorm)
+        # A full step that no longer reduces the residual: double precision is
+        # exhausted, so fail fast instead of looping to the iteration cap.
+        stalled = stalled + 1 if step == 1.0 and gnorm >= 0.9999 * gnorm_prev else 0
 
-    return ForwardState(
-        u=full_part(mesh, u),
-        residual_norm=rnorm,
-        iterations=iterations,
-        eps=float(eps),
-        residual_history=tuple(history),
-    )
+    return x, q, sm, iterations, history
 
 
 def solution_map(

@@ -37,6 +37,7 @@ __all__ = [
     "from_density",
     "plus_smooth",
     "modulus_smooth",
+    "modulus_value",
     "absolute_mean",
 ]
 
@@ -371,10 +372,18 @@ def modulus_smooth(kernel: KernelSpec, eps: float, t) -> SmoothedEval:
     eps = _check_eps(eps)
     t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
     return SmoothedEval(
-        value=_eval_P(kernel, eps, t) + _eval_P(kernel, eps, -t),
+        value=modulus_value(kernel, eps, t),
         first_derivative=_eval_Pt(kernel, eps, t) - _eval_Pt(kernel, eps, -t),
         second_derivative=_eval_Ptt(kernel, eps, t) + _eval_Ptt(kernel, eps, -t),
     )
+
+
+def modulus_value(kernel: KernelSpec, eps: float, t):
+    """The value of :func:`modulus_smooth` alone: two evaluations of P
+    instead of six, for energies that need no derivatives."""
+    eps = _check_eps(eps)
+    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+    return _eval_P(kernel, eps, t) + _eval_P(kernel, eps, -t)
 
 
 def absolute_mean(kernel: KernelSpec) -> float:

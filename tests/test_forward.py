@@ -135,8 +135,10 @@ def test_regularized_converges_to_oracle(kernel_name, f_val):
 
 
 def test_regularized_residual_history_reaches_tolerance():
+    # stick (f = 1.0): the smoothed solution leaves the oracle's x = 0, so
+    # Newton must iterate from the oracle start
     mesh, _, f_of, op = benchmark(32)
-    state = solve_regularized(op, mesh, f_of(0.25), KERNEL, 1e-3, tol=1e-12)
+    state = solve_regularized(op, mesh, f_of(1.0), KERNEL, 1e-3, tol=1e-12)
     assert state.residual_history[-1] == state.residual_norm
     assert state.residual_norm <= 1e-12
     assert state.eps == 1e-3
@@ -332,7 +334,9 @@ def test_shifted_solve_matches_a_direct_factorization(mesh_name, kernel_name, ep
 
 @pytest.mark.parametrize("mesh_name", MESHES)
 @pytest.mark.parametrize("pattern", ["none", "all", "mixed"])
-def test_pinned_solve_matches_the_reduced_system(mesh_name, pattern):
+def test_stick_subproblem_matches_the_reduced_system(mesh_name, pattern):
+    # the active-set subproblem on D: slip nodes carry given multipliers, stick
+    # nodes are pinned to zero; against T restricted to the unpinned dofs
     mesh = MESHES[mesh_name]()
     op = varied_operator(mesh)
     pos = mesh.friction_free_positions
@@ -341,15 +345,83 @@ def test_pinned_solve_matches_the_reduced_system(mesh_name, pattern):
         "all": np.ones(pos.size, dtype=bool),
         "mixed": np.arange(pos.size) % 3 == 1,
     }[pattern]
-    rhs = np.random.default_rng(5).standard_normal(op.load.size)
-    x = factorize(op, mesh).solve_pinned(stick, rhs)
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal(op.load.size)
+    slip = np.where(stick, 0.0, rng.standard_normal(pos.size))
+    fac = factorize(op, mesh)
+    x, lam = forward._pin_stick(fac.capacitance, fac.solve(rhs)[pos], slip, stick)
+    loaded = rhs.copy()
+    loaded[pos] -= slip
     keep = np.ones(rhs.size, dtype=bool)
     keep[pos[stick]] = False
     ki = np.flatnonzero(keep)
     direct = np.zeros(rhs.size)
-    direct[ki] = splu(op.matrix[np.ix_(ki, ki)].tocsc()).solve(rhs[ki])
-    assert np.all(x[pos[stick]] == 0.0)
-    assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+    direct[ki] = splu(op.matrix[np.ix_(ki, ki)].tocsc()).solve(loaded[ki])
+    assert np.all(x[stick] == 0.0)
+    assert np.array_equal(lam[~stick], slip[~stick])
+    assert np.linalg.norm(x - direct[pos]) <= 1e-12 * np.linalg.norm(direct)
+    # the stick multipliers are the reactions of the pinned dofs
+    reaction = (loaded - op.matrix @ direct)[pos[stick]]
+    assert np.linalg.norm(lam[stick] - reaction) <= 1e-10 * max(np.linalg.norm(reaction), 1.0)
+
+
+@pytest.mark.parametrize("mesh_name", ["1d", "2d"])
+@pytest.mark.parametrize("f_val", [0.05, 1.0])
+def test_residual_norm_is_the_full_space_residual_of_the_returned_state(mesh_name, f_val):
+    # at |D| = 1 (1D) the residual on D alone can round to exactly zero
+    mesh = MESHES[mesh_name]()
+    op = varied_operator(mesh)
+    f = friction_field(mesh, f_val)
+    K, load = op.matrix, op.load
+    pos = mesh.friction_free_positions
+    wf = mesh.friction_weights * f.values
+
+    oracle = solve_vi_oracle(op, mesh, f)
+    u = free_part(mesh, oracle.u)
+    tau = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
+    z = u - tau * (K @ u - load)
+    prox = z.copy()
+    prox[pos] = np.sign(z[pos]) * np.maximum(np.abs(z[pos]) - tau * wf, 0.0)
+    assert oracle.residual_norm == pytest.approx(np.linalg.norm(u - prox) / tau, rel=1e-9, abs=0.0)
+
+    for kernel_name in KERNEL_NAMES:
+        kernel = get_kernel(kernel_name)
+        state = solve_regularized(op, mesh, f, kernel, 1e-4)
+        u = free_part(mesh, state.u)
+        r = K @ u - load + np.bincount(
+            pos, weights=wf * modulus_smooth(kernel, 1e-4, u[pos]).first_derivative, minlength=u.size
+        )
+        assert state.residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-9, abs=0.0)
+        assert state.residual_history[-1] == state.residual_norm
+
+
+class CountingLU:
+    """Wraps a SuperLU object and counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+def test_a_solve_at_a_factorized_operator_takes_one_T_solve():
+    mesh = unit_square_mesh(16)
+    op = varied_operator(mesh)
+    f = friction_field(mesh, 0.05)
+    fac = factorize(op, mesh)
+    # build y, C and C^{-1} once
+    solve_regularized(op, mesh, f, KERNEL, 1e-4)
+    counting = fac._lu = CountingLU(fac._lu)
+    for solve in (
+        lambda: solve_vi_oracle(op, mesh, f),
+        lambda: solve_regularized(op, mesh, f, KERNEL, 1e-6),
+        lambda: solve_regularized(op, mesh, friction_field(mesh, 1.0), get_kernel("sqrt"), 1e-8),
+    ):
+        before = counting.solves
+        solve()
+        assert counting.solves - before == 1
 
 
 def test_one_factorization_serves_every_solve_at_one_coefficient(monkeypatch):
@@ -413,7 +485,7 @@ def test_newton_raises_when_its_line_search_fails():
 
 def test_oracle_raises_when_damping_finds_no_decrease(monkeypatch):
     energies = itertools.count()
-    monkeypatch.setattr(forward, "nonsmooth_energy", lambda *args: float(next(energies)))
+    monkeypatch.setattr(forward, "_condensed_energy", lambda *args: float(next(energies)))
     mesh, _, f_of, op = benchmark(16)
     with pytest.raises(SolverError, match="damping") as err:
         solve_vi_oracle(op, mesh, f_of(1.0))

@@ -1,41 +1,28 @@
-"""Forward solvers for the friction model.
+"""Forward solvers for the friction model, iterating on ``x = u_D`` alone.
 
-Both solvers iterate on the friction values ``x = u_D`` alone.  With
-``y = T^{-1} l`` and the dense SPD capacitance matrix ``C = E_D^T T^{-1} E_D``
-(|D| x |D|), the ``u`` that solves ``T u = l - E_D lam`` for a friction
-multiplier ``lam`` has ``u_D = y_D - C lam``, and minimizing the energy over
-the other dofs at fixed ``x`` leaves the condensed energy
+With ``y = T^{-1} l`` and the dense SPD capacitance matrix
+``C = E_D^T T^{-1} E_D`` (|D| x |D|), minimizing the energy over the dofs off
+the friction set D at fixed ``x`` leaves the condensed energy
+``1/2 (x - y_D)^T C^{-1} (x - y_D) + sum_i w_i f_i m(x_i)``.
 
-    1/2 (x - y_D)^T C^{-1} (x - y_D) + sum_i w_i f_i m(x_i)
-
-with ``m = |.|`` for the variational inequality and ``m = M_eps`` for the
-smoothed equation.
-
-* :func:`solve_vi_oracle` minimizes the nonsmooth energy (the convex program
+* :func:`solve_vi_oracle` minimizes it with ``m = |.|`` (the convex program
   equivalent to the variational inequality of the second kind) by a
-  primal-dual active set method on D.  Slip nodes carry the multiplier
-  ``+-w f``; stick nodes are pinned to zero and take their multipliers from
-  ``C_SS``.  It terminates finitely and serves as the epsilon-independent
-  ground truth.
+  primal-dual active set method: slip nodes carry the multiplier ``+-w f``,
+  stick nodes are pinned to zero and take theirs from ``C_SS``.  It
+  terminates finitely and is the epsilon-independent ground truth.
 
-* :func:`solve_regularized` solves the smoothed variational equation
-  ``K u + gamma^*(w f M'_eps(gamma u)) = l`` by a damped Newton method on the
-  condensed gradient ``C^{-1}(x - y_D) + w f M'_eps(x)``, which is the
-  full-space residual of the harmonic extension of ``x``.  Its Hessian
-  ``C^{-1} + diag(w f M''_eps(x))`` is SPD because M'' >= 0.  A cold start
-  begins at the oracle's friction values: the smoothed solution lies within
-  ``sqrt(8 k eps sum(w f))`` of the oracle's in the energy norm.
+* :func:`solve_regularized` minimizes it with ``m = M_eps`` by damped Newton.
+  The gradient ``C^{-1}(x - y_D) + w f M'_eps(x)`` is the full-space residual
+  of the harmonic extension of ``x``; the Hessian
+  ``C^{-1} + diag(w f M''_eps(x))`` is SPD.  A cold start begins at the
+  oracle's ``x``, within ``sqrt(8 k eps sum(w f))`` of the smoothed solution
+  in the energy norm.
 
-Each solver builds its ``u`` with one final ``T``-solve and reports the
+Each solver builds ``u`` with one final ``T``-solve and reports the
 full-space residual of that ``u``.  :func:`factorize` factorizes ``T(e)`` once
-per assembled operator and keeps ``y``, ``C`` and ``C^{-1}`` with it, so a
-solve at an operator factorized before takes one ``T``-solve.  The
-sensitivities and the adjoint (:mod:`vi_ident.adjoint`) reuse the same
-factorization.
-
-:func:`solution_map` dispatches on ``eps`` (0 means oracle); the
-:class:`Problem` keeps the operator of the last coefficient vector, with its
-factorization, for the next solve at the same ``e``.
+per operator and keeps ``y``, ``C`` and ``C^{-1}`` with it; the sensitivities
+and the adjoint (:mod:`vi_ident.adjoint`) reuse it.  :func:`solution_map`
+dispatches on ``eps`` (0 means oracle).
 """
 
 from __future__ import annotations
@@ -80,10 +67,9 @@ class ForwardState:
     """A converged forward solution.
 
     ``u`` is the full nodal vector (zeros on the Dirichlet set); ``eps`` is 0
-    for the unregularized oracle solution.  ``residual_norm`` is the
-    full-space residual of ``u``.  Histories hold one entry per accepted
-    iterate for diagnostics: the condensed energy on D (oracle), or the
-    gradient norm on D (Newton), whose last entry is ``residual_norm``.
+    for the oracle; ``residual_norm`` is the full-space residual of ``u``.
+    Histories hold one entry per accepted iterate: the condensed energy
+    (oracle), or the gradient norm on D (Newton) ending in ``residual_norm``.
     """
 
     u: np.ndarray
@@ -134,21 +120,16 @@ _BLOCK = 8
 # faster than the triangular solve restricted to the rows D reaches in L,
 # whose fixed cost is about a millisecond.
 _REACH_MIN = 32
-# Default stopping tolerance of the oracle, also used for the oracle start of
-# a cold smoothed solve.
-_ORACLE_TOL = 1e-10
+_ORACLE_TOL = 1e-10  # the oracle's default tolerance, also for cold starts
 
 
 class Factorization:
     """One sparse LU of ``T(e)`` on the free dofs, condensed onto D.
 
-    :meth:`solve` applies ``T^{-1}``; :meth:`solve_shifted` solves a system
-    that differs from ``T`` by a diagonal on the friction set, by a
-    capacitance correction.  Built on first use and kept for every later
-    solve: ``load_solution`` ``y = T^{-1} l``, ``capacitance``
-    ``C = E_D^T T^{-1} E_D`` and ``capacitance_inverse``, from a Cholesky
-    factor of ``C``; the forward solvers iterate on these alone.  ``tau`` is
-    the oracle's proximal step length ``1 / max(1, max row sum of |T|)``.
+    ``load_solution`` ``y = T^{-1} l``, ``capacitance`` ``C = E_D^T T^{-1} E_D``
+    and ``capacitance_inverse`` are built on first use; the forward solvers
+    iterate on these, then call :meth:`extend` once.  ``tau`` is the oracle's
+    proximal step ``1 / max(1, max row sum of |T|)``.
     """
 
     def __init__(self, op: DiscreteOperator, mesh: Mesh):
@@ -206,7 +187,7 @@ class Factorization:
 
     @cached_property
     def capacitance_inverse(self) -> np.ndarray:
-        """``C^{-1}``, the Schur complement of ``T`` onto D."""
+        """``C^{-1}`` (the Schur complement of ``T`` onto D), via Cholesky."""
         return cho_solve(cho_factor(self.capacitance), np.eye(self.positions.size))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -283,9 +264,8 @@ def smoothed_energy(
 
 
 def _condensed_energy(r: np.ndarray, q: np.ndarray, wf: np.ndarray, m: np.ndarray) -> float:
-    """Condensed energy ``1/2 r^T C^{-1} r + wf . m`` with ``r = x - y_D``,
-    given ``q = C^{-1} r``; it differs from the full energy of the harmonic
-    extension of ``x`` by the constant ``-1/2 l^T y``."""
+    """``1/2 r^T q + wf . m`` for ``r = x - y_D``, ``q = C^{-1} r``: the energy of
+    the harmonic extension of ``x`` plus ``1/2 l^T y``."""
     return float(0.5 * r @ q + wf @ m)
 
 
@@ -302,12 +282,8 @@ def _prox_residual(op, mesh, f, u_free, tau) -> float:
 
 
 def _pin_stick(C: np.ndarray, y: np.ndarray, lam: np.ndarray, stick: np.ndarray):
-    """Friction values ``x = y - C lam`` of the active-set subproblem.
-
-    ``lam`` holds the multipliers of the slip nodes; the stick nodes S (the
-    boolean mask ``stick``) are pinned to ``x_S = 0``, so their multipliers
-    solve ``C_SS lam_S = y_S - C_{S,~S} lam_{~S}``.  Returns ``(x, lam)``.
-    """
+    """``(x, lam)`` with ``x = y - C lam``, ``lam`` given off the mask ``stick``,
+    and the stick nodes pinned to ``x_S = 0`` by ``C_SS lam_S = y_S - C_{S,~S} lam_{~S}``."""
     lam = lam.copy()
     if np.any(stick):
         rhs = y[stick] - C[np.ix_(stick, ~stick)] @ lam[~stick]
@@ -317,35 +293,30 @@ def _pin_stick(C: np.ndarray, y: np.ndarray, lam: np.ndarray, stick: np.ndarray)
     return x, lam
 
 
-def _active_set(fac: Factorization, wf: np.ndarray, tol: float, cap: int):
+def _active_set(fac: Factorization, wf: np.ndarray, tol: float, cap: int | None = None):
     """Primal-dual active set on D; returns ``(x, lam, iterations, energies)``.
 
-    Each friction node is classified as slip+ (multiplier +w f), slip-
-    (multiplier -w f), or stick (x = 0) from the indicator ``xi = lam + x``;
-    each classification is solved by :func:`_pin_stick`, and a damping
-    between the previous and the new point keeps the condensed energy
-    non-increasing.  Stops when the proximal-gradient residual on D, where
-    ``T u - l = -E_D lam``, drops below ``tol``.
+    Each node is slip+ (multiplier +w f), slip- (-w f) or stick (x = 0) by
+    ``xi = lam + x``; damping toward each new classification's solution keeps
+    the condensed energy non-increasing.  Stops when the proximal-gradient
+    residual on D, where ``T u - l = -E_D lam``, is at most ``tol``.
     """
     y = fac.load_solution[fac.positions]
     C, tau = fac.capacitance, fac.tau
+    cap = 2 * wf.size + 10 if cap is None else cap
 
     def energy_of(x, lam):
-        # C^{-1} (x - y) = -lam: no solve with C
-        return _condensed_energy(x - y, -lam, wf, np.abs(x))
+        return _condensed_energy(x - y, -lam, wf, np.abs(x))  # C^{-1}(x - y) = -lam
 
     def residual_of(x, lam):
         z = x + tau * lam
         return float(np.linalg.norm(x - np.sign(z) * np.maximum(np.abs(z) - tau * wf, 0.0)) / tau)
 
-    # Start from the frictionless solve: exact when f = 0, a good sign
-    # predictor otherwise.
+    # The frictionless solve: exact when f = 0, a good sign predictor otherwise.
     x, lam = y.copy(), np.zeros_like(y)
-    energy = energy_of(x, lam)
-    energies = [energy]
+    energies = [energy_of(x, lam)]
     residual = residual_of(x, lam)
     iterations = 0
-
     while residual > tol:
         if iterations >= cap:
             raise SolverError(
@@ -357,26 +328,22 @@ def _active_set(fac: Factorization, wf: np.ndarray, tol: float, cap: int):
         xi = lam + x
         status = np.sign(np.where(np.abs(xi) <= wf, 0.0, xi))
         x_trial, lam_trial = _pin_stick(C, y, wf * status, status == 0.0)
-
-        # Energy-monotone damping between the previous and the trial point.
         theta = 1.0
         x_new, lam_new = x_trial, lam_trial
         e_new = energy_of(x_new, lam_new)
-        while e_new > energy + 1e-14 * (1.0 + abs(energy)):
+        while e_new > energies[-1] + 1e-14 * (1.0 + abs(energies[-1])):
             if theta <= 1e-8:
                 raise SolverError(
-                    f"active-set damping found no energy decrease "
-                    f"(residual {residual:.3e})",
+                    f"active-set damping found no energy decrease (residual {residual:.3e})",
                     residual=residual,
                 )
             theta *= 0.5
             x_new = (1.0 - theta) * x + theta * x_trial
             lam_new = (1.0 - theta) * lam + theta * lam_trial
             e_new = energy_of(x_new, lam_new)
-        x, lam, energy = x_new, lam_new, e_new
-        energies.append(energy)
+        x, lam = x_new, lam_new
+        energies.append(e_new)
         residual = residual_of(x, lam)
-
     return x, lam, iterations, energies
 
 
@@ -389,30 +356,23 @@ def solve_vi_oracle(
 ) -> ForwardState:
     """Solve the variational inequality by primal-dual active set on D.
 
-    The active-set iteration runs on the friction values alone (see
-    :func:`_active_set`); ``u`` is then built from the converged multipliers
-    with one ``T``-solve, and its full-space proximal-gradient residual is
-    the reported ``residual_norm``.
+    ``u`` is built from the converged multipliers with one ``T``-solve;
+    ``residual_norm`` is its full-space proximal-gradient residual.
 
     Raises
     ------
     SolverError
-        If the residual has not dropped below ``tol`` within the cap
-        (2 |D| + 10 by default), if damping cannot find a step that does not
+        If the residual has not dropped below ``tol`` within ``max_iter``
+        (2 |D| + 10 by default), if damping finds no step that does not
         increase the energy, or if the returned ``u`` misses ``tol``.
     """
-    fvals = _check_friction(f, mesh)
+    wf = mesh.friction_weights * _check_friction(f, mesh)
     fac = factorize(op, mesh)
-    wf = mesh.friction_weights * fvals
-    cap = max_iter if max_iter is not None else 2 * wf.size + 10
-    x, lam, iterations, energies = _active_set(fac, wf, tol, cap)
+    x, lam, iterations, energies = _active_set(fac, wf, tol, max_iter)
     u = fac.extend(x, lam)
     residual = _prox_residual(op, mesh, f, u, fac.tau)
     if residual > tol:
-        raise SolverError(
-            f"active-set solution has residual {residual:.3e} above tol {tol:.1e}",
-            residual=residual,
-        )
+        raise SolverError(f"active-set residual {residual:.3e} above tol {tol:.1e}", residual=residual)
     return ForwardState(
         u=full_part(mesh, u),
         residual_norm=residual,
@@ -434,18 +394,14 @@ def solve_regularized(
 ) -> ForwardState:
     """Newton solve of the regularized variational equation on D.
 
-    Damped Newton on the friction values ``x`` with gradient
-    ``C^{-1}(x - y_D) + w f M'_eps(x)`` and Hessian
-    ``C^{-1} + diag(w f M''_eps(x))``: a full step is taken when it cuts the
-    gradient norm by 10%, otherwise an Armijo backtracking on the condensed
-    energy guards against the large curvature ``M'' ~ 1/eps`` far from the
-    solution.  Starts from ``u0_full`` on D when given; if that run fails it
-    falls back to the cold start, the oracle's friction values at the same
-    operator.  ``u`` is built with one final ``T``-solve, and
-    ``residual_norm`` (also the last entry of ``residual_history``) is the
-    full-space residual ``|K u - l + E_D (w f M'_eps(u_D))|`` of that ``u``.
-    Where the round-off of that solve alone exceeds ``tol``, one full-space
-    Newton step through :meth:`Factorization.solve_shifted` removes it.
+    A full step is taken when it cuts the gradient norm on D by 10%, else an
+    Armijo backtracking on the condensed energy guards against the curvature
+    ``M'' ~ 1/eps``.  Starts from ``u0_full`` on D when given, and from the
+    oracle's ``x`` when not or when that run fails.  ``u`` is built with one
+    ``T``-solve; ``residual_norm`` (the last entry of ``residual_history``)
+    is its full-space residual ``|K u - l + E_D (w f M'_eps(u_D))|``.  Where
+    the round-off of that solve exceeds ``tol``, one full-space Newton step
+    through :meth:`Factorization.solve_shifted` removes it.
 
     Raises
     ------
@@ -454,11 +410,10 @@ def solve_regularized(
         finds no sufficient energy decrease, or the returned ``u`` misses
         ``tol``.
     """
-    fvals = _check_friction(f, mesh)
+    wf = mesh.friction_weights * _check_friction(f, mesh)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     fac = factorize(op, mesh)
-    wf = mesh.friction_weights * fvals
     pos = fac.positions
 
     def residual_of(u, sm):
@@ -468,28 +423,22 @@ def solve_regularized(
 
     def run(x0):
         x, q, sm, iterations, history = _newton(fac, wf, kernel, eps, tol, max_iter, x0)
-        # the harmonic extension of x: its multiplier on D is -C^{-1}(x - y_D)
-        u = fac.extend(x, -q)
+        u = fac.extend(x, -q)  # the harmonic extension of x
         r = residual_of(u, sm)
         if np.linalg.norm(r) > tol:
-            # The round-off of the T-solve, which the gradient on D does not
-            # see, is above tol: one full-space Newton step takes it out.
+            # the gradient on D does not see the round-off of the T-solve
             u += fac.solve_shifted(wf * sm.second_derivative, -r)
             sm = modulus_smooth(kernel, eps, u[pos])
             r = residual_of(u, sm)
         residual = float(np.linalg.norm(r))
         if residual > tol:
-            raise SolverError(
-                f"Newton solution has full-space residual {residual:.3e} above tol {tol:.1e}",
-                residual=residual,
-            )
-        history[-1] = residual
+            raise SolverError(f"Newton residual {residual:.3e} above tol {tol:.1e}", residual=residual)
         return ForwardState(
             u=full_part(mesh, u),
             residual_norm=residual,
             iterations=iterations,
             eps=float(eps),
-            residual_history=tuple(history),
+            residual_history=(*history[:-1], residual),
         )
 
     if u0_full is not None:
@@ -497,7 +446,7 @@ def solve_regularized(
             return run(free_part(mesh, np.asarray(u0_full, dtype=float))[pos])
         except SolverError:
             pass  # a poor warm start: fall through to the cold path
-    return run(_active_set(fac, wf, _ORACLE_TOL, 2 * wf.size + 10)[0])
+    return run(_active_set(fac, wf, _ORACLE_TOL)[0])
 
 
 def _newton(fac, wf, kernel, eps, tol, max_iter, x):
@@ -506,61 +455,46 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
     y = fac.load_solution[fac.positions]
     Cinv = fac.capacitance_inverse
 
-    def gradient(x):
-        r = x - y
-        q = Cinv @ r
+    def at(x):  # (x, gradient, C^{-1}(x - y_D), modulus, energy) at x
+        q = Cinv @ (x - y)
         sm = modulus_smooth(kernel, eps, x)
-        return x, q + wf * sm.first_derivative, r, q, sm
+        return x, q + wf * sm.first_derivative, q, sm, _condensed_energy(x - y, q, wf, sm.value)
 
-    x, g, r, q, sm = gradient(x)
-    gnorm = float(np.linalg.norm(g))
-    history = [gnorm]
-    energy = _condensed_energy(r, q, wf, sm.value)
-    iterations = 0
-    stalled = 0
-
-    while gnorm > tol:
+    x, g, q, sm, energy = at(x)
+    history = [float(np.linalg.norm(g))]
+    iterations = stalled = 0
+    while history[-1] > tol:
         if iterations >= max_iter or stalled >= 2:
             reason = "stalled at the attainable precision" if stalled >= 2 else f"did not converge in {max_iter} iterations"
-            raise SolverError(
-                f"Newton {reason} (residual {gnorm:.3e}, tol {tol:.1e})",
-                residual=gnorm,
-            )
+            raise SolverError(f"Newton {reason} (residual {history[-1]:.3e}, tol {tol:.1e})", residual=history[-1])
         iterations += 1
-        gnorm_prev = gnorm
         d = -cho_solve(cho_factor(Cinv + np.diag(wf * sm.second_derivative)), g)
-
         # Full step first: near the solution Newton contracts the residual and
         # the energy decrease underflows double precision, so the Armijo test
         # is reserved for the globalization phase.
         step = 1.0
-        trial = gradient(x + d)
-        if np.linalg.norm(trial[1]) > 0.9 * gnorm:
+        trial = at(x + d)
+        if np.linalg.norm(trial[1]) > 0.9 * history[-1]:
             slope = float(g @ d)  # negative: the Hessian is SPD
-            Cd = Cinv @ d
             while True:
-                x_trial = x + step * d
-                m = modulus_value(kernel, eps, x_trial)
-                e_trial = _condensed_energy(x_trial - y, q + step * Cd, wf, m)
-                if e_trial <= energy + 1e-4 * step * slope:
+                r = x + step * d - y
+                m = modulus_value(kernel, eps, x + step * d)
+                if _condensed_energy(r, Cinv @ r, wf, m) <= energy + 1e-4 * step * slope:
                     break
                 if step < 1e-12:
                     raise SolverError(
                         f"Newton line search found no sufficient decrease at eps {eps:g} "
-                        f"(residual {gnorm:.3e})",
-                        residual=gnorm,
+                        f"(residual {history[-1]:.3e})",
+                        residual=history[-1],
                     )
                 step *= 0.5
             if step < 1.0:
-                trial = gradient(x_trial)
-        x, g, r, q, sm = trial
-        gnorm = float(np.linalg.norm(g))
-        energy = _condensed_energy(r, q, wf, sm.value)
-        history.append(gnorm)
+                trial = at(x + step * d)
+        x, g, q, sm, energy = trial
+        history.append(float(np.linalg.norm(g)))
         # A full step that no longer reduces the residual: double precision is
         # exhausted, so fail fast instead of looping to the iteration cap.
-        stalled = stalled + 1 if step == 1.0 and gnorm >= 0.9999 * gnorm_prev else 0
-
+        stalled = stalled + 1 if step == 1.0 and history[-1] >= 0.9999 * history[-2] else 0
     return x, q, sm, iterations, history
 
 

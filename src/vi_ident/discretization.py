@@ -21,6 +21,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spilu
 
 from .errors import ConfigError
 
@@ -32,6 +33,9 @@ __all__ = [
     "interval_mesh",
     "unit_square_mesh",
     "assemble_operator",
+    "operator_matrix",
+    "load_vector",
+    "OperatorPattern",
     "trace_apply",
     "trace_adjoint",
     "reg_inner",
@@ -103,6 +107,12 @@ class Mesh:
         )
         m = (np.ones((3, 3)) + np.eye(3)) / 12.0
         return K, m[None, :, :] * meas[:, None, None]
+
+    @cached_property
+    def operator_pattern(self) -> "OperatorPattern":
+        """The pattern every operator on this mesh is assembled on, built on
+        first use."""
+        return OperatorPattern(self)
 
 
 def _finish_mesh(dimension, nodes, elements, dirichlet, friction, weights) -> Mesh:
@@ -286,26 +296,87 @@ def _form_matrices(mesh: Mesh, form: str) -> np.ndarray:
     return K + M if form == "grad_grad_plus_mass" else K
 
 
-def _assemble(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    """Assemble per-element matrices of shape (E, m, m) on the free nodes.
+class OperatorPattern:
+    """The CSR pattern on the free dofs shared by every matrix assembled on a
+    mesh, and the order in which a factorization eliminates those dofs.
 
-    Entries in a Dirichlet row or column are dropped before the duplicates
-    are summed.
+    ``slots[k]`` is the index into the CSR data that entry k of the flattened
+    (E, m, m) local matrices adds to; entries in a Dirichlet row or column get
+    the slot ``nnz`` and are dropped.  Assembly is one ``np.bincount`` onto the
+    fixed pattern, so ``T(e).data`` is exactly linear in ``e``.
     """
-    idx = mesh.free_index[mesh.elements]
-    m = idx.shape[1]
-    rows = np.repeat(idx, m, axis=1).ravel()
-    cols = np.tile(idx, (1, m)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    n = mesh.free_nodes.size
-    A = sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n))
-    return A.tocsr()
+
+    def __init__(self, mesh: Mesh):
+        idx = mesh.free_index[mesh.elements]
+        m = idx.shape[1]
+        rows = np.repeat(idx, m, axis=1).ravel()
+        cols = np.tile(idx, (1, m)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        n = mesh.free_nodes.size
+        keys, slots = np.unique(rows[keep].astype(np.int64) * n + cols[keep], return_inverse=True)
+        self.shape = (n, n)
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
+        self.slots = np.full(rows.size, keys.size, dtype=np.int32)
+        self.slots[keep] = slots
+        self.friction_positions = mesh.friction_free_positions
+
+    def assemble(self, local: np.ndarray) -> sp.csr_matrix:
+        """Sum per-element matrices of shape (E, m, m) onto the pattern."""
+        data = np.bincount(self.slots, weights=local.ravel(), minlength=self.indices.size + 1)
+        return sp.csr_matrix((data[:-1], self.indices, self.indptr), shape=self.shape)
+
+    def holds(self, A: sp.csr_matrix) -> bool:
+        """Whether ``A`` is stored on this pattern, entry for entry."""
+        return (
+            A.shape == self.shape
+            and np.array_equal(A.indptr, self.indptr)
+            and np.array_equal(A.indices, self.indices)
+        )
+
+    @cached_property
+    def elimination(self) -> tuple[np.ndarray, ...]:
+        """``(order, rank, indptr, indices, data_map)``: the free dofs in
+        elimination order and its inverse (``rank[order] = arange(n)``), and
+        the CSC matrix ``A[order][:, order]`` of a matrix ``A`` on this
+        pattern as ``(A.data[data_map], indices, indptr)``.
+
+        The order is SuperLU's minimum-degree order of the dofs off the
+        friction set D, then D in ``friction_positions`` order, so D is
+        eliminated last.  The minimum-degree order depends on the pattern
+        alone; an incomplete LU that drops every fill entry computes it at a
+        fraction of the cost of a full factorization.
+        """
+        n = self.shape[0]
+        D = self.friction_positions
+        rest = np.setdiff1d(np.arange(n), D)
+        # a strictly diagonally dominant matrix on the pattern: SPD, so the
+        # incomplete factorization cannot break down
+        row = np.repeat(np.arange(n), np.diff(self.indptr))
+        dominant = sp.csr_matrix(
+            (np.where(row == self.indices, np.diff(self.indptr)[row], -1.0), self.indices, self.indptr),
+            shape=self.shape,
+        )
+        if rest.size:
+            ilu = spilu(
+                dominant[rest][:, rest].tocsc(), drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A"
+            )
+            rest = rest[np.argsort(ilu.perm_c)]
+        order = np.concatenate([rest, D]).astype(np.int32)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n, dtype=np.int32)
+        numbered = sp.csr_matrix(
+            (np.arange(1, self.indices.size + 1, dtype=np.int32), self.indices, self.indptr), shape=self.shape
+        )
+        csc = numbered[order][:, order].tocsc()
+        return order, rank, csc.indptr, csc.indices, csc.data - 1
 
 
 @dataclass(frozen=True)
 class DiscreteOperator:
     """Assembled operator and load on the free (non-Dirichlet) nodes.
 
+    ``matrix`` is stored on the mesh's :class:`OperatorPattern`.
     ``factorization`` is filled on first use by
     :func:`vi_ident.forward.factorize` and shared by every later solve with
     this operator, so ``matrix`` must not be modified in place.  A
@@ -325,13 +396,16 @@ def assemble_operator(
     form: str = "grad_grad",
     g: Callable | float = 1.0,
 ) -> DiscreteOperator:
-    """Assemble T(e) and the load vector for the source g.
+    """Assemble T(e) (:func:`operator_matrix`) and the load vector for the
+    source g (:func:`load_vector`)."""
+    return DiscreteOperator(matrix=operator_matrix(mesh, e, form), load=load_vector(mesh, g))
+
+
+def operator_matrix(mesh: Mesh, e: ParameterField, form: str = "grad_grad") -> sp.csr_matrix:
+    """T(e) on the free nodes, on the mesh's :class:`OperatorPattern`.
 
     The coefficient enters every element matrix linearly, so
-    assemble(e1 + e2) = assemble(e1) + assemble(e2) entrywise.  The load uses
-    a one-point rule (midpoint/centroid), consistent with P1 accuracy; ``g``
-    is either a constant or a callable receiving the (E, dim) array of
-    element midpoints.
+    T(e1 + e2) = T(e1) + T(e2) entrywise.
 
     Raises
     ------
@@ -345,16 +419,20 @@ def assemble_operator(
         )
     if vals.min() < e.lower_bound or vals.max() > e.upper_bound:
         raise ValueError("ellipticity values outside the admissible box")
-    A = _assemble(mesh, _form_matrices(mesh, form) * vals[:, None, None])
+    return mesh.operator_pattern.assemble(_form_matrices(mesh, form) * vals[:, None, None])
 
-    mids = element_midpoints(mesh)
-    meas = element_measures(mesh)
-    gv = np.asarray(g(mids), dtype=float) if callable(g) else np.full(mesh.n_elements, float(g))
+
+def load_vector(mesh: Mesh, g: Callable | float = 1.0) -> np.ndarray:
+    """The load vector on the free nodes for the source g.
+
+    A one-point rule (midpoint/centroid), consistent with P1 accuracy; ``g``
+    is either a constant or a callable receiving the (E, dim) array of
+    element midpoints.
+    """
+    gv = np.asarray(g(element_midpoints(mesh)), dtype=float) if callable(g) else float(g)
     m = mesh.elements.shape[1]
-    contrib = (gv * meas / m)[:, None].repeat(m, axis=1)
-    load_full = np.zeros(mesh.n_nodes)
-    np.add.at(load_full, mesh.elements.ravel(), contrib.ravel())
-    return DiscreteOperator(matrix=A, load=load_full[mesh.free_nodes])
+    contrib = np.repeat(gv * element_measures(mesh) / m, m)
+    return np.bincount(mesh.elements.ravel(), weights=contrib, minlength=mesh.n_nodes)[mesh.free_nodes]
 
 
 def matrix_for_direction(mesh: Mesh, delta_e: np.ndarray, form: str) -> sp.csr_matrix:
@@ -362,7 +440,7 @@ def matrix_for_direction(mesh: Mesh, delta_e: np.ndarray, form: str) -> sp.csr_m
     delta_e = np.asarray(delta_e, dtype=float)
     if delta_e.shape != (mesh.n_elements,):
         raise ValueError("direction length must equal the element count")
-    return _assemble(mesh, _form_matrices(mesh, form) * delta_e[:, None, None])
+    return mesh.operator_pattern.assemble(_form_matrices(mesh, form) * delta_e[:, None, None])
 
 
 def elementwise_energy(mesh: Mesh, form: str, u_full: np.ndarray, p_full: np.ndarray) -> np.ndarray:
@@ -489,12 +567,12 @@ def friction_gram(mesh: Mesh):
 def h1_gram(mesh: Mesh) -> sp.csr_matrix:
     """Discrete H1 (V-norm) Gram matrix on the free nodes."""
     K, M = mesh.local_matrices
-    return _assemble(mesh, K) + _assemble(mesh, M)
+    return mesh.operator_pattern.assemble(K) + mesh.operator_pattern.assemble(M)
 
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """P1 mass matrix on the free nodes (L2 inner product on V)."""
-    return _assemble(mesh, mesh.local_matrices[1])
+    return mesh.operator_pattern.assemble(mesh.local_matrices[1])
 
 
 def v_norm(mesh: Mesh, v_full: np.ndarray, gram: sp.csr_matrix | None = None) -> float:

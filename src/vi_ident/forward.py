@@ -20,9 +20,10 @@ the friction set D at fixed ``x`` leaves the condensed energy
 
 Each solver builds ``u`` with one final ``T``-solve and reports the
 full-space residual of that ``u``.  :func:`factorize` factorizes ``T(e)`` once
-per operator and keeps ``y``, ``C`` and ``C^{-1}`` with it; the sensitivities
-and the adjoint (:mod:`vi_ident.adjoint`) reuse it.  :func:`solution_map`
-dispatches on ``eps`` (0 means oracle).
+per operator, D last, and keeps ``y``, ``C^{-1}`` (the trailing |D| x |D|
+block of its LU) and ``C`` with it; the sensitivities and the adjoint
+(:mod:`vi_ident.adjoint`) reuse it.  :func:`solution_map` dispatches on
+``eps`` (0 means oracle).
 """
 
 from __future__ import annotations
@@ -34,17 +35,18 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import splu, spsolve_triangular
+from scipy.sparse.linalg import splu
 
 from .discretization import (
     DiscreteOperator,
     Mesh,
     ParameterField,
-    assemble_operator,
     free_part,
     full_part,
     h1_gram,
+    load_vector,
     mass_matrix,
+    operator_matrix,
 )
 from .errors import SolverError
 from .kernels import KernelSpec, modulus_smooth, modulus_value
@@ -89,8 +91,8 @@ class Problem:
     assembled operator, and with it its :class:`Factorization`, and none of
     those solves assembles or factorizes ``T(e)`` again.  A driver that moves
     ``e`` does not come back to an earlier one, so a new coefficient replaces
-    the operator held.  The L2 and V Gram matrices of the misfit are built on
-    first use.
+    the operator held.  The load does not depend on ``e`` and is computed
+    once.  The L2 and V Gram matrices of the misfit are built on first use.
     """
 
     mesh: Mesh
@@ -101,8 +103,13 @@ class Problem:
     def operator(self, e: ParameterField) -> DiscreteOperator:
         key = e.values.tobytes()
         if self._last[0] != key:
-            self._last = (key, assemble_operator(self.mesh, e, self.form, self.source))
+            op = DiscreteOperator(matrix=operator_matrix(self.mesh, e, self.form), load=self.load)
+            self._last = (key, op)
         return self._last[1]
+
+    @cached_property
+    def load(self) -> np.ndarray:
+        return load_vector(self.mesh, self.source)
 
     @cached_property
     def mass_gram(self) -> sp.csr_matrix:
@@ -113,86 +120,66 @@ class Problem:
         return h1_gram(self.mesh)
 
 
-# Capacitance columns solved per block: bounds the dense T^{-1} E_D block held
-# at once to n x _BLOCK doubles.  Wider blocks are slower at 2D n = 128.
-_BLOCK = 8
-# Below this many friction nodes, |D| unit solves through the LU build C
-# faster than the triangular solve restricted to the rows D reaches in L,
-# whose fixed cost is about a millisecond.
-_REACH_MIN = 32
 _ORACLE_TOL = 1e-10  # the oracle's default tolerance, also for cold starts
 
 
 class Factorization:
-    """One sparse LU of ``T(e)`` on the free dofs, condensed onto D.
+    """One sparse LU of ``T(e)`` on the free dofs, with the friction set D last.
 
-    ``load_solution`` ``y = T^{-1} l``, ``capacitance`` ``C = E_D^T T^{-1} E_D``
-    and ``capacitance_inverse`` are built on first use; the forward solvers
-    iterate on these, then call :meth:`extend` once.  ``tau`` is the oracle's
-    proximal step ``1 / max(1, max row sum of |T|)``.
+    The LU runs in the mesh's elimination order (minimum degree off D, then
+    D; :attr:`OperatorPattern.elimination`) with diagonal pivots, so for SPD
+    ``T`` the trailing block of ``U`` gives the Schur complement of ``T``
+    onto D, ``C^{-1} = U_DD^T diag(U_DD)^{-1} U_DD``.  ``load_solution``
+    ``y = T^{-1} l``, ``capacitance_inverse`` and ``capacitance``
+    ``C = E_D^T T^{-1} E_D`` are built on first use; the forward solvers
+    iterate on these, then call :meth:`extend` once.  ``last_oracle`` holds
+    the oracle's last ``(w f, x)``.  ``tau`` is the oracle's proximal step
+    ``1 / max(1, max row sum of |T|)``.  Raises ``ValueError`` if ``op.matrix``
+    is not stored on ``mesh.operator_pattern``, and ``SolverError`` if the
+    LU's own permutations move D out of the trailing block.
     """
 
     def __init__(self, op: DiscreteOperator, mesh: Mesh):
         K = op.matrix
+        if not mesh.operator_pattern.holds(K):
+            raise ValueError("the operator matrix is not stored on the mesh's operator pattern")
         self.positions = mesh.friction_free_positions
         self.tau = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
         self._load = op.load
-        # T is SPD: a symmetric ordering with diagonal pivots never breaks
-        # down, and gives P T P^T = L diag(U) L^T, which `capacitance` uses.
+        self.last_oracle = (None, None)
+        self._order, self._rank, indptr, indices, to_csc = mesh.operator_pattern.elimination
         self._lu = splu(
-            K.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
+            sp.csc_matrix((K.data[to_csc], indices, indptr), shape=K.shape),
+            permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
+        # SuperLU composes the given order with its elimination-tree postorder
+        lead = self._lead = K.shape[0] - self.positions.size
+        trailing = np.arange(lead, K.shape[0])
+        if not all(np.array_equal(perm[lead:], trailing) for perm in (self._lu.perm_c, self._lu.perm_r)):
+            raise SolverError("the LU of T(e) does not keep the friction set as its trailing block")
 
     @cached_property
     def load_solution(self) -> np.ndarray:
         """``y = T^{-1} l``, the frictionless solution."""
-        return self._lu.solve(self._load)
-
-    @cached_property
-    def capacitance(self) -> np.ndarray:
-        """The dense SPD matrix ``C = E_D^T T^{-1} E_D``."""
-        lu, pos = self._lu, self.positions
-        if pos.size < _REACH_MIN:
-            C = np.empty((pos.size, pos.size))
-            for start in range(0, pos.size, _BLOCK):
-                cols = pos[start : start + _BLOCK]
-                unit = np.zeros((lu.shape[0], cols.size))
-                unit[cols, np.arange(cols.size)] = 1.0
-                C[:, start : start + cols.size] = lu.solve(unit)[pos]
-            return 0.5 * (C + C.T)
-        # C = W^T diag(U)^{-1} W with W = L^{-1} P E_D, whose rows vanish
-        # outside the set R of rows that D reaches in the graph of L.
-        pivots = lu.U.diagonal()
-        L = lu.L
-        start = lu.perm_r[pos]
-        reached = np.zeros(lu.shape[0], dtype=bool)
-        reached[start] = True
-        frontier = start
-        while frontier.size:
-            rows = L[:, frontier].indices
-            frontier = np.unique(rows[~reached[rows]])
-            reached[frontier] = True
-        R = np.flatnonzero(reached)
-        L_RR = L[:, R][R, :]
-        del L  # release the full copy of L before the solve allocates W
-        W = np.zeros((R.size, pos.size))
-        W[np.searchsorted(R, start), np.arange(pos.size)] = 1.0
-        W = spsolve_triangular(
-            L_RR, W, lower=True, unit_diagonal=True, overwrite_A=True, overwrite_b=True
-        )
-        return W.T @ (W / pivots[R][:, None])
+        return self.solve(self._load)
 
     @cached_property
     def capacitance_inverse(self) -> np.ndarray:
-        """``C^{-1}`` (the Schur complement of ``T`` onto D), via Cholesky."""
-        return cho_solve(cho_factor(self.capacitance), np.eye(self.positions.size))
+        """``C^{-1}``, the Schur complement of ``T`` onto D."""
+        U_DD = self._lu.U[self._lead :, self._lead :].toarray()
+        R = U_DD / np.sqrt(np.diag(U_DD))[:, None]  # the Cholesky factor of C^{-1}
+        return R.T @ R
+
+    @cached_property
+    def capacitance(self) -> np.ndarray:
+        """The dense SPD matrix ``C = E_D^T T^{-1} E_D``, via Cholesky."""
+        return cho_solve(cho_factor(self.capacitance_inverse), np.eye(self.positions.size))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``T x = rhs``."""
-        return self._lu.solve(rhs)
+        return self._lu.solve(rhs[self._order])[self._rank]
 
     def solve_shifted(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(T + E_D diag(shift) E_D^T) x = rhs``.
@@ -203,14 +190,14 @@ class Factorization:
         small solve, not from the second ``T``-solve, where it is the
         difference of two nearly equal terms once ``shift * C >> 1``.
         """
-        y = self._lu.solve(rhs)
+        y = self.solve(rhs)
         if not np.any(shift):
             return y
         pos = self.positions
         x_D = np.linalg.solve(np.eye(pos.size) + self.capacitance * shift, y[pos])
         corrected = np.array(rhs, dtype=float)
         corrected[pos] -= shift * x_D
-        x = self._lu.solve(corrected)
+        x = self.solve(corrected)
         x[pos] = x_D
         return x
 
@@ -219,7 +206,7 @@ class Factorization:
         one ``T``-solve."""
         rhs = np.array(self._load, dtype=float)
         rhs[self.positions] -= lam
-        u = self._lu.solve(rhs)
+        u = self.solve(rhs)
         u[self.positions] = x
         return u
 
@@ -369,6 +356,8 @@ def solve_vi_oracle(
     wf = mesh.friction_weights * _check_friction(f, mesh)
     fac = factorize(op, mesh)
     x, lam, iterations, energies = _active_set(fac, wf, tol, max_iter)
+    if tol <= _ORACLE_TOL:  # as accurate as the cold start's own oracle run
+        fac.last_oracle = (wf, x)
     u = fac.extend(x, lam)
     residual = _prox_residual(op, mesh, f, u, fac.tau)
     if residual > tol:
@@ -397,8 +386,9 @@ def solve_regularized(
     A full step is taken when it cuts the gradient norm on D by 10%, else an
     Armijo backtracking on the condensed energy guards against the curvature
     ``M'' ~ 1/eps``.  Starts from ``u0_full`` on D when given, and from the
-    oracle's ``x`` when not or when that run fails.  ``u`` is built with one
-    ``T``-solve; ``residual_norm`` (the last entry of ``residual_history``)
+    oracle's ``x`` (reused if the oracle has solved ``op`` at this ``f``)
+    when not or when that run fails.  ``u`` is built with one ``T``-solve;
+    ``residual_norm`` (the last entry of ``residual_history``)
     is its full-space residual ``|K u - l + E_D (w f M'_eps(u_D))|``.  Where
     the round-off of that solve exceeds ``tol``, one full-space Newton step
     through :meth:`Factorization.solve_shifted` removes it.
@@ -446,7 +436,11 @@ def solve_regularized(
             return run(free_part(mesh, np.asarray(u0_full, dtype=float))[pos])
         except SolverError:
             pass  # a poor warm start: fall through to the cold path
-    return run(_active_set(fac, wf, _ORACLE_TOL)[0])
+    last_wf, x = fac.last_oracle
+    if not np.array_equal(last_wf, wf):
+        x = _active_set(fac, wf, _ORACLE_TOL)[0]
+        fac.last_oracle = (wf, x)
+    return run(x)
 
 
 def _newton(fac, wf, kernel, eps, tol, max_iter, x):

@@ -22,6 +22,7 @@ from vi_ident import (
     unit_square_mesh,
     v_norm,
 )
+from vi_ident import discretization
 from vi_ident.discretization import (
     element_measures,
     elementwise_energy,
@@ -29,8 +30,10 @@ from vi_ident.discretization import (
     free_part,
     friction_gram,
     full_part,
+    load_vector,
     matrix_for_direction,
 )
+from vi_ident.forward import Problem
 
 
 def spd_check(A) -> bool:
@@ -224,6 +227,72 @@ def test_matrix_for_direction_linearity():
     A = matrix_for_direction(mesh, d1 + 2.5 * d2, "grad_grad").toarray()
     B = (matrix_for_direction(mesh, d1, "grad_grad") + 2.5 * matrix_for_direction(mesh, d2, "grad_grad")).toarray()
     assert np.allclose(A, B)
+
+
+def coo_assembly(mesh, local):
+    """Reference assembly: COO triplets, Dirichlet rows and columns dropped,
+    duplicates summed by scipy."""
+    idx = mesh.free_index[mesh.elements]
+    m = idx.shape[1]
+    rows = np.repeat(idx, m, axis=1).ravel()
+    cols = np.tile(idx, (1, m)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.free_nodes.size
+    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("mesh", [interval_mesh(0, 1, 9), unit_square_mesh(7)], ids=["1d", "2d"])
+@pytest.mark.parametrize("form", ["grad_grad", "grad_grad_plus_mass"])
+def test_pattern_assembly_matches_the_coo_assembly(mesh, form):
+    rng = np.random.default_rng(8)
+    K, M = mesh.local_matrices
+    local = K + M if form == "grad_grad_plus_mass" else K
+    e = rng.uniform(0.5, 2.0, mesh.n_elements)
+    direction = rng.standard_normal(mesh.n_elements)  # sign-mixed
+    for built, coeff in (
+        (assemble_operator(mesh, ellipticity_field(mesh, e), form).matrix, e),
+        (matrix_for_direction(mesh, direction, form), direction),
+    ):
+        reference = coo_assembly(mesh, local * coeff[:, None, None])
+        # the same stored pattern, explicit zeros included
+        assert np.array_equal(built.indptr, reference.indptr)
+        assert np.array_equal(built.indices, reference.indices)
+        assert np.abs(built.data - reference.data).max() <= 1e-15 * np.abs(reference.data).max()
+
+
+def test_the_operator_pattern_is_built_once_per_mesh_on_first_use(monkeypatch):
+    builds = []
+
+    class CountingPattern(discretization.OperatorPattern):
+        def __init__(self, mesh):
+            builds.append(mesh)
+            super().__init__(mesh)
+
+    monkeypatch.setattr(discretization, "OperatorPattern", CountingPattern)
+    mesh = unit_square_mesh(6)
+    assert "operator_pattern" not in vars(mesh)
+    a = assemble_operator(mesh, ellipticity_field(mesh, 1.0)).matrix
+    b = assemble_operator(mesh, ellipticity_field(mesh, 2.0), "grad_grad_plus_mass").matrix
+    mass_matrix(mesh)
+    assert len(builds) == 1
+    assert np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr)
+
+
+@pytest.mark.parametrize("mesh", [interval_mesh(0, 1, 9), unit_square_mesh(7)], ids=["1d", "2d"])
+@pytest.mark.parametrize("source", [1.0, lambda x: 1.0 + x[:, 0] ** 2], ids=["constant", "callable"])
+def test_the_problem_load_is_the_assembled_load(mesh, source):
+    problem = Problem(mesh, source=source)
+    e = ellipticity_field(mesh, 1.5)
+    load = assemble_operator(mesh, e, g=source).load
+    assert np.array_equal(problem.operator(e).load, load)
+    assert problem.operator(ellipticity_field(mesh, 2.0)).load is problem.operator(e).load
+    # the reference: a nodal scatter with np.add.at
+    g = source(discretization.element_midpoints(mesh)) if callable(source) else source
+    m = mesh.elements.shape[1]
+    full = np.zeros(mesh.n_nodes)
+    np.add.at(full, mesh.elements, (g * element_measures(mesh) / m)[:, None])
+    assert np.array_equal(load, full[mesh.free_nodes])
+    assert np.array_equal(load_vector(mesh, source), load)
 
 
 def test_out_of_bounds_coefficient_rejected():

@@ -293,7 +293,7 @@ def test_variable_coefficient_flux_balance():
 
 # --- one factorization per operator -----------------------------------------------
 
-# 2d_40 has |D| = 39 friction nodes, enough for the reach-restricted build of C
+# one friction node (1D), and |D| = 15 and 39 friction nodes (2D)
 MESHES = {
     "1d": lambda: interval_mesh(0.0, 1.0, 32),
     "2d": lambda: unit_square_mesh(16),
@@ -301,14 +301,79 @@ MESHES = {
 }
 
 
-def test_the_meshes_cover_both_builds_of_the_capacitance_matrix():
-    sizes = {name: make().friction_free_positions.size for name, make in MESHES.items()}
-    assert sizes["2d"] < forward._REACH_MIN <= sizes["2d_40"]
-
-
-def varied_operator(mesh):
+def varied_operator(mesh, form="grad_grad"):
     j = np.arange(mesh.n_elements)
-    return assemble_operator(mesh, ellipticity_field(mesh, 1.0 + 0.5 * np.sin(3.0 * j)))
+    return assemble_operator(mesh, ellipticity_field(mesh, 1.0 + 0.5 * np.sin(3.0 * j)), form)
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+@pytest.mark.parametrize("form", ["grad_grad", "grad_grad_plus_mass"])
+def test_capacitance_matrices_match_unit_solves(mesh_name, form):
+    # C = E_D^T T^{-1} E_D column by column through an independent LU of T
+    mesh = MESHES[mesh_name]()
+    op = varied_operator(mesh, form)
+    pos = mesh.friction_free_positions
+    unit = np.zeros((op.load.size, pos.size))
+    unit[pos, np.arange(pos.size)] = 1.0
+    C = splu(op.matrix.tocsc()).solve(unit)[pos]
+    fac = factorize(op, mesh)
+    assert np.linalg.norm(fac.capacitance - C) <= 1e-12 * np.linalg.norm(C)
+    C_inv = np.linalg.inv(C)
+    assert np.linalg.norm(fac.capacitance_inverse - C_inv) <= 1e-12 * np.linalg.norm(C_inv)
+
+
+class MovedLU:
+    """A SuperLU whose reported column order swaps the first and last dofs."""
+
+    def __init__(self, lu):
+        self.perm_r = lu.perm_r
+        self.perm_c = lu.perm_c.copy()
+        self.perm_c[[0, -1]] = self.perm_c[[-1, 0]]
+
+
+def test_a_factorization_that_moves_the_friction_set_raises(monkeypatch):
+    # SuperLU's perm_c composes the given order with its own postorder; if
+    # that ever moves D out of the trailing block, U_DD is not C^{-1}
+    monkeypatch.setattr(forward, "splu", lambda *args, **kwargs: MovedLU(splu(*args, **kwargs)))
+    mesh = unit_square_mesh(8)
+    with pytest.raises(SolverError, match="trailing block"):
+        factorize(varied_operator(mesh), mesh)
+
+
+def test_the_factorization_rejects_a_matrix_off_the_mesh_pattern():
+    mesh = unit_square_mesh(8)
+    op = varied_operator(mesh)
+    pruned = op.matrix.copy()
+    pruned.eliminate_zeros()  # the 2D stiffness stores zeros on the cell diagonals
+    assert pruned.nnz < op.matrix.nnz
+    with pytest.raises(ValueError, match="operator pattern"):
+        factorize(replace(op, matrix=pruned), mesh)
+
+
+def test_cold_smoothed_solves_reuse_the_oracle_at_the_same_friction(monkeypatch):
+    runs = []
+    active_set = forward._active_set
+
+    def counting_active_set(*args, **kwargs):
+        runs.append(args[1])
+        return active_set(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "_active_set", counting_active_set)
+    mesh = unit_square_mesh(16)
+    op = varied_operator(mesh)
+    f = friction_field(mesh, 0.05)
+    oracle = solve_vi_oracle(op, mesh, f)
+    kernels = itertools.cycle(KERNEL_NAMES)
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-4):
+        state = solve_regularized(op, mesh, f, get_kernel(next(kernels)), eps)
+        assert v_norm(mesh, state.u - oracle.u) < 1e-2
+    assert len(runs) == 1
+    # the start is the oracle's: the same state as a fresh run from it
+    fresh = solve_regularized(varied_operator(mesh), mesh, f, KERNEL, 1e-6)
+    assert np.array_equal(solve_regularized(op, mesh, f, KERNEL, 1e-6).u, fresh.u)
+    assert len(runs) == 2
+    solve_regularized(op, mesh, friction_field(mesh, 0.5), KERNEL, 1e-6)
+    assert len(runs) == 3
 
 
 @pytest.mark.parametrize("mesh_name", MESHES)

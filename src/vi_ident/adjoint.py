@@ -8,7 +8,8 @@ is symmetric positive definite and shared by every sensitivity direction and
 by the adjoint equation.  It differs from T(e) only by a diagonal on the
 friction set, so :class:`LinearizedMap` factorizes nothing: it solves with the
 operator's cached :class:`~vi_ident.forward.Factorization` (the one the
-forward solve used) plus a |D| x |D| capacitance correction.  Directional
+forward solve used) plus a |D| x |D| Cholesky solve with the Schur complement
+S of T(e) onto D, shifted by that diagonal: Newton's Hessian.  Directional
 derivatives of the solution map solve
 
     J du = -T(delta_e) u            (ellipticity direction)
@@ -80,10 +81,12 @@ class LinearizedMap:
     converged regularized state.
 
     Solves go through the cached factorization of ``T(e)`` with the diagonal
-    shift applied by a capacitance correction, so building a map costs no
-    factorization.  Reused across sensitivity and adjoint solves; building it
-    twice for the same state gives results identical to reuse (pure function
-    of the state).  ``matrix`` assembles ``J`` explicitly, for checks.
+    shift applied on D by :meth:`~vi_ident.forward.Factorization.solve_shifted`
+    (a Cholesky solve with ``S + diag(w f M''_eps)``, ``S`` the Schur
+    complement of ``T(e)`` onto D), so building a map costs no
+    factorization.  Reused across sensitivity and adjoint solves; building
+    it twice for the same state gives results identical to reuse (pure
+    function of the state).  ``matrix`` assembles ``J`` explicitly, for checks.
     """
 
     def __init__(

@@ -19,6 +19,7 @@ import numpy as np
 import scipy
 import yaml
 
+from .discretization import FORMS
 from .errors import ConfigError
 from .kernels import KERNEL_NAMES
 
@@ -66,14 +67,28 @@ def _as_mapping(value, where):
     return value
 
 
+def _number(value, where, kind=float):
+    """``value`` as a ``kind`` (``float`` or ``int``), or a ConfigError naming
+    the field ``where``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        expected = "a real number" if kind is float else "an integer"
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}") from None
+
+
 def _field_block(block, where, default_value, lower, upper):
     block = _as_mapping(block, where)
-    out = {
-        "value": block.get("value", default_value),
-        "lower": float(block.get("lower", lower)),
-        "upper": float(block.get("upper", upper)),
+    value = block.get("value", default_value)
+    if isinstance(value, list):
+        value = [_number(v, f"{where}.value") for v in value]
+    else:
+        value = _number(value, f"{where}.value")
+    return {
+        "value": value,
+        "lower": _number(block.get("lower", lower), f"{where}.lower"),
+        "upper": _number(block.get("upper", upper), f"{where}.upper"),
     }
-    return out
 
 
 def _validate_problem(block) -> dict:
@@ -86,11 +101,9 @@ def _validate_problem(block) -> dict:
     if not isinstance(n, int) or n < 1:
         raise ConfigError("problem.mesh.n: must be an integer >= 1")
     form = block.get("form", "grad_grad")
-    if form not in ("grad_grad", "grad_grad_plus_mass"):
+    if form not in FORMS:
         raise ConfigError(f"problem.form: unknown form {form!r}")
-    source = block.get("source", 1.0)
-    if not isinstance(source, (int, float)):
-        raise ConfigError("problem.source: only constant sources are supported in configs")
+    source = _number(block.get("source", 1.0), "problem.source")
 
     ell = _field_block(block.get("ellipticity"), "problem.ellipticity", 1.0, 0.1, 10.0)
     if not 0 < ell["lower"] < ell["upper"]:
@@ -102,24 +115,26 @@ def _validate_problem(block) -> dict:
     out = {
         "mesh": {"dimension": dimension, "n": n},
         "form": form,
-        "source": float(source),
+        "source": source,
         "ellipticity": ell,
         "friction": fr,
     }
     if dimension == 1:
         interval = mesh.get("interval", [0.0, 1.0])
-        if len(interval) != 2 or not float(interval[0]) < float(interval[1]):
+        if not isinstance(interval, list) or len(interval) != 2:
             raise ConfigError("problem.mesh.interval: expected [a, b] with a < b")
-        out["mesh"]["interval"] = [float(interval[0]), float(interval[1])]
+        a, b = (_number(v, "problem.mesh.interval") for v in interval)
+        if not a < b:
+            raise ConfigError("problem.mesh.interval: expected [a, b] with a < b")
+        out["mesh"]["interval"] = [a, b]
     return out
 
 
 def _validate_solver(block) -> dict:
     block = _as_mapping(block, "solver")
     out = {
-        "newton_tol": float(block.get("newton_tol", 1e-12)),
-        "newton_max_iter": int(block.get("newton_max_iter", 100)),
-        "oracle_tol": float(block.get("oracle_tol", 1e-10)),
+        "newton_tol": _number(block.get("newton_tol", 1e-12), "solver.newton_tol"),
+        "oracle_tol": _number(block.get("oracle_tol", 1e-10), "solver.oracle_tol"),
     }
     if out["newton_tol"] <= 0 or out["oracle_tol"] <= 0:
         raise ConfigError("solver: tolerances must be positive")
@@ -127,10 +142,9 @@ def _validate_solver(block) -> dict:
 
 
 def _positive_list(values, where):
-    try:
-        out = [float(v) for v in values]
-    except TypeError:
-        raise ConfigError(f"{where}: expected a list of positive reals") from None
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}: expected a list of positive reals")
+    out = [_number(v, f"{where} entry") for v in values]
     if not out or any(v <= 0 for v in out):
         raise ConfigError(f"{where}: expected a nonempty list of positive reals")
     return out
@@ -143,56 +157,58 @@ def _validate_experiment(block) -> dict:
         raise ConfigError(
             f"experiment.kind: unknown kind {kind!r}; choose one of {', '.join(EXPERIMENT_KINDS)}"
         )
+
+    def number(key, default, kind=float):
+        return _number(block.get(key, default), f"experiment.{key}", kind)
+
     out: dict[str, Any] = {"kind": kind}
+    if kind in ("rate-study", "kernel-check"):
+        kernels = block.get("kernels", list(KERNEL_NAMES))
+        if not isinstance(kernels, list):
+            raise ConfigError("experiment.kernels: expected a list of kernel names")
+        for k in kernels:
+            if k not in KERNEL_NAMES:
+                raise ConfigError(f"experiment.kernels: unknown kernel {k!r}")
+        out["kernels"] = list(kernels)
     if kind == "forward":
-        out["eps"] = float(block.get("eps", 0.0))
+        out["eps"] = number("eps", 0.0)
         if out["eps"] < 0:
             raise ConfigError("experiment.eps: must be >= 0 (0 selects the oracle)")
     elif kind == "rate-study":
         out["eps_list"] = _positive_list(
             block.get("eps_list", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]), "experiment.eps_list"
         )
-        kernels = block.get("kernels", list(KERNEL_NAMES))
-        for k in kernels:
-            if k not in KERNEL_NAMES:
-                raise ConfigError(f"experiment.kernels: unknown kernel {k!r}")
-        out["kernels"] = list(kernels)
     elif kind == "kernel-check":
         out["eps_list"] = _positive_list(
             block.get("eps_list", list(np.logspace(-3, 0, 25))), "experiment.eps_list"
         )
-        out["t_range"] = float(block.get("t_range", 3.0))
-        out["t_points"] = int(block.get("t_points", 201))
-        kernels = block.get("kernels", list(KERNEL_NAMES))
-        for k in kernels:
-            if k not in KERNEL_NAMES:
-                raise ConfigError(f"experiment.kernels: unknown kernel {k!r}")
-        out["kernels"] = list(kernels)
+        out["t_range"] = number("t_range", 3.0)
+        out["t_points"] = number("t_points", 201, int)
     elif kind == "gradient-check":
-        out["eps"] = float(block.get("eps", 1e-2))
-        out["n_directions"] = int(block.get("n_directions", 5))
-        out["fd_step"] = float(block.get("fd_step", 1e-5))
-        out["tolerance"] = float(block.get("tolerance", 1e-5))
-        out["alpha"] = float(block.get("alpha", 1e-8))
-        out["beta"] = float(block.get("beta", 1e-8))
+        out["eps"] = number("eps", 1e-2)
+        out["n_directions"] = number("n_directions", 5, int)
+        out["fd_step"] = number("fd_step", 1e-5)
+        out["tolerance"] = number("tolerance", 1e-5)
+        out["alpha"] = number("alpha", 1e-8)
+        out["beta"] = number("beta", 1e-8)
         if out["eps"] <= 0:
             raise ConfigError("experiment.eps: must be positive for gradient checks")
     elif kind in ("identify", "continuation"):
-        out["alpha"] = float(block.get("alpha", 1e-8))
-        out["beta"] = float(block.get("beta", 1e-8))
-        out["max_iters"] = int(block.get("max_iters", 500))
-        out["stop_tol"] = float(block.get("stop_tol", 1e-9))
-        out["noise_level"] = float(block.get("noise_level", 0.0))
+        out["alpha"] = number("alpha", 1e-8)
+        out["beta"] = number("beta", 1e-8)
+        out["max_iters"] = number("max_iters", 500, int)
+        out["stop_tol"] = number("stop_tol", 1e-9)
+        out["noise_level"] = number("noise_level", 0.0)
         if out["noise_level"] < 0:
             raise ConfigError("experiment.noise_level: must be >= 0")
         out["free_e"] = bool(block.get("free_e", False))
         out["free_f"] = bool(block.get("free_f", True))
-        out["true_ellipticity"] = float(block.get("true_ellipticity", 1.0))
-        out["true_friction"] = float(block.get("true_friction", 0.25))
-        out["initial_ellipticity"] = float(block.get("initial_ellipticity", 1.0))
-        out["initial_friction"] = float(block.get("initial_friction", 1.0))
+        out["true_ellipticity"] = number("true_ellipticity", 1.0)
+        out["true_friction"] = number("true_friction", 0.25)
+        out["initial_ellipticity"] = number("initial_ellipticity", 1.0)
+        out["initial_friction"] = number("initial_friction", 1.0)
         if kind == "identify":
-            out["eps"] = float(block.get("eps", 1e-4))
+            out["eps"] = number("eps", 1e-4)
             if out["eps"] <= 0:
                 raise ConfigError("experiment.eps: must be positive for identification")
         else:

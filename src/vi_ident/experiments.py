@@ -51,11 +51,14 @@ def make_problem(cfg: ExperimentConfig):
     pb = cfg.problem
     mesh = build_mesh(pb["mesh"])
     problem = Problem(mesh, pb["form"], pb["source"])
-    ell = pb["ellipticity"]
-    fr = pb["friction"]
-    e = ellipticity_field(mesh, ell["value"], ell["lower"], ell["upper"])
-    f = friction_field(mesh, fr["value"], fr["lower"], fr["upper"])
-    return problem, e, f
+    fields = []
+    for name, make in (("ellipticity", ellipticity_field), ("friction", friction_field)):
+        block = pb[name]
+        try:  # a value list of the wrong length, or values outside the bounds
+            fields.append(make(mesh, block["value"], block["lower"], block["upper"]))
+        except ValueError as exc:
+            raise ConfigError(f"problem.{name}.value: {exc}") from None
+    return problem, *fields
 
 
 def _solution_rows(mesh, u):

@@ -1,29 +1,29 @@
 """Forward solvers for the friction model, iterating on ``x = u_D`` alone.
 
-With ``y = T^{-1} l`` and the dense SPD capacitance matrix
-``C = E_D^T T^{-1} E_D`` (|D| x |D|), minimizing the energy over the dofs off
-the friction set D at fixed ``x`` leaves the condensed energy
-``1/2 (x - y_D)^T C^{-1} (x - y_D) + sum_i w_i f_i m(x_i)``.
+With ``y = T^{-1} l`` and the dense SPD Schur complement
+``S = T_DD - T_DI T_II^{-1} T_ID`` of ``T`` onto the friction set D
+(|D| x |D|), minimizing the energy over the dofs off D at fixed ``x`` leaves
+the condensed energy ``1/2 (x - y_D)^T S (x - y_D) + sum_i w_i f_i m(x_i)``.
 
 * :func:`solve_vi_oracle` minimizes it with ``m = |.|`` (the convex program
   equivalent to the variational inequality of the second kind) by a
   primal-dual active set method: slip nodes carry the multiplier ``+-w f``,
-  stick nodes are pinned to zero and take theirs from ``C_SS``.  It
-  terminates finitely and is the epsilon-independent ground truth.
+  stick nodes are pinned to zero and take theirs from ``lam = S (y_D - x)``.
+  It terminates finitely and is the epsilon-independent ground truth.
 
 * :func:`solve_regularized` minimizes it with ``m = M_eps`` by damped Newton.
-  The gradient ``C^{-1}(x - y_D) + w f M'_eps(x)`` is the full-space residual
-  of the harmonic extension of ``x``; the Hessian
-  ``C^{-1} + diag(w f M''_eps(x))`` is SPD.  A cold start begins at the
-  oracle's ``x``, within ``sqrt(8 k eps sum(w f))`` of the smoothed solution
-  in the energy norm.
+  The gradient ``S (x - y_D) + w f M'_eps(x)`` is the full-space residual of
+  the harmonic extension of ``x``; the Hessian ``S + diag(w f M''_eps(x))``
+  is SPD.  A cold start begins at the oracle's ``x``, within
+  ``sqrt(8 k eps sum(w f))`` of the smoothed solution in the energy norm.
 
 Each solver builds ``u`` with one final ``T``-solve and reports the
 full-space residual of that ``u``.  :func:`factorize` factorizes ``T(e)`` once
-per operator, D last, and keeps ``y``, ``C^{-1}`` (the trailing |D| x |D|
-block of its LU) and ``C`` with it; the sensitivities and the adjoint
-(:mod:`vi_ident.adjoint`) reuse it.  :func:`solution_map` dispatches on
-``eps`` (0 means oracle).
+per operator, D last, and keeps ``y`` and ``S`` (the trailing |D| x |D| block
+of its LU) with it; the sensitivities and the adjoint
+(:mod:`vi_ident.adjoint`) reuse it.  Every dense solve on D is a Cholesky
+solve with ``S`` plus a nonnegative diagonal, or with a block of ``S``.
+:func:`solution_map` dispatches on ``eps`` (0 means oracle).
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ class Factorization:
     The LU runs in the mesh's elimination order (minimum degree off D, then
     D; :attr:`OperatorPattern.elimination`) with diagonal pivots, so for SPD
     ``T`` the trailing block of ``U`` gives the Schur complement of ``T``
-    onto D, ``C^{-1} = U_DD^T diag(U_DD)^{-1} U_DD``.  ``load_solution``
-    ``y = T^{-1} l``, ``capacitance_inverse`` and ``capacitance``
-    ``C = E_D^T T^{-1} E_D`` are built on first use; the forward solvers
+    onto D, ``S = U_DD^T diag(U_DD)^{-1} U_DD``.  ``load_solution``
+    ``y = T^{-1} l`` and ``capacitance_inverse`` ``S`` (the inverse of
+    ``E_D^T T^{-1} E_D``) are built on first use; the forward solvers
     iterate on these, then call :meth:`extend` once.  ``last_oracle`` holds
     the oracle's last ``(w f, x)``.  ``tau`` is the oracle's proximal step
     ``1 / max(1, max row sum of |T|)``.  Raises ``ValueError`` if ``op.matrix``
@@ -167,15 +167,10 @@ class Factorization:
 
     @cached_property
     def capacitance_inverse(self) -> np.ndarray:
-        """``C^{-1}``, the Schur complement of ``T`` onto D."""
+        """``S``, the Schur complement of ``T`` onto D."""
         U_DD = self._lu.U[self._lead :, self._lead :].toarray()
-        R = U_DD / np.sqrt(np.diag(U_DD))[:, None]  # the Cholesky factor of C^{-1}
+        R = U_DD / np.sqrt(np.diag(U_DD))[:, None]  # the Cholesky factor of S
         return R.T @ R
-
-    @cached_property
-    def capacitance(self) -> np.ndarray:
-        """The dense SPD matrix ``C = E_D^T T^{-1} E_D``, via Cholesky."""
-        return cho_solve(cho_factor(self.capacitance_inverse), np.eye(self.positions.size))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``T x = rhs``."""
@@ -185,16 +180,16 @@ class Factorization:
         """Solve ``(T + E_D diag(shift) E_D^T) x = rhs``.
 
         With ``y = T^{-1} rhs`` the friction values solve
-        ``(I + C diag(shift)) x_D = y_D``, and
+        ``(S + diag(shift)) x_D = S y_D``, SPD for ``shift >= 0``, and
         ``x = T^{-1}(rhs - E_D (shift * x_D))``.  ``x_D`` is taken from the
         small solve, not from the second ``T``-solve, where it is the
-        difference of two nearly equal terms once ``shift * C >> 1``.
+        difference of two nearly equal terms once ``shift >> S``.
         """
         y = self.solve(rhs)
         if not np.any(shift):
             return y
-        pos = self.positions
-        x_D = np.linalg.solve(np.eye(pos.size) + self.capacitance * shift, y[pos])
+        pos, S = self.positions, self.capacitance_inverse
+        x_D = _cholesky_solve(S + np.diag(shift), S @ y[pos])
         corrected = np.array(rhs, dtype=float)
         corrected[pos] -= shift * x_D
         x = self.solve(corrected)
@@ -251,7 +246,7 @@ def smoothed_energy(
 
 
 def _condensed_energy(r: np.ndarray, q: np.ndarray, wf: np.ndarray, m: np.ndarray) -> float:
-    """``1/2 r^T q + wf . m`` for ``r = x - y_D``, ``q = C^{-1} r``: the energy of
+    """``1/2 r^T q + wf . m`` for ``r = x - y_D``, ``q = S r``: the energy of
     the harmonic extension of ``x`` plus ``1/2 l^T y``."""
     return float(0.5 * r @ q + wf @ m)
 
@@ -268,15 +263,18 @@ def _prox_residual(op, mesh, f, u_free, tau) -> float:
     return float(np.linalg.norm(u_free - prox) / tau)
 
 
-def _pin_stick(C: np.ndarray, y: np.ndarray, lam: np.ndarray, stick: np.ndarray):
-    """``(x, lam)`` with ``x = y - C lam``, ``lam`` given off the mask ``stick``,
-    and the stick nodes pinned to ``x_S = 0`` by ``C_SS lam_S = y_S - C_{S,~S} lam_{~S}``."""
-    lam = lam.copy()
-    if np.any(stick):
-        rhs = y[stick] - C[np.ix_(stick, ~stick)] @ lam[~stick]
-        lam[stick] = np.linalg.solve(C[np.ix_(stick, stick)], rhs)
-    x = y - C @ lam
-    x[stick] = 0.0
+def _cholesky_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A x = rhs`` for a dense SPD ``A``."""
+    return cho_solve(cho_factor(A), rhs)
+
+
+def _pin_stick(S: np.ndarray, b: np.ndarray, lam: np.ndarray, stick: np.ndarray):
+    """``(x, lam)`` with ``lam = b - S x``, ``lam`` given on the slip nodes F off
+    the mask ``stick`` and ``x = 0`` on it: ``S_FF x_F = b_F - lam_F``."""
+    lam, x, slip = lam.copy(), np.zeros_like(b), ~stick
+    if np.any(slip):
+        x[slip] = _cholesky_solve(S[np.ix_(slip, slip)], b[slip] - lam[slip])
+    lam[stick] = b[stick] - S[np.ix_(stick, slip)] @ x[slip]
     return x, lam
 
 
@@ -289,11 +287,12 @@ def _active_set(fac: Factorization, wf: np.ndarray, tol: float, cap: int | None 
     residual on D, where ``T u - l = -E_D lam``, is at most ``tol``.
     """
     y = fac.load_solution[fac.positions]
-    C, tau = fac.capacitance, fac.tau
+    S, tau = fac.capacitance_inverse, fac.tau
+    b = S @ y
     cap = 2 * wf.size + 10 if cap is None else cap
 
     def energy_of(x, lam):
-        return _condensed_energy(x - y, -lam, wf, np.abs(x))  # C^{-1}(x - y) = -lam
+        return _condensed_energy(x - y, -lam, wf, np.abs(x))  # S (x - y) = -lam
 
     def residual_of(x, lam):
         z = x + tau * lam
@@ -314,7 +313,7 @@ def _active_set(fac: Factorization, wf: np.ndarray, tol: float, cap: int | None 
         iterations += 1
         xi = lam + x
         status = np.sign(np.where(np.abs(xi) <= wf, 0.0, xi))
-        x_trial, lam_trial = _pin_stick(C, y, wf * status, status == 0.0)
+        x_trial, lam_trial = _pin_stick(S, b, wf * status, status == 0.0)
         theta = 1.0
         x_new, lam_new = x_trial, lam_trial
         e_new = energy_of(x_new, lam_new)
@@ -444,13 +443,13 @@ def solve_regularized(
 
 
 def _newton(fac, wf, kernel, eps, tol, max_iter, x):
-    """Damped Newton on D from ``x``; returns ``(x, C^{-1}(x - y_D), modulus
-    at x, iterations, gradient-norm history)``."""
+    """Damped Newton on D from ``x``; returns ``(x, S (x - y_D), modulus at x,
+    iterations, gradient-norm history)``."""
     y = fac.load_solution[fac.positions]
-    Cinv = fac.capacitance_inverse
+    S = fac.capacitance_inverse
 
-    def at(x):  # (x, gradient, C^{-1}(x - y_D), modulus, energy) at x
-        q = Cinv @ (x - y)
+    def at(x):  # (x, gradient, S (x - y_D), modulus, energy) at x
+        q = S @ (x - y)
         sm = modulus_smooth(kernel, eps, x)
         return x, q + wf * sm.first_derivative, q, sm, _condensed_energy(x - y, q, wf, sm.value)
 
@@ -462,7 +461,7 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
             reason = "stalled at the attainable precision" if stalled >= 2 else f"did not converge in {max_iter} iterations"
             raise SolverError(f"Newton {reason} (residual {history[-1]:.3e}, tol {tol:.1e})", residual=history[-1])
         iterations += 1
-        d = -cho_solve(cho_factor(Cinv + np.diag(wf * sm.second_derivative)), g)
+        d = -_cholesky_solve(S + np.diag(wf * sm.second_derivative), g)
         # Full step first: near the solution Newton contracts the residual and
         # the energy decrease underflows double precision, so the Armijo test
         # is reserved for the globalization phase.
@@ -473,7 +472,7 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
             while True:
                 r = x + step * d - y
                 m = modulus_value(kernel, eps, x + step * d)
-                if _condensed_energy(r, Cinv @ r, wf, m) <= energy + 1e-4 * step * slope:
+                if _condensed_energy(r, S @ r, wf, m) <= energy + 1e-4 * step * slope:
                     break
                 if step < 1e-12:
                     raise SolverError(

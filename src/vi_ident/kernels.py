@@ -252,8 +252,10 @@ def from_density(
 _TAIL_WINDOW = 20.0
 
 
-def _quad_P_scalar(kernel: KernelSpec, eps: float, t: float) -> float:
-    """P(eps, t) by adaptive quadrature of (t - eps*s) rho(s) over s <= t/eps.
+def _quad_scalar(kernel: KernelSpec, eps: float, t: float, g: Callable[[float], float]) -> float:
+    """The integral of g(s) rho(s) over s <= t/eps by adaptive quadrature:
+    P(eps, t) for g(s) = t - eps*s, and P_t(eps, t), the CDF of rho at
+    t/eps, for g = 1.
 
     Full-line densities are split at +-_TAIL_WINDOW and the lower tail is
     mapped by s = -1/u onto a finite interval so slowly decaying densities
@@ -261,7 +263,7 @@ def _quad_P_scalar(kernel: KernelSpec, eps: float, t: float) -> float:
     """
     rho = kernel.density
     upper = t / eps
-    integrand = lambda s: (t - eps * s) * rho(s)
+    integrand = lambda s: g(s) * rho(s)
     if kernel.support is not None:
         a, b = kernel.support
         hi = min(b, upper)
@@ -275,29 +277,7 @@ def _quad_P_scalar(kernel: KernelSpec, eps: float, t: float) -> float:
         total += quad(integrand, -window, hi, epsabs=1e-13, epsrel=1e-13, limit=300)[0]
     if upper > window:
         total += quad(integrand, window, upper, epsabs=1e-13, epsrel=1e-13, limit=300)[0]
-    tail = lambda u: (t + eps / u) * rho(-1.0 / u) / (u * u)
-    total += quad(tail, 0.0, 1.0 / window, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-    return total
-
-
-def _quad_Pt_scalar(kernel: KernelSpec, eps: float, t: float) -> float:
-    """P_t(eps, t) = CDF of rho at t/eps, by quadrature."""
-    rho = kernel.density
-    upper = t / eps
-    if kernel.support is not None:
-        a, b = kernel.support
-        hi = min(b, upper)
-        if hi <= a:
-            return 0.0
-        return quad(rho, a, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-    window = max(_TAIL_WINDOW, abs(upper) + 10.0)
-    total = 0.0
-    hi = min(upper, window)
-    if hi > -window:
-        total += quad(rho, -window, hi, epsabs=1e-13, epsrel=1e-13, limit=300)[0]
-    if upper > window:
-        total += quad(rho, window, upper, epsabs=1e-13, epsrel=1e-13, limit=300)[0]
-    tail = lambda u: rho(-1.0 / u) / (u * u)
+    tail = lambda u: g(-1.0 / u) * rho(-1.0 / u) / (u * u)
     total += quad(tail, 0.0, 1.0 / window, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
     return total
 
@@ -306,7 +286,7 @@ def _eval_P(kernel: KernelSpec, eps: float, t):
     if kernel.closed_P is not None:
         return kernel.closed_P(eps, t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([_quad_P_scalar(kernel, eps, float(ti)) for ti in ts])
+    out = np.array([_quad_scalar(kernel, eps, ti, lambda s: ti - eps * s) for ti in map(float, ts)])
     return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
 
@@ -314,7 +294,7 @@ def _eval_Pt(kernel: KernelSpec, eps: float, t):
     if kernel.closed_Pt is not None:
         return kernel.closed_Pt(eps, t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([_quad_Pt_scalar(kernel, eps, float(ti)) for ti in ts])
+    out = np.array([_quad_scalar(kernel, eps, ti, lambda s: 1.0) for ti in map(float, ts)])
     return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
 

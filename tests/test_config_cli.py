@@ -196,6 +196,57 @@ def test_cli_rejects_negative_noise_level(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# (field named in the error, subcommand, config text)
+MALFORMED = [
+    ("experiment.alpha", "identify", IDENTIFY_TWIN.replace("alpha: 1.0e-8", "alpha: abc")),
+    ("solver.newton_tol", "identify", IDENTIFY_TWIN + "solver: {newton_tol: fast}\n"),
+    ("experiment.stop_tol", "identify", IDENTIFY_TWIN.replace("stop_tol: 1.0e-9", "stop_tol: []")),
+    (
+        "problem.ellipticity.lower",
+        "solve-forward",
+        MINIMAL_FORWARD.replace("n: 32}", "n: 32}\n  ellipticity: {lower: low}"),
+    ),
+    (
+        "problem.friction.value",
+        "solve-forward",
+        MINIMAL_FORWARD.replace("n: 32}", "n: 32}\n  friction: {value: high}"),
+    ),
+    (  # outside the default bounds [0, 5]
+        "problem.friction.value",
+        "solve-forward",
+        MINIMAL_FORWARD.replace("n: 32}", "n: 32}\n  friction: {value: 9.0}"),
+    ),
+    (  # one value per element: 32 expected
+        "problem.ellipticity.value",
+        "solve-forward",
+        MINIMAL_FORWARD.replace("n: 32}", "n: 32}\n  ellipticity: {value: [1.0, 2.0]}"),
+    ),
+    (
+        "experiment.eps_schedule",
+        "continuation",
+        "problem: {mesh: {dimension: 1, n: 8}}\n"
+        "experiment: {kind: continuation, eps_schedule: [1.0e-1, x]}",
+    ),
+    (
+        "experiment.t_points",
+        "kernel-check",
+        "problem: {mesh: {dimension: 1, n: 8}}\nexperiment: {kind: kernel-check, t_points: many}",
+    ),
+    (
+        "experiment.kernels",
+        "rate-study",
+        "problem: {mesh: {dimension: 1, n: 8}}\nexperiment: {kind: rate-study, kernels: 5}",
+    ),
+]
+
+
+@pytest.mark.parametrize("field,command,text", MALFORMED, ids=[case[0] for case in MALFORMED])
+def test_cli_malformed_values_are_config_errors(tmp_path, capsys, field, command, text):
+    cfg_path = write(tmp_path, text)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_cli_strict_fails_on_unmet_checks(tmp_path, capsys):
     # a gradient check with an impossible tolerance must fail under --strict
     text = (

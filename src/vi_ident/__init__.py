@@ -56,7 +56,6 @@ from .kernels import (
     KERNEL_NAMES,
     KernelSpec,
     SmoothedEval,
-    absolute_mean,
     from_density,
     get_kernel,
     modulus_smooth,
@@ -104,7 +103,6 @@ __all__ = [
     "KERNEL_NAMES",
     "KernelSpec",
     "SmoothedEval",
-    "absolute_mean",
     "from_density",
     "get_kernel",
     "modulus_smooth",

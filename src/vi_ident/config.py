@@ -69,9 +69,12 @@ def _as_mapping(value, where):
 
 def _number(value, where, kind=float):
     """``value`` as a ``kind`` (``float`` or ``int``), or a ConfigError naming
-    the field ``where``."""
+    the field ``where``.  An ``int`` field rejects a fractional part."""
     try:
-        return kind(value)
+        number = kind(value)
+        if number != float(value):
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError):
         expected = "a real number" if kind is float else "an integer"
         raise ConfigError(f"{where}: expected {expected}, got {value!r}") from None

@@ -310,7 +310,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, see
     if runner is None:
         raise ConfigError(f"experiment.kind: no runner for {kind!r}")
     out = Path(out_dir) if out_dir is not None else Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     results = runner(cfg, out, seed)
     manifest = write_manifest(out, cfg, seed, results, started)

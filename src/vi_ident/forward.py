@@ -130,7 +130,7 @@ class Factorization:
     D; :attr:`OperatorPattern.elimination`) with diagonal pivots, so for SPD
     ``T`` the trailing block of ``U`` gives the Schur complement of ``T``
     onto D, ``S = U_DD^T diag(U_DD)^{-1} U_DD``.  ``load_solution``
-    ``y = T^{-1} l`` and ``capacitance_inverse`` ``S`` (the inverse of
+    ``y = T^{-1} l`` and ``schur`` ``S`` (the inverse of
     ``E_D^T T^{-1} E_D``) are built on first use; the forward solvers
     iterate on these, then call :meth:`extend` once.  ``last_oracle`` holds
     the oracle's last ``(w f, x)``.  ``tau`` is the oracle's proximal step
@@ -166,7 +166,7 @@ class Factorization:
         return self.solve(self._load)
 
     @cached_property
-    def capacitance_inverse(self) -> np.ndarray:
+    def schur(self) -> np.ndarray:
         """``S``, the Schur complement of ``T`` onto D."""
         U_DD = self._lu.U[self._lead :, self._lead :].toarray()
         R = U_DD / np.sqrt(np.diag(U_DD))[:, None]  # the Cholesky factor of S
@@ -188,7 +188,7 @@ class Factorization:
         y = self.solve(rhs)
         if not np.any(shift):
             return y
-        pos, S = self.positions, self.capacitance_inverse
+        pos, S = self.positions, self.schur
         x_D = _cholesky_solve(S + np.diag(shift), S @ y[pos])
         corrected = np.array(rhs, dtype=float)
         corrected[pos] -= shift * x_D
@@ -278,7 +278,7 @@ def _pin_stick(S: np.ndarray, b: np.ndarray, lam: np.ndarray, stick: np.ndarray)
     return x, lam
 
 
-def _active_set(fac: Factorization, wf: np.ndarray, tol: float, cap: int | None = None):
+def _active_set(fac: Factorization, wf: np.ndarray, tol: float):
     """Primal-dual active set on D; returns ``(x, lam, iterations, energies)``.
 
     Each node is slip+ (multiplier +w f), slip- (-w f) or stick (x = 0) by
@@ -287,9 +287,9 @@ def _active_set(fac: Factorization, wf: np.ndarray, tol: float, cap: int | None 
     residual on D, where ``T u - l = -E_D lam``, is at most ``tol``.
     """
     y = fac.load_solution[fac.positions]
-    S, tau = fac.capacitance_inverse, fac.tau
+    S, tau = fac.schur, fac.tau
     b = S @ y
-    cap = 2 * wf.size + 10 if cap is None else cap
+    cap = 2 * wf.size + 10
 
     def energy_of(x, lam):
         return _condensed_energy(x - y, -lam, wf, np.abs(x))  # S (x - y) = -lam
@@ -338,7 +338,6 @@ def solve_vi_oracle(
     mesh: Mesh,
     f: ParameterField,
     tol: float = _ORACLE_TOL,
-    max_iter: int | None = None,
 ) -> ForwardState:
     """Solve the variational inequality by primal-dual active set on D.
 
@@ -348,13 +347,13 @@ def solve_vi_oracle(
     Raises
     ------
     SolverError
-        If the residual has not dropped below ``tol`` within ``max_iter``
-        (2 |D| + 10 by default), if damping finds no step that does not
-        increase the energy, or if the returned ``u`` misses ``tol``.
+        If the residual has not dropped below ``tol`` within 2 |D| + 10
+        iterations, if damping finds no step that does not increase the
+        energy, or if the returned ``u`` misses ``tol``.
     """
     wf = mesh.friction_weights * _check_friction(f, mesh)
     fac = factorize(op, mesh)
-    x, lam, iterations, energies = _active_set(fac, wf, tol, max_iter)
+    x, lam, iterations, energies = _active_set(fac, wf, tol)
     if tol <= _ORACLE_TOL:  # as accurate as the cold start's own oracle run
         fac.last_oracle = (wf, x)
     u = fac.extend(x, lam)
@@ -446,7 +445,7 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
     """Damped Newton on D from ``x``; returns ``(x, S (x - y_D), modulus at x,
     iterations, gradient-norm history)``."""
     y = fac.load_solution[fac.positions]
-    S = fac.capacitance_inverse
+    S = fac.schur
 
     def at(x):  # (x, gradient, S (x - y_D), modulus, energy) at x
         q = S @ (x - y)

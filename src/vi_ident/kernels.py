@@ -9,12 +9,13 @@ and M(eps, t) = P(eps, t) + P(eps, -t) approximates m(t) = |t|.  If rho has a
 finite absolute mean k = int |s| rho(s) ds, the approximations satisfy the
 uniform bounds |P - p| <= k*eps and |M - m| <= 2*k*eps.
 
-Four densities with closed-form P are built in (selected by name through
-:func:`get_kernel`): the logistic ("sigmoid") density, an algebraic tail
-density giving a square-root form ("sqrt"), and two box densities
-("uniform_centered", "uniform_shifted").  User-supplied densities are handled
-by :func:`from_density` with a quadrature fallback; such kernels must declare
-their absolute mean explicitly.
+A kernel is its density together with P and P_t (the CDF of rho at t/eps);
+P_tt = rho(t/eps)/eps is read off the density.  Four densities with closed-form
+P and P_t are built in (selected by name through :func:`get_kernel`): the
+logistic ("sigmoid") density, an algebraic tail density giving a square-root
+form ("sqrt"), and two box densities ("uniform_centered", "uniform_shifted").
+:func:`from_density` builds a kernel from a user density, with P and P_t by
+quadrature; such kernels must declare their absolute mean explicitly.
 
 All evaluations accept scalars or numpy arrays in ``t`` and are pure
 functions, safe for concurrent use.
@@ -38,7 +39,6 @@ __all__ = [
     "plus_smooth",
     "modulus_smooth",
     "modulus_value",
-    "absolute_mean",
 ]
 
 
@@ -56,7 +56,7 @@ class SmoothedEval:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A smoothing density together with its closed forms, if any.
+    """A smoothing density with its smoothed plus function and derivative.
 
     Parameters
     ----------
@@ -66,22 +66,18 @@ class KernelSpec:
     absolute_mean_k:
         The constant k = int |s| rho(s) ds entering the approximation bounds.
     density:
-        The density rho, vectorized over its argument.
-    support:
-        Optional (a, b) with rho = 0 outside [a, b]; None for full-line
-        densities.
-    closed_P, closed_Pt, closed_Ptt:
-        Closed-form callables ``(eps, t) -> array`` for P and its first two
-        t-derivatives.  When absent, evaluation falls back to quadrature.
+        The density rho, vectorized over its argument; P_tt(eps, t) is
+        ``density(t/eps) / eps``.
+    P, Pt:
+        Callables ``(eps, t) -> array`` for P and its t-derivative: closed
+        forms for the built-ins, quadrature for :func:`from_density`.
     """
 
     kind: str
     absolute_mean_k: float
     density: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float] | None = None
-    closed_P: Callable | None = None
-    closed_Pt: Callable | None = None
-    closed_Ptt: Callable | None = None
+    P: Callable
+    Pt: Callable
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +102,6 @@ def _sigmoid_Pt(eps, t):
     return expit(np.asarray(t, dtype=float) / eps)
 
 
-def _sigmoid_Ptt(eps, t):
-    return _sigmoid_density(np.asarray(t, dtype=float) / eps) / eps
-
-
 def _sqrt_density(s):
     return 2.0 / (np.asarray(s, dtype=float) ** 2 + 4.0) ** 1.5
 
@@ -124,14 +116,13 @@ def _sqrt_Pt(eps, t):
     return (t / np.sqrt(t * t + 4.0 * eps * eps) + 1.0) / 2.0
 
 
-def _sqrt_Ptt(eps, t):
-    t = np.asarray(t, dtype=float)
-    return 2.0 * eps * eps * (t * t + 4.0 * eps * eps) ** -1.5
+# The box densities take the half-open support [a, b), so P_tt takes its
+# right limit at the breakpoints.
 
 
 def _uniform_centered_density(s):
     s = np.asarray(s, dtype=float)
-    return np.where((s >= -0.5) & (s <= 0.5), 1.0, 0.0)
+    return np.where((s >= -0.5) & (s < 0.5), 1.0, 0.0)
 
 
 def _uniform_centered_P(eps, t):
@@ -144,15 +135,9 @@ def _uniform_centered_Pt(eps, t):
     return np.clip(np.asarray(t, dtype=float) / eps + 0.5, 0.0, 1.0)
 
 
-def _uniform_centered_Ptt(eps, t):
-    # Right-limit convention at the breakpoints t = -eps/2 and t = eps/2.
-    t = np.asarray(t, dtype=float)
-    return np.where((t >= -eps / 2.0) & (t < eps / 2.0), 1.0 / eps, 0.0)
-
-
 def _uniform_shifted_density(s):
     s = np.asarray(s, dtype=float)
-    return np.where((s >= 0.0) & (s <= 1.0), 1.0, 0.0)
+    return np.where((s >= 0.0) & (s < 1.0), 1.0, 0.0)
 
 
 def _uniform_shifted_P(eps, t):
@@ -164,47 +149,34 @@ def _uniform_shifted_Pt(eps, t):
     return np.clip(np.asarray(t, dtype=float) / eps, 0.0, 1.0)
 
 
-def _uniform_shifted_Ptt(eps, t):
-    t = np.asarray(t, dtype=float)
-    return np.where((t >= 0.0) & (t < eps), 1.0 / eps, 0.0)
-
-
 _BUILTINS = {
     "sigmoid": KernelSpec(
         kind="sigmoid",
         absolute_mean_k=2.0 * np.log(2.0),
         density=_sigmoid_density,
-        support=None,
-        closed_P=_sigmoid_P,
-        closed_Pt=_sigmoid_Pt,
-        closed_Ptt=_sigmoid_Ptt,
+        P=_sigmoid_P,
+        Pt=_sigmoid_Pt,
     ),
     "sqrt": KernelSpec(
         kind="sqrt",
         absolute_mean_k=2.0,
         density=_sqrt_density,
-        support=None,
-        closed_P=_sqrt_P,
-        closed_Pt=_sqrt_Pt,
-        closed_Ptt=_sqrt_Ptt,
+        P=_sqrt_P,
+        Pt=_sqrt_Pt,
     ),
     "uniform_centered": KernelSpec(
         kind="uniform_centered",
         absolute_mean_k=0.25,
         density=_uniform_centered_density,
-        support=(-0.5, 0.5),
-        closed_P=_uniform_centered_P,
-        closed_Pt=_uniform_centered_Pt,
-        closed_Ptt=_uniform_centered_Ptt,
+        P=_uniform_centered_P,
+        Pt=_uniform_centered_Pt,
     ),
     "uniform_shifted": KernelSpec(
         kind="uniform_shifted",
         absolute_mean_k=0.5,
         density=_uniform_shifted_density,
-        support=(0.0, 1.0),
-        closed_P=_uniform_shifted_P,
-        closed_Pt=_uniform_shifted_Pt,
-        closed_Ptt=_uniform_shifted_Ptt,
+        P=_uniform_shifted_P,
+        Pt=_uniform_shifted_Pt,
     ),
 }
 
@@ -235,73 +207,65 @@ def from_density(
 ) -> KernelSpec:
     """Build a plug-in kernel from a user density.
 
-    The density must integrate to one and have finite absolute mean
-    ``absolute_mean_k`` (supplied, not computed).  Evaluations go through
-    adaptive quadrature, so plug-in kernels are much slower than the
-    built-ins.
+    The density must integrate to one, vanish outside ``support`` = (a, b)
+    when one is given, and have finite absolute mean ``absolute_mean_k``
+    (supplied, not computed).  P and P_t go through adaptive quadrature,
+    point by point, so plug-in kernels are much slower than the built-ins.
     """
     if absolute_mean_k <= 0:
         raise ValueError("absolute_mean_k must be positive")
-    return KernelSpec(kind=kind, absolute_mean_k=float(absolute_mean_k), density=density, support=support)
+
+    def by_quadrature(g):
+        # (eps, t) -> the integral of g(eps, t, s) rho(s) over s <= t/eps
+        def evaluate(eps, t):
+            points = map(float, np.atleast_1d(np.asarray(t, dtype=float)))
+            out = np.array([_quad_scalar(density, support, ti / eps, lambda s: g(eps, ti, s)) for ti in points])
+            return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
+
+        return evaluate
+
+    return KernelSpec(
+        kind=kind,
+        absolute_mean_k=float(absolute_mean_k),
+        density=density,
+        P=by_quadrature(lambda eps, t, s: t - eps * s),
+        Pt=by_quadrature(lambda eps, t, s: 1.0),
+    )
 
 
 # ---------------------------------------------------------------------------
-# Quadrature fallback for plug-in kernels.
+# Quadrature for plug-in kernels.
 # ---------------------------------------------------------------------------
 
 _TAIL_WINDOW = 20.0
 
 
-def _quad_scalar(kernel: KernelSpec, eps: float, t: float, g: Callable[[float], float]) -> float:
-    """The integral of g(s) rho(s) over s <= t/eps by adaptive quadrature:
-    P(eps, t) for g(s) = t - eps*s, and P_t(eps, t), the CDF of rho at
-    t/eps, for g = 1.
+def _quad_scalar(rho, support, upper: float, g: Callable[[float], float]) -> float:
+    """The integral of g(s) rho(s) over s <= upper by adaptive quadrature.
 
-    Full-line densities are split at +-_TAIL_WINDOW and the lower tail is
-    mapped by s = -1/u onto a finite interval so slowly decaying densities
-    (anything with a finite absolute mean) integrate reliably.
+    A full-line density is integrated over the window [-_TAIL_WINDOW,
+    _TAIL_WINDOW] as it is, and over each tail beyond the window mapped by
+    s = -1/u (below) or s = 1/u (above) onto a finite interval, so slowly
+    decaying densities (anything with a finite absolute mean) integrate
+    reliably however far ``upper`` lies outside the window.
     """
-    rho = kernel.density
-    upper = t / eps
     integrand = lambda s: g(s) * rho(s)
-    if kernel.support is not None:
-        a, b = kernel.support
+    if support is not None:
+        a, b = support
         hi = min(b, upper)
         if hi <= a:
             return 0.0
         return quad(integrand, a, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-    window = max(_TAIL_WINDOW, abs(upper) + 10.0)
+    window = _TAIL_WINDOW
     total = 0.0
-    hi = min(upper, window)
-    if hi > -window:
-        total += quad(integrand, -window, hi, epsabs=1e-13, epsrel=1e-13, limit=300)[0]
+    if upper > -window:
+        total += quad(integrand, -window, min(upper, window), epsabs=1e-13, epsrel=1e-13, limit=300)[0]
     if upper > window:
-        total += quad(integrand, window, upper, epsabs=1e-13, epsrel=1e-13, limit=300)[0]
-    tail = lambda u: g(-1.0 / u) * rho(-1.0 / u) / (u * u)
-    total += quad(tail, 0.0, 1.0 / window, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        above = lambda u: g(1.0 / u) * rho(1.0 / u) / (u * u)
+        total += quad(above, 1.0 / upper, 1.0 / window, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    below = lambda u: g(-1.0 / u) * rho(-1.0 / u) / (u * u)
+    total += quad(below, 0.0, 1.0 / max(window, -upper), epsabs=1e-14, epsrel=1e-13, limit=200)[0]
     return total
-
-
-def _eval_P(kernel: KernelSpec, eps: float, t):
-    if kernel.closed_P is not None:
-        return kernel.closed_P(eps, t)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([_quad_scalar(kernel, eps, ti, lambda s: ti - eps * s) for ti in map(float, ts)])
-    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
-
-
-def _eval_Pt(kernel: KernelSpec, eps: float, t):
-    if kernel.closed_Pt is not None:
-        return kernel.closed_Pt(eps, t)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([_quad_scalar(kernel, eps, ti, lambda s: 1.0) for ti in map(float, ts)])
-    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
-
-
-def _eval_Ptt(kernel: KernelSpec, eps: float, t):
-    if kernel.closed_Ptt is not None:
-        return kernel.closed_Ptt(eps, t)
-    return kernel.density(np.asarray(t, dtype=float) / eps) / eps
 
 
 def _check_eps(eps: float) -> float:
@@ -335,10 +299,11 @@ def plus_smooth(kernel: KernelSpec, eps: float, t) -> SmoothedEval:
         ``first_derivative`` lies in [0, 1]; ``second_derivative`` is >= 0.
     """
     eps = _check_eps(eps)
+    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
     return SmoothedEval(
-        value=_eval_P(kernel, eps, t),
-        first_derivative=_eval_Pt(kernel, eps, t),
-        second_derivative=_eval_Ptt(kernel, eps, t),
+        value=kernel.P(eps, t),
+        first_derivative=kernel.Pt(eps, t),
+        second_derivative=kernel.density(t / eps) / eps,
     )
 
 
@@ -353,8 +318,8 @@ def modulus_smooth(kernel: KernelSpec, eps: float, t) -> SmoothedEval:
     t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
     return SmoothedEval(
         value=modulus_value(kernel, eps, t),
-        first_derivative=_eval_Pt(kernel, eps, t) - _eval_Pt(kernel, eps, -t),
-        second_derivative=_eval_Ptt(kernel, eps, t) + _eval_Ptt(kernel, eps, -t),
+        first_derivative=kernel.Pt(eps, t) - kernel.Pt(eps, -t),
+        second_derivative=kernel.density(t / eps) / eps + kernel.density(-t / eps) / eps,
     )
 
 
@@ -363,9 +328,4 @@ def modulus_value(kernel: KernelSpec, eps: float, t):
     instead of six, for energies that need no derivatives."""
     eps = _check_eps(eps)
     t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-    return _eval_P(kernel, eps, t) + _eval_P(kernel, eps, -t)
-
-
-def absolute_mean(kernel: KernelSpec) -> float:
-    """The constant k = int |s| rho(s) ds of the kernel."""
-    return kernel.absolute_mean_k
+    return kernel.P(eps, t) + kernel.P(eps, -t)

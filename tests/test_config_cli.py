@@ -80,6 +80,10 @@ def test_parse_identify_defaults(tmp_path):
             "experiment: {kind: continuation, eps_schedule: [1.0e-3, 1.0e-2]}",
             "eps_schedule",
         ),
+        (  # an integer field is not truncated to 5
+            "problem: {mesh: {dimension: 1, n: 8}}\nexperiment: {kind: kernel-check, t_points: 5.9}",
+            "experiment.t_points",
+        ),
     ],
 )
 def test_parse_errors_name_the_field(tmp_path, text, needle):
@@ -232,6 +236,7 @@ MALFORMED = [
         "kernel-check",
         "problem: {mesh: {dimension: 1, n: 8}}\nexperiment: {kind: kernel-check, t_points: many}",
     ),
+    ("experiment.max_iters", "identify", IDENTIFY_TWIN + "  max_iters: 15.5\n"),  # not truncated to 15
     (
         "experiment.kernels",
         "rate-study",
@@ -245,6 +250,7 @@ def test_cli_malformed_values_are_config_errors(tmp_path, capsys, field, command
     cfg_path = write(tmp_path, text)
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_strict_fails_on_unmet_checks(tmp_path, capsys):
@@ -287,6 +293,31 @@ def test_cli_kernel_check(tmp_path):
     header, rows = read_csv(tmp_path / "o" / "kernel_check.csv")
     assert [r[0] for r in rows] == sorted(["sigmoid", "sqrt", "uniform_centered", "uniform_shifted"])
     assert all(r[1] <= 1.0 + 1e-9 and r[2] <= 1.0 + 1e-9 for r in rows)
+
+
+def test_cli_rate_study(tmp_path):
+    # stick regime: the regularization error decays like eps for every kernel
+    text = (
+        "problem:\n  mesh: {dimension: 1, n: 32}\n  friction: {value: 1.0}\n"
+        "experiment:\n  kind: rate-study\n  kernels: [sigmoid, sqrt, uniform_shifted]\n"
+        "  eps_list: [1.0e-1, 1.0e-2, 1.0e-3]\n"
+    )
+    cfg_path = write(tmp_path, text)
+    assert main(["rate-study", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--strict"]) == 0
+    _, rows = read_csv(tmp_path / "o" / "rate_study.csv")
+    assert len(rows) == 9 and all(r[3] == "ok" for r in rows)
+    _, slopes = read_csv(tmp_path / "o" / "slopes.csv")
+    assert [r[0] for r in slopes] == ["sigmoid", "sqrt", "uniform_shifted"]
+    assert all(0.9 <= r[1] <= 1.1 for r in slopes)
+
+
+def test_cli_solve_forward_2d_writes_both_coordinates(tmp_path):
+    text = MINIMAL_FORWARD.replace("{dimension: 1, n: 32}", "{dimension: 2, n: 4}")
+    cfg_path = write(tmp_path, text)
+    assert main(["solve-forward", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    header, rows = read_csv(tmp_path / "o" / "solution.csv")
+    assert header == ["node", "x", "y", "value"]
+    assert len(rows) == 25
 
 
 def test_cli_continuation_smoke(tmp_path):

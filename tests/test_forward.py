@@ -17,6 +17,7 @@ from vi_ident import (
     assemble_operator,
     ellipticity_field,
     friction_field,
+    from_density,
     get_kernel,
     interval_mesh,
     solution_map,
@@ -176,6 +177,27 @@ def test_warm_start_from_a_bad_guess_recovers():
     assert state.residual_norm <= 1e-11
 
 
+def test_a_failed_warm_start_falls_back_to_the_cold_path(monkeypatch):
+    # from 1e3 on every free node M'_eps saturates and Newton fails within
+    # max_iter; the solver must then restart from the oracle's x
+    mesh, _, f_of, op = benchmark(16)
+    f = f_of(1.0)
+    oracle_runs = []
+    active_set = forward._active_set
+
+    def counting_active_set(*args):
+        oracle_runs.append(args)
+        return active_set(*args)
+
+    monkeypatch.setattr(forward, "_active_set", counting_active_set)
+    far = np.full(mesh.n_nodes, 1e3)
+    far[mesh.dirichlet_nodes] = 0.0
+    state = solve_regularized(op, mesh, f, KERNEL, 1e-6, max_iter=5, u0_full=far)
+    assert len(oracle_runs) == 1  # only the cold path runs the oracle
+    cold = solve_regularized(op, mesh, f, KERNEL, 1e-6, max_iter=5)
+    assert np.array_equal(state.u, cold.u)
+
+
 def test_2d_regularized_close_to_oracle():
     mesh = unit_square_mesh(8)
     e = ellipticity_field(mesh, 1.0)
@@ -224,6 +246,19 @@ def test_cold_smoothed_solve_converges_near_the_oracle(kernel_name, eps, s, n):
         (1.0 + 1.0 / np.pi**2) / e.values.min()
     )
     assert v_norm(mesh, state.u - exact.u) <= bound
+
+
+def test_plug_in_logistic_density_keeps_friction_at_small_eps():
+    # P and P_t of a full-line plug-in density come from quadrature; far
+    # beyond its window (x/eps ~ 2.5e5 here) they must still see the bulk of
+    # the density, or M'_eps vanishes and friction is switched off
+    mesh, _, f_of, op = benchmark(16)
+    f = f_of(0.25)
+    logistic = from_density("logistic", KERNEL.density, KERNEL.absolute_mean_k)
+    state = solve_regularized(op, mesh, f, logistic, 1e-6)
+    builtin = solve_regularized(op, mesh, f, KERNEL, 1e-6)
+    assert abs(state.u[-1] - benchmark_tip(0.25)) <= 2.0 * KERNEL.absolute_mean_k * 1e-6
+    assert np.allclose(state.u, builtin.u, atol=1e-12)
 
 
 def test_solver_error_carries_residual():
@@ -308,8 +343,9 @@ def varied_operator(mesh, form="grad_grad"):
 
 @pytest.mark.parametrize("mesh_name", MESHES)
 @pytest.mark.parametrize("form", ["grad_grad", "grad_grad_plus_mass"])
-def test_capacitance_matrices_match_unit_solves(mesh_name, form):
-    # C = E_D^T T^{-1} E_D column by column through an independent LU of T
+def test_schur_complement_matches_unit_solves(mesh_name, form):
+    # S is the inverse of C = E_D^T T^{-1} E_D, built column by column
+    # through an independent LU of T
     mesh = MESHES[mesh_name]()
     op = varied_operator(mesh, form)
     pos = mesh.friction_free_positions
@@ -318,7 +354,7 @@ def test_capacitance_matrices_match_unit_solves(mesh_name, form):
     C = splu(op.matrix.tocsc()).solve(unit)[pos]
     fac = factorize(op, mesh)
     C_inv = np.linalg.inv(C)
-    assert np.linalg.norm(fac.capacitance_inverse - C_inv) <= 1e-12 * np.linalg.norm(C_inv)
+    assert np.linalg.norm(fac.schur - C_inv) <= 1e-12 * np.linalg.norm(C_inv)
 
 
 class MovedLU:
@@ -414,7 +450,7 @@ def test_stick_subproblem_matches_the_reduced_system(mesh_name, pattern):
     rhs = rng.standard_normal(op.load.size)
     slip = np.where(stick, 0.0, rng.standard_normal(pos.size))
     fac = factorize(op, mesh)
-    S = fac.capacitance_inverse
+    S = fac.schur
     x, lam = forward._pin_stick(S, S @ fac.solve(rhs)[pos], slip, stick)
     loaded = rhs.copy()
     loaded[pos] -= slip
@@ -533,15 +569,15 @@ def test_only_the_operator_requested_last_keeps_its_factorization():
 
 
 def test_newton_raises_when_its_line_search_fails():
-    # closed_P smooths -|t| against closed_Pt's +|t|, so the Newton direction
-    # of the residual ascends the energy; with M'' = 0 the full step overshoots
-    # the friction node, and the Armijo backtracking must give up
+    # P smooths -|t| against Pt's +|t|, so the Newton direction of the
+    # residual ascends the energy; with a zero density M'' = 0, the full step
+    # overshoots the friction node, and the Armijo backtracking must give up
     sigmoid = get_kernel("sigmoid")
     contradictory = replace(
         sigmoid,
         kind="contradictory",
-        closed_P=lambda eps, t: -sigmoid.closed_P(eps, t),
-        closed_Ptt=lambda eps, t: np.zeros_like(np.asarray(t, dtype=float)),
+        P=lambda eps, t: -sigmoid.P(eps, t),
+        density=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
     mesh, _, f_of, op = benchmark(16)
     with pytest.raises(SolverError, match="line search") as err:

@@ -6,7 +6,6 @@ import pytest
 
 from vi_ident import (
     KERNEL_NAMES,
-    absolute_mean,
     from_density,
     get_kernel,
     modulus_smooth,
@@ -46,7 +45,6 @@ def test_absolute_mean_matches_quadrature(name):
     density, support = DENSITIES[name]
     assert abs(kernel.absolute_mean_k - ABSOLUTE_MEANS[name]) < 1e-12
     assert abs(quadrature_absolute_mean(density, support) - kernel.absolute_mean_k) < 1e-10
-    assert abs(absolute_mean(kernel) - kernel.absolute_mean_k) < 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(DENSITIES))
@@ -172,6 +170,20 @@ def test_from_density_quadrature_fallback():
     t = np.linspace(-4, 4, 101)
     gap = np.abs(plus_smooth(kernel, 0.1, t).value - np.maximum(t, 0.0))
     assert gap.max() <= 0.1 / 3.0 + 1e-10
+
+
+@pytest.mark.parametrize("name", ["sigmoid", "sqrt"])
+def test_from_density_matches_the_full_line_closed_forms(name):
+    # the same density through quadrature, including t/eps far outside the
+    # quadrature window (up to 3e8)
+    kernel = get_kernel(name)
+    plug_in = from_density(name, kernel.density, kernel.absolute_mean_k)
+    t = np.array([0.0, 1e-3, -1e-3, 0.5, -0.5, 3.0, -3.0])
+    for eps in (1.0, 1e-1, 1e-2, 1e-4, 1e-6, 1e-8):
+        closed, plugged = plus_smooth(kernel, eps, t), plus_smooth(plug_in, eps, t)
+        assert np.max(np.abs(plugged.value - closed.value)) <= 1e-12, eps
+        assert np.max(np.abs(plugged.first_derivative - closed.first_derivative)) <= 1e-12, eps
+        assert np.array_equal(plugged.second_derivative, closed.second_derivative)
 
 
 @pytest.mark.parametrize("name", [*KERNEL_NAMES, "from_density"])

@@ -3,6 +3,10 @@
 One config file fully determines an experiment run; together with the seed it
 makes the CSV outputs byte-identical across repeats.  Floats are written with
 ``repr`` so a read-back reproduces the exact double.
+
+Each kind's fields and defaults sit in one table, ``_EXPERIMENTS``; a field
+takes its type from its default (``_coerce``).  An unknown field, a boolean
+other than ``true``/``false`` or a value out of range is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 import scipy
@@ -31,14 +34,43 @@ __all__ = [
     "write_manifest",
 ]
 
-EXPERIMENT_KINDS = (
-    "forward",
-    "rate-study",
-    "kernel-check",
-    "gradient-check",
-    "identify",
-    "continuation",
-)
+_TWIN = {  # the twin experiment's fields, shared by identify and continuation
+    "alpha": 1e-8,
+    "beta": 1e-8,
+    "max_iters": 500,
+    "stop_tol": 1e-9,
+    "noise_level": 0.0,
+    "free_e": False,
+    "free_f": True,
+    "true_ellipticity": 1.0,
+    "true_friction": 0.25,
+    "initial_ellipticity": 1.0,
+    "initial_friction": 1.0,
+}
+_EXPERIMENTS = {  # kind -> {field: default}
+    "forward": {"eps": 0.0},
+    "rate-study": {"kernels": list(KERNEL_NAMES), "eps_list": [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]},
+    "kernel-check": {
+        "kernels": list(KERNEL_NAMES),
+        "eps_list": list(np.logspace(-3, 0, 25)),
+        "t_range": 3.0,
+        "t_points": 201,
+    },
+    "gradient-check": {
+        "eps": 1e-2,
+        "n_directions": 5,
+        "fd_step": 1e-5,
+        "tolerance": 1e-5,
+        "alpha": 1e-8,
+        "beta": 1e-8,
+    },
+    "identify": {**_TWIN, "eps": 1e-4},
+    "continuation": {**_TWIN, "eps_schedule": [1e-1, 1e-2, 1e-3, 1e-4]},
+}
+EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
+_SOLVER = {"newton_tol": 1e-12, "oracle_tol": 1e-10}
+# The lower bounds the types do not imply; eps = 0 (the oracle) is forward-only.
+_MINIMA = {"eps": 0.0, "t_points": 1, "n_directions": 1, "max_iters": 0, "noise_level": 0.0}
 
 
 @dataclass(frozen=True)
@@ -59,54 +91,75 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-def _as_mapping(value, where):
+def _mapping(value, where, keys):
+    """``value`` as a mapping (None reads as empty) whose fields are all in
+    ``keys``, or a ConfigError naming the first that is not."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected a mapping")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{where}{'.' if where else ''}{key}: unknown field")
     return value
 
 
-def _number(value, where, kind=float):
-    """``value`` as a ``kind`` (``float`` or ``int``), or a ConfigError naming
-    the field ``where``.  An ``int`` field rejects a fractional part."""
+def _coerce(value, default, where):
+    """``value`` as the type of ``default``, or a ConfigError naming the field
+    ``where``.  The types: bool (only ``true``/``false``), int (no fractional
+    part), float, a nonempty list of positive reals and a list of kernel
+    names."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        if isinstance(default[0], str):
+            for name in value:
+                if name not in KERNEL_NAMES:
+                    raise ConfigError(f"{where}: unknown kernel {name!r}")
+            return list(value)
+        out = [_coerce(v, 1.0, f"{where} entry") for v in value]
+        if not out or min(out) <= 0:
+            raise ConfigError(f"{where}: expected a nonempty list of positive reals")
+        return out
+    expected = {bool: "true or false", int: "an integer", float: "a real number"}[type(default)]
     try:
-        number = kind(value)
-        if number != float(value):
+        coerced = type(default)(value)
+        # a bool only where a bool is expected; a number keeps its value
+        if isinstance(value, bool) != isinstance(default, bool) or coerced != float(value):
             raise ValueError
-        return number
+        return coerced
     except (TypeError, ValueError, OverflowError):
-        expected = "a real number" if kind is float else "an integer"
         raise ConfigError(f"{where}: expected {expected}, got {value!r}") from None
 
 
+def _fields(block, table, where, keys=()):
+    """Each field of ``table`` from ``block``, or its default, coerced; the
+    block may also hold ``keys``, which the caller reads."""
+    block = _mapping(block, where, (*keys, *table))
+    return {key: _coerce(block.get(key, d), d, f"{where}.{key}") for key, d in table.items()}
+
+
 def _field_block(block, where, default_value, lower, upper):
-    block = _as_mapping(block, where)
-    value = block.get("value", default_value)
+    bounds = _fields(block, {"lower": lower, "upper": upper}, where, ("value",))
+    value = (block or {}).get("value", default_value)
     if isinstance(value, list):
-        value = [_number(v, f"{where}.value") for v in value]
-    else:
-        value = _number(value, f"{where}.value")
-    return {
-        "value": value,
-        "lower": _number(block.get("lower", lower), f"{where}.lower"),
-        "upper": _number(block.get("upper", upper), f"{where}.upper"),
-    }
+        return {"value": [_coerce(v, 0.0, f"{where}.value") for v in value], **bounds}
+    return {"value": _coerce(value, 0.0, f"{where}.value"), **bounds}
 
 
 def _validate_problem(block) -> dict:
-    block = _as_mapping(block, "problem")
-    mesh = _as_mapping(_require(block, "mesh", "problem"), "problem.mesh")
-    dimension = mesh.get("dimension")
+    block = _mapping(block, "problem", ("mesh", "form", "source", "ellipticity", "friction"))
+    mesh = _mapping(_require(block, "mesh", "problem"), "problem.mesh", ("dimension", "n", "interval"))
+    dimension = _coerce(mesh.get("dimension"), 1, "problem.mesh.dimension")
     if dimension not in (1, 2):
         raise ConfigError("problem.mesh.dimension: must be 1 or 2")
-    n = mesh.get("n")
-    if not isinstance(n, int) or n < 1:
+    n = _coerce(mesh.get("n"), 1, "problem.mesh.n")
+    if n < 1:
         raise ConfigError("problem.mesh.n: must be an integer >= 1")
     form = block.get("form", "grad_grad")
     if form not in FORMS:
         raise ConfigError(f"problem.form: unknown form {form!r}")
-    source = _number(block.get("source", 1.0), "problem.source")
+    source = _coerce(block.get("source", 1.0), 1.0, "problem.source")
 
     ell = _field_block(block.get("ellipticity"), "problem.ellipticity", 1.0, 0.1, 10.0)
     if not 0 < ell["lower"] < ell["upper"]:
@@ -126,102 +179,33 @@ def _validate_problem(block) -> dict:
         interval = mesh.get("interval", [0.0, 1.0])
         if not isinstance(interval, list) or len(interval) != 2:
             raise ConfigError("problem.mesh.interval: expected [a, b] with a < b")
-        a, b = (_number(v, "problem.mesh.interval") for v in interval)
+        a, b = (_coerce(v, 0.0, "problem.mesh.interval") for v in interval)
         if not a < b:
             raise ConfigError("problem.mesh.interval: expected [a, b] with a < b")
         out["mesh"]["interval"] = [a, b]
+    elif "interval" in mesh:
+        raise ConfigError("problem.mesh.interval: unknown field at dimension 2")
     return out
 
 
-def _validate_solver(block) -> dict:
-    block = _as_mapping(block, "solver")
-    out = {
-        "newton_tol": _number(block.get("newton_tol", 1e-12), "solver.newton_tol"),
-        "oracle_tol": _number(block.get("oracle_tol", 1e-10), "solver.oracle_tol"),
-    }
-    if out["newton_tol"] <= 0 or out["oracle_tol"] <= 0:
-        raise ConfigError("solver: tolerances must be positive")
-    return out
-
-
-def _positive_list(values, where):
-    if not isinstance(values, list):
-        raise ConfigError(f"{where}: expected a list of positive reals")
-    out = [_number(v, f"{where} entry") for v in values]
-    if not out or any(v <= 0 for v in out):
-        raise ConfigError(f"{where}: expected a nonempty list of positive reals")
-    return out
-
-
-def _validate_experiment(block) -> dict:
-    block = _as_mapping(block, "experiment")
-    kind = _require(block, "kind", "experiment")
+def _validate_experiment(block, problem) -> dict:
+    kind = block.get("kind") if isinstance(block, dict) else None
     if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"experiment.kind: unknown kind {kind!r}; choose one of {', '.join(EXPERIMENT_KINDS)}"
-        )
-
-    def number(key, default, kind=float):
-        return _number(block.get(key, default), f"experiment.{key}", kind)
-
-    out: dict[str, Any] = {"kind": kind}
-    if kind in ("rate-study", "kernel-check"):
-        kernels = block.get("kernels", list(KERNEL_NAMES))
-        if not isinstance(kernels, list):
-            raise ConfigError("experiment.kernels: expected a list of kernel names")
-        for k in kernels:
-            if k not in KERNEL_NAMES:
-                raise ConfigError(f"experiment.kernels: unknown kernel {k!r}")
-        out["kernels"] = list(kernels)
-    if kind == "forward":
-        out["eps"] = number("eps", 0.0)
-        if out["eps"] < 0:
-            raise ConfigError("experiment.eps: must be >= 0 (0 selects the oracle)")
-    elif kind == "rate-study":
-        out["eps_list"] = _positive_list(
-            block.get("eps_list", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]), "experiment.eps_list"
-        )
-    elif kind == "kernel-check":
-        out["eps_list"] = _positive_list(
-            block.get("eps_list", list(np.logspace(-3, 0, 25))), "experiment.eps_list"
-        )
-        out["t_range"] = number("t_range", 3.0)
-        out["t_points"] = number("t_points", 201, int)
-    elif kind == "gradient-check":
-        out["eps"] = number("eps", 1e-2)
-        out["n_directions"] = number("n_directions", 5, int)
-        out["fd_step"] = number("fd_step", 1e-5)
-        out["tolerance"] = number("tolerance", 1e-5)
-        out["alpha"] = number("alpha", 1e-8)
-        out["beta"] = number("beta", 1e-8)
-        if out["eps"] <= 0:
-            raise ConfigError("experiment.eps: must be positive for gradient checks")
-    elif kind in ("identify", "continuation"):
-        out["alpha"] = number("alpha", 1e-8)
-        out["beta"] = number("beta", 1e-8)
-        out["max_iters"] = number("max_iters", 500, int)
-        out["stop_tol"] = number("stop_tol", 1e-9)
-        out["noise_level"] = number("noise_level", 0.0)
-        if out["noise_level"] < 0:
-            raise ConfigError("experiment.noise_level: must be >= 0")
-        out["free_e"] = bool(block.get("free_e", False))
-        out["free_f"] = bool(block.get("free_f", True))
-        out["true_ellipticity"] = number("true_ellipticity", 1.0)
-        out["true_friction"] = number("true_friction", 0.25)
-        out["initial_ellipticity"] = number("initial_ellipticity", 1.0)
-        out["initial_friction"] = number("initial_friction", 1.0)
-        if kind == "identify":
-            out["eps"] = number("eps", 1e-4)
-            if out["eps"] <= 0:
-                raise ConfigError("experiment.eps: must be positive for identification")
-        else:
-            out["eps_schedule"] = _positive_list(
-                block.get("eps_schedule", [1e-1, 1e-2, 1e-3, 1e-4]),
-                "experiment.eps_schedule",
-            )
-            sched = out["eps_schedule"]
-            if any(b >= a for a, b in zip(sched[:-1], sched[1:])):
-                raise ConfigError("experiment.eps_schedule: must be strictly decreasing")
+        raise ConfigError(f"experiment.kind: expected one of {', '.join(EXPERIMENT_KINDS)}, got {kind!r}")
+    out = {"kind": kind, **_fields(block, _EXPERIMENTS[kind], "experiment", ("kind",))}
+    for key, minimum in _MINIMA.items():
+        if out.get(key, minimum) < minimum:
+            raise ConfigError(f"experiment.{key}: must be >= {minimum}")
+    if kind != "forward" and out.get("eps") == 0:
+        raise ConfigError(f"experiment.eps: must be positive for {kind}")
+    sched = out.get("eps_schedule", [])
+    if any(b >= a for a, b in zip(sched[:-1], sched[1:])):
+        raise ConfigError("experiment.eps_schedule: must be strictly decreasing")
+    for key in ("true_ellipticity", "initial_ellipticity", "true_friction", "initial_friction"):
+        name = key.partition("_")[2]
+        lower, upper = problem[name]["lower"], problem[name]["upper"]
+        if not lower <= out.get(key, lower) <= upper:
+            raise ConfigError(f"experiment.{key}: must lie in problem.{name}'s [{lower}, {upper}]")
     return out
 
 
@@ -245,13 +229,17 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: cannot read config ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    _mapping(raw, "", ("problem", "kernel", "solver", "experiment", "output"))
 
     problem = _validate_problem(_require(raw, "problem", str(path)))
     kernel = raw.get("kernel", "sqrt")
     if kernel not in KERNEL_NAMES:
         raise ConfigError(f"kernel: unknown kernel {kernel!r}; choose one of {', '.join(KERNEL_NAMES)}")
-    solver = _validate_solver(raw.get("solver"))
-    experiment = _validate_experiment(_require(raw, "experiment", str(path)))
+    solver = _fields(raw.get("solver"), _SOLVER, "solver")
+    for key, tol in solver.items():
+        if tol <= 0:
+            raise ConfigError(f"solver.{key}: must be positive")
+    experiment = _validate_experiment(_require(raw, "experiment", str(path)), problem)
     output = str(raw.get("output", "out"))
     return ExperimentConfig(
         problem=problem,

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from vi_ident import ConfigError
-from vi_ident.cli import main
-from vi_ident.config import emit_csv, parse_config, read_csv
-from vi_ident.experiments import run_experiment
+from vi_ident.cli import _COMMAND_KINDS, main
+from vi_ident.config import EXPERIMENT_KINDS, emit_csv, parse_config, read_csv
+from vi_ident.experiments import _RUNNERS, run_experiment
 
 MINIMAL_FORWARD = """
 problem:
@@ -33,6 +33,8 @@ experiment:
   initial_friction: 0.1
   true_friction: 0.25
 """
+
+MESH_8 = "problem: {mesh: {dimension: 1, n: 8}}\n"
 
 
 def write(tmp_path: Path, text: str, name="cfg.yaml") -> Path:
@@ -83,6 +85,10 @@ def test_parse_identify_defaults(tmp_path):
         (  # an integer field is not truncated to 5
             "problem: {mesh: {dimension: 1, n: 8}}\nexperiment: {kind: kernel-check, t_points: 5.9}",
             "experiment.t_points",
+        ),
+        (
+            "problem: {mesh: {dimension: 1, n: 8, interval: [1.0, 0.0]}}\nexperiment: {kind: forward}",
+            "problem.mesh.interval: expected [a, b] with a < b",
         ),
     ],
 )
@@ -200,7 +206,8 @@ def test_cli_rejects_negative_noise_level(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-# (field named in the error, subcommand, config text)
+# (text the error must hold: the field it names, often with the rule broken;
+# subcommand; config text)
 MALFORMED = [
     ("experiment.alpha", "identify", IDENTIFY_TWIN.replace("alpha: 1.0e-8", "alpha: abc")),
     ("solver.newton_tol", "identify", IDENTIFY_TWIN + "solver: {newton_tol: fast}\n"),
@@ -242,6 +249,78 @@ MALFORMED = [
         "rate-study",
         "problem: {mesh: {dimension: 1, n: 8}}\nexperiment: {kind: rate-study, kernels: 5}",
     ),
+    # a boolean is not a number, and only true/false is a boolean
+    (
+        "experiment.t_points: expected an integer, got True",
+        "kernel-check",
+        MESH_8 + "experiment: {kind: kernel-check, t_points: true}",
+    ),
+    (
+        "experiment.eps_list entry: expected a real number, got True",
+        "kernel-check",
+        MESH_8 + "experiment: {kind: kernel-check, eps_list: [true]}",
+    ),
+    (
+        "problem.mesh.dimension: expected an integer, got True",
+        "solve-forward",
+        MINIMAL_FORWARD.replace("dimension: 1", "dimension: true"),
+    ),
+    ("problem.mesh.n: expected an integer, got True", "solve-forward", MINIMAL_FORWARD.replace("n: 32", "n: true")),
+    ("experiment.free_e: expected true or false", "identify", IDENTIFY_TWIN + '  free_e: "false"\n'),
+    # every mapping rejects a field it does not know
+    (
+        "experiment.eps_shedule: unknown field",
+        "continuation",
+        MESH_8 + "experiment: {kind: continuation, eps_shedule: [1.0e-1, 1.0e-2]}",
+    ),
+    ("experiment.eps: unknown field", "kernel-check", MESH_8 + "experiment: {kind: kernel-check, eps: 0.1}"),
+    ("seed: unknown field", "solve-forward", MINIMAL_FORWARD + "seed: 3\n"),
+    ("problem.shape: unknown field", "solve-forward", MINIMAL_FORWARD.replace("n: 32}", "n: 32}\n  shape: bar")),
+    ("problem.mesh.size: unknown field", "solve-forward", MINIMAL_FORWARD.replace("n: 32}", "n: 32, size: 2}")),
+    (
+        "problem.mesh.interval: unknown field",
+        "solve-forward",
+        MINIMAL_FORWARD.replace("{dimension: 1, n: 32}", "{dimension: 2, n: 4, interval: [0.0, 1.0]}"),
+    ),
+    (
+        "problem.friction.valu: unknown field",
+        "solve-forward",
+        MINIMAL_FORWARD.replace("n: 32}", "n: 32}\n  friction: {valu: 1.0}"),
+    ),
+    ("solver.newton_max_iter: unknown field", "identify", IDENTIFY_TWIN + "solver: {newton_max_iter: 50}\n"),
+    # ranges the types do not imply
+    ("experiment.t_points: must be >= 1", "kernel-check", MESH_8 + "experiment: {kind: kernel-check, t_points: 0}"),
+    (
+        "experiment.n_directions: must be >= 1",
+        "check-gradient",
+        MESH_8 + "experiment: {kind: gradient-check, n_directions: 0, tolerance: 1.0e-30}",
+    ),
+    ("experiment.max_iters: must be >= 0", "identify", IDENTIFY_TWIN + "  max_iters: -1\n"),
+    ("experiment.true_friction: must lie in", "identify", IDENTIFY_TWIN.replace("true_friction: 0.25", "true_friction: 6.0")),
+    ("experiment.initial_ellipticity: must lie in", "identify", IDENTIFY_TWIN + "  initial_ellipticity: 20.0\n"),
+    ("experiment.eps: must be >= 0", "solve-forward", MINIMAL_FORWARD.replace("eps: 0.0", "eps: -1.0e-3")),
+    ("experiment.eps: must be positive", "check-gradient", MESH_8 + "experiment: {kind: gradient-check, eps: 0.0}"),
+    ("solver.oracle_tol: must be positive", "solve-forward", MINIMAL_FORWARD + "solver: {oracle_tol: 0.0}\n"),
+    # the remaining checks, one case each
+    ("top level must be a mapping", "solve-forward", "- problem\n- experiment\n"),
+    ("problem.mesh: expected a mapping", "solve-forward", MINIMAL_FORWARD.replace("{dimension: 1, n: 32}", "[1, 32]")),
+    ("problem.form: unknown form", "solve-forward", MINIMAL_FORWARD.replace("n: 32}", "n: 32}\n  form: laplace")),
+    (
+        "problem.ellipticity: ellipticity bounds",
+        "solve-forward",
+        MINIMAL_FORWARD.replace("n: 32}", "n: 32}\n  ellipticity: {lower: 0.0}"),
+    ),
+    (
+        "problem.mesh.interval: expected [a, b]",
+        "solve-forward",
+        MINIMAL_FORWARD.replace("n: 32}", "n: 32, interval: [0.0]}"),
+    ),
+    ("experiment.kernels: unknown kernel", "rate-study", MESH_8 + "experiment: {kind: rate-study, kernels: [gauss]}"),
+    (
+        "experiment.eps_list: expected a nonempty list",
+        "rate-study",
+        MESH_8 + "experiment: {kind: rate-study, eps_list: []}",
+    ),
 ]
 
 
@@ -251,6 +330,41 @@ def test_cli_malformed_values_are_config_errors(tmp_path, capsys, field, command
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_every_kind_has_one_runner_and_one_subcommand():
+    assert set(EXPERIMENT_KINDS) == set(_RUNNERS) == set(_COMMAND_KINDS.values())
+    assert len(_COMMAND_KINDS) == len(EXPERIMENT_KINDS)
+
+
+def test_cli_solver_failure_exits_1(tmp_path, capsys):
+    # Newton cannot reach a tolerance below round-off
+    text = MESH_8 + "experiment: {kind: forward, eps: 1.0e-3}\nsolver: {newton_tol: 1.0e-30}\n"
+    cfg_path = write(tmp_path, text)
+    assert main(["solve-forward", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "solver failure" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "friction,newton_tol,status",
+    [
+        (0.25, 1.0e-30, "failed: "),  # each smoothed solve fails; its row is kept
+        (0.0, 1.0e-12, "ok"),  # f = 0: u_eps = u, so no error is above 1e-14 to fit
+    ],
+)
+def test_cli_rate_study_skips_the_slope_without_usable_errors(tmp_path, friction, newton_tol, status):
+    text = (
+        f"problem:\n  mesh: {{dimension: 1, n: 8}}\n  friction: {{value: {friction}}}\n"
+        f"solver: {{newton_tol: {newton_tol}}}\n"
+        "experiment: {kind: rate-study, kernels: [sigmoid], eps_list: [1.0e-1, 1.0e-2]}\n"
+    )
+    cfg_path = write(tmp_path, text)
+    assert main(["rate-study", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--strict"]) == 0
+    _, rows = read_csv(tmp_path / "o" / "rate_study.csv")
+    assert len(rows) == 2 and all(r[3].startswith(status) for r in rows)
+    _, slopes = read_csv(tmp_path / "o" / "slopes.csv")
+    assert slopes == [["sigmoid", "skipped"]]
 
 
 def test_cli_strict_fails_on_unmet_checks(tmp_path, capsys):

@@ -17,7 +17,9 @@ derivatives of the solution map solve
 
 and the adjoint state solves J p = Riesz(observation - u), from which the
 reduced gradients of the output-least-squares objective follow without any
-further forward solves.
+further forward solves.  :func:`solution_jacobian` solves for every
+coefficient direction at once: the dense ``du/d(e, f)`` from one block of
+right-hand sides.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .discretization import (
     free_part,
     full_part,
     matrix_for_direction,
+    operator_jacobian,
     trace_adjoint,
 )
 from .forward import ForwardState, Problem, factorize, solution_map
@@ -45,10 +48,12 @@ __all__ = [
     "LinearizedMap",
     "sensitivity_e",
     "sensitivity_f",
+    "solution_jacobian",
     "adjoint_solve",
     "reduced_gradients",
     "reduced_objective",
     "misfit_riesz_matrix",
+    "misfit_factor",
 ]
 
 
@@ -83,8 +88,9 @@ class LinearizedMap:
     Solves go through the cached factorization of ``T(e)`` with the diagonal
     shift applied on D by :meth:`~vi_ident.forward.Factorization.solve_shifted`
     (a Cholesky solve with ``S + diag(w f M''_eps)``, ``S`` the Schur
-    complement of ``T(e)`` onto D), so building a map costs no
-    factorization.  Reused across sensitivity and adjoint solves; building
+    complement of ``T(e)`` onto D), so building a map costs one |D| x |D|
+    Cholesky factorization, kept for every solve with the map.  A solve
+    takes a vector or an (n, k) block.  Reused across sensitivity and adjoint solves; building
     it twice for the same state gives results identical to reuse (pure
     function of the state).  ``matrix`` assembles ``J`` explicitly, for checks.
     """
@@ -107,6 +113,7 @@ class LinearizedMap:
         self.smooth = modulus_smooth(kernel, eps, self.u_free[pos])
         self._shift = mesh.friction_weights * f.values * self.smooth.second_derivative
         self._factorization = factorize(self._op, mesh)
+        self._cholesky = self._factorization.shifted_factor(self._shift) if np.any(self._shift) else None
 
     @property
     def matrix(self) -> sp.csc_matrix:
@@ -116,7 +123,7 @@ class LinearizedMap:
         return (self._op.matrix + sp.diags(diag)).tocsc()
 
     def solve(self, rhs_free: np.ndarray) -> np.ndarray:
-        return self._factorization.solve_shifted(self._shift, rhs_free)
+        return self._factorization.solve_shifted(self._shift, rhs_free, self._cholesky)
 
 
 def _linmap(state, problem, e, f, kernel, eps, linmap):
@@ -159,13 +166,53 @@ def sensitivity_f(
     return Sensitivity("friction", full_part(mesh, lm.solve(free_part(mesh, rhs_full))))
 
 
+def solution_jacobian(
+    state: ForwardState,
+    problem: Problem,
+    e: ParameterField,
+    f: ParameterField,
+    kernel: KernelSpec,
+    eps: float,
+    free_e: bool = True,
+    free_f: bool = True,
+    linmap: LinearizedMap | None = None,
+) -> np.ndarray:
+    """The dense derivative of the solution map on the free dofs, one column
+    per coefficient: every element if ``free_e``, then every friction node if
+    ``free_f``.  Column j is :func:`sensitivity_e` (or :func:`sensitivity_f`)
+    along the j-th unit vector; all columns come from one block solve with
+    the map.
+    """
+    lm = _linmap(state, problem, e, f, kernel, eps, linmap)
+    mesh = problem.mesh
+    blocks = []
+    if free_e:
+        blocks.append(-operator_jacobian(mesh, problem.form, state.u).toarray())
+    if free_f:
+        pos = mesh.friction_free_positions
+        rhs_f = np.zeros((lm.u_free.size, pos.size))
+        rhs_f[pos, np.arange(pos.size)] = -mesh.friction_weights * lm.smooth.first_derivative
+        blocks.append(rhs_f)
+    return lm.solve(np.hstack(blocks))
+
+
+def _misfit_names(misfit_norm: str) -> tuple[str, str]:
+    if misfit_norm == "L2":
+        return "mass_gram", "mass_factor"
+    if misfit_norm == "V":
+        return "v_gram", "v_factor"
+    raise ValueError(f"misfit_norm must be 'L2' or 'V', got {misfit_norm!r}")
+
+
 def misfit_riesz_matrix(problem: Problem, misfit_norm: str = "L2") -> sp.csr_matrix:
     """Gram matrix turning a free-dof residual into the misfit Riesz vector."""
-    if misfit_norm == "L2":
-        return problem.mass_gram
-    if misfit_norm == "V":
-        return problem.v_gram
-    raise ValueError(f"misfit_norm must be 'L2' or 'V', got {misfit_norm!r}")
+    return getattr(problem, _misfit_names(misfit_norm)[0])
+
+
+def misfit_factor(problem: Problem, misfit_norm: str = "L2") -> sp.csr_matrix:
+    """The sparse ``B`` with ``B^T B`` the misfit Gram matrix, so that the
+    misfit of a free-dof residual r is ``1/2 |B r|^2``."""
+    return getattr(problem, _misfit_names(misfit_norm)[1])
 
 
 def adjoint_solve(

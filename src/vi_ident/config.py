@@ -107,12 +107,14 @@ def _mapping(value, where, keys):
 def _coerce(value, default, where):
     """``value`` as the type of ``default``, or a ConfigError naming the field
     ``where``.  The types: bool (only ``true``/``false``), int (no fractional
-    part), float, a nonempty list of positive reals and a list of kernel
-    names."""
+    part), float, a nonempty list of positive reals and a nonempty list of
+    kernel names."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
         if isinstance(default[0], str):
+            if not value:
+                raise ConfigError(f"{where}: expected a nonempty list of kernel names")
             for name in value:
                 if name not in KERNEL_NAMES:
                     raise ConfigError(f"{where}: unknown kernel {name!r}")
@@ -198,6 +200,8 @@ def _validate_experiment(block, problem) -> dict:
             raise ConfigError(f"experiment.{key}: must be >= {minimum}")
     if kind != "forward" and out.get("eps") == 0:
         raise ConfigError(f"experiment.eps: must be positive for {kind}")
+    if out.get("fd_step", 1.0) <= 0:  # the central difference divides by it
+        raise ConfigError("experiment.fd_step: must be positive")
     sched = out.get("eps_schedule", [])
     if any(b >= a for a, b in zip(sched[:-1], sched[1:])):
         raise ConfigError("experiment.eps_schedule: must be strictly decreasing")

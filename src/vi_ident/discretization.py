@@ -47,6 +47,8 @@ __all__ = [
     "mass_matrix",
     "v_norm",
     "elementwise_energy",
+    "operator_jacobian",
+    "gram_factor",
     "free_part",
     "full_part",
 ]
@@ -454,6 +456,18 @@ def elementwise_energy(mesh: Mesh, form: str, u_full: np.ndarray, p_full: np.nda
     return np.einsum("eij,ei,ej->e", _form_matrices(mesh, form), ue, pe)
 
 
+def operator_jacobian(mesh: Mesh, form: str, u_full: np.ndarray) -> sp.csr_matrix:
+    """The derivative of ``T(e) u`` in ``e`` on the free dofs, a sparse
+    (free dofs) x (elements) matrix: column j is ``T(1_j) u``, the element's
+    local matrix applied to its nodal values of ``u``."""
+    E, m = mesh.elements.shape
+    local = np.einsum("eij,ej->ei", _form_matrices(mesh, form), np.asarray(u_full, dtype=float)[mesh.elements])
+    rows = mesh.free_index[mesh.elements].ravel()
+    cols = np.repeat(np.arange(E), m)
+    keep = rows >= 0
+    return sp.csr_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=(mesh.free_nodes.size, E))
+
+
 # ---------------------------------------------------------------------------
 # Trace map onto the friction set.
 # ---------------------------------------------------------------------------
@@ -573,6 +587,23 @@ def h1_gram(mesh: Mesh) -> sp.csr_matrix:
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """P1 mass matrix on the free nodes (L2 inner product on V)."""
     return mesh.operator_pattern.assemble(mesh.local_matrices[1])
+
+
+def gram_factor(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
+    """A sparse ``B`` with ``B^T B`` equal to the matrix assembled on the free
+    dofs from the SPD per-element matrices ``local`` (shape (E, m, m)).
+
+    ``B`` stacks the elements' symmetric square roots, m rows per element,
+    with the Dirichlet columns dropped; no dense factor of the assembled
+    matrix is formed.
+    """
+    E, m = mesh.elements.shape
+    w, Q = np.linalg.eigh(local)
+    roots = (Q * np.sqrt(w)[:, None, :]) @ Q.transpose(0, 2, 1)
+    rows = np.repeat(np.arange(E * m), m)
+    cols = np.broadcast_to(mesh.free_index[mesh.elements][:, None, :], (E, m, m)).ravel()
+    keep = cols >= 0
+    return sp.csr_matrix((roots.ravel()[keep], (rows[keep], cols[keep])), shape=(E * m, mesh.free_nodes.size))
 
 
 def v_norm(mesh: Mesh, v_full: np.ndarray, gram: sp.csr_matrix | None = None) -> float:

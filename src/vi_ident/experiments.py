@@ -254,6 +254,7 @@ def run_identify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
         "f_error_max": float(np.abs(res.f_hat.values - f_true.values).max()),
         "e_error_max": float(np.abs(res.e_hat.values - e_true.values).max()),
         "stop_reason": res.stop_reason,
+        "forward_solves": res.forward_solves,
         "checks_passed": max(st_e, st_f) <= icfg.stop_tol,
     }
 
@@ -289,6 +290,7 @@ def run_continuation(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
         "successive_decreasing": dist["successive_decreasing"],
         "f_error_max": float(np.abs(results[-1].f_hat.values - f_true.values).max()),
         "stop_reasons": [res.stop_reason for res in results],
+        "forward_solves": [res.forward_solves for res in results],
         "checks_passed": dist["successive_decreasing"],
     }
 

@@ -43,6 +43,7 @@ from .discretization import (
     ParameterField,
     free_part,
     full_part,
+    gram_factor,
     h1_gram,
     load_vector,
     mass_matrix,
@@ -92,7 +93,9 @@ class Problem:
     those solves assembles or factorizes ``T(e)`` again.  A driver that moves
     ``e`` does not come back to an earlier one, so a new coefficient replaces
     the operator held.  The load does not depend on ``e`` and is computed
-    once.  The L2 and V Gram matrices of the misfit are built on first use.
+    once.  The L2 and V Gram matrices of the misfit, and their factors
+    ``B`` with ``B^T B = G`` (:func:`~vi_ident.discretization.gram_factor`),
+    are built on first use.
     """
 
     mesh: Mesh
@@ -118,6 +121,15 @@ class Problem:
     @cached_property
     def v_gram(self) -> sp.csr_matrix:
         return h1_gram(self.mesh)
+
+    @cached_property
+    def mass_factor(self) -> sp.csr_matrix:
+        return gram_factor(self.mesh, self.mesh.local_matrices[1])
+
+    @cached_property
+    def v_factor(self) -> sp.csr_matrix:
+        K, M = self.mesh.local_matrices
+        return gram_factor(self.mesh, K + M)
 
 
 _ORACLE_TOL = 1e-10  # the oracle's default tolerance, also for cold starts
@@ -173,25 +185,32 @@ class Factorization:
         return R.T @ R
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``T x = rhs``."""
+        """Solve ``T x = rhs`` for a vector or an (n, k) block of right-hand sides."""
         return self._lu.solve(rhs[self._order])[self._rank]
 
-    def solve_shifted(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``(T + E_D diag(shift) E_D^T) x = rhs``.
+    def shifted_factor(self, shift: np.ndarray) -> tuple:
+        """``cho_factor(S + diag(shift))``, for :meth:`solve_shifted`."""
+        return cho_factor(self.schur + np.diag(shift))
+
+    def solve_shifted(self, shift: np.ndarray, rhs: np.ndarray, factor: tuple | None = None) -> np.ndarray:
+        """Solve ``(T + E_D diag(shift) E_D^T) x = rhs`` for a vector or an
+        (n, k) block, with two ``T``-solves of the same shape.
 
         With ``y = T^{-1} rhs`` the friction values solve
         ``(S + diag(shift)) x_D = S y_D``, SPD for ``shift >= 0``, and
         ``x = T^{-1}(rhs - E_D (shift * x_D))``.  ``x_D`` is taken from the
         small solve, not from the second ``T``-solve, where it is the
         difference of two nearly equal terms once ``shift >> S``.
+        ``factor`` is :meth:`shifted_factor` of ``shift``, built here when
+        not given.
         """
         y = self.solve(rhs)
         if not np.any(shift):
             return y
         pos, S = self.positions, self.schur
-        x_D = _cholesky_solve(S + np.diag(shift), S @ y[pos])
+        x_D = cho_solve(self.shifted_factor(shift) if factor is None else factor, S @ y[pos])
         corrected = np.array(rhs, dtype=float)
-        corrected[pos] -= shift * x_D
+        corrected[pos] -= (shift * x_D.T).T
         x = self.solve(corrected)
         x[pos] = x_D
         return x

@@ -25,7 +25,7 @@ from vi_ident import (
     synthesize_observation,
     unit_square_mesh,
 )
-from vi_ident.adjoint import misfit_riesz_matrix
+from vi_ident.adjoint import misfit_factor, misfit_riesz_matrix, solution_jacobian
 from vi_ident.discretization import free_part, h1_gram, mass_matrix
 
 KERNEL = get_kernel("sigmoid")
@@ -186,6 +186,56 @@ def test_adjoint_solves_the_transposed_system():
     G = misfit_riesz_matrix(problem, "L2")
     rhs = G @ (free_part(mesh, observation) - lin.u_free)
     assert np.max(np.abs(lin.matrix.T @ free_part(mesh, p) - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_block_solve_matches_column_solves(dimension):
+    mesh = interval_mesh(0.0, 1.0, 16) if dimension == 1 else unit_square_mesh(6)
+    problem = Problem(mesh)
+    e = ellipticity_field(mesh, 1.0 + 0.5 * np.sin(np.arange(mesh.n_elements)))
+    f = friction_field(mesh, 0.3)
+    state = solution_map(e, f, 1e-2, problem, kernel=KERNEL, tol=1e-13)
+    lin = LinearizedMap(state, problem, e, f, KERNEL, 1e-2)
+    block = np.random.default_rng(7).standard_normal((lin.u_free.size, 5))
+    together = lin.solve(block)
+    one_by_one = np.column_stack([lin.solve(column) for column in block.T])
+    assert np.abs(together - one_by_one).max() <= 1e-13 * np.abs(one_by_one).max()
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("form", ["grad_grad", "grad_grad_plus_mass"])
+def test_solution_jacobian_columns_are_the_sensitivities(dimension, form):
+    mesh = interval_mesh(0.0, 1.0, 12) if dimension == 1 else unit_square_mesh(5)
+    problem = Problem(mesh, form)
+    rng = np.random.default_rng(8)
+    e = ellipticity_field(mesh, 1.0 + 0.5 * rng.random(mesh.n_elements))
+    f = friction_field(mesh, 0.1 + 0.2 * rng.random(mesh.friction_nodes.size))
+    eps = 1e-2
+    state = solution_map(e, f, eps, problem, kernel=KERNEL, tol=1e-13)
+    lin = LinearizedMap(state, problem, e, f, KERNEL, eps)
+    ne, nf = mesh.n_elements, mesh.friction_nodes.size
+    jac = solution_jacobian(state, problem, e, f, KERNEL, eps, linmap=lin)
+    assert jac.shape == (lin.u_free.size, ne + nf)
+    columns = [sensitivity_e(state, problem, e, f, KERNEL, eps, d, linmap=lin) for d in np.eye(ne)]
+    columns += [sensitivity_f(state, problem, e, f, KERNEL, eps, d, linmap=lin) for d in np.eye(nf)]
+    expected = np.column_stack([free_part(mesh, s.delta_u) for s in columns])
+    assert np.abs(jac - expected).max() <= 1e-13 * np.abs(expected).max()
+    # a fixed field has no columns
+    only_f = solution_jacobian(state, problem, e, f, KERNEL, eps, free_e=False, linmap=lin)
+    only_e = solution_jacobian(state, problem, e, f, KERNEL, eps, free_f=False, linmap=lin)
+    assert np.array_equal(only_f, jac[:, ne:]) and np.array_equal(only_e, jac[:, :ne])
+
+
+@pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 12), unit_square_mesh(6)], ids=["1d", "2d"])
+def test_misfit_factors_square_to_the_misfit_grams(mesh):
+    problem = Problem(mesh)
+    for norm in ("L2", "V"):
+        B, G = misfit_factor(problem, norm), misfit_riesz_matrix(problem, norm)
+        assert B.shape == (mesh.elements.size, mesh.free_nodes.size)
+        assert abs(B.T @ B - G).max() <= 1e-14 * abs(G).max()
+        assert misfit_factor(problem, norm) is B  # cached on the problem
+    with pytest.raises(ValueError):
+        misfit_factor(problem, "H2")
 
 
 def test_misfit_riesz_matrices():

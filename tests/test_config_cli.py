@@ -159,6 +159,7 @@ def test_identify_run_artifacts(tmp_path):
     assert abs(f_rows[0][2] - 0.25) < 1e-3
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["results"]["stop_reason"] == "stationary"
+    assert manifest["results"]["forward_solves"] >= len(iters)
 
 
 def test_identical_seeds_reproduce_csv_bytes(tmp_path):
@@ -321,6 +322,20 @@ MALFORMED = [
         "rate-study",
         MESH_8 + "experiment: {kind: rate-study, eps_list: []}",
     ),
+    # an empty kernel list would check no kernel and pass
+    (
+        "experiment.kernels: expected a nonempty list of kernel names",
+        "kernel-check",
+        MESH_8 + "experiment: {kind: kernel-check, kernels: []}",
+    ),
+    ("experiment.kernels: expected a nonempty list", "rate-study", MESH_8 + "experiment: {kind: rate-study, kernels: []}"),
+    # the central difference divides by the step
+    (
+        "experiment.fd_step: must be positive",
+        "check-gradient",
+        MESH_8 + "experiment: {kind: gradient-check, fd_step: 0.0}",
+    ),
+    ("experiment.fd_step", "check-gradient", MESH_8 + "experiment: {kind: gradient-check, fd_step: -1.0e-5}"),
 ]
 
 
@@ -448,6 +463,8 @@ def test_cli_continuation_smoke(tmp_path):
     assert len(rows) == 3
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert len(manifest["results"]["stop_reasons"]) == 3
+    assert len(manifest["results"]["forward_solves"]) == 3
+    assert all(isinstance(n, int) and n >= 1 for n in manifest["results"]["forward_solves"])
 
 
 def test_cli_seed_changes_noisy_results(tmp_path):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ def test_iterates_stay_inside_the_box():
     assert res.stationarity_history[-1][1] <= 1e-10
 
 
+def test_a_start_on_a_bound_keeps_the_history_non_increasing():
+    mesh, problem, _, _, obs = twin()
+    f0 = friction_field(mesh, 0.5, lower=0.1, upper=0.5)
+    res = identify(config(alpha=1e-8, beta=1e-8, stop_tol=1e-8), problem, obs,
+                   ellipticity_field(mesh, 1.0), f0, KERNEL, 1e-3, free_e=False)
+    hist = res.objective_history
+    assert len(hist) > 2
+    assert all(b <= a for a, b in zip(hist[:-1], hist[1:]))
+    assert res.stop_reason == "stationary"
+    assert abs(res.f_hat.values[0] - 0.25) < 1e-3
+
+
 def test_fixed_fields_do_not_move():
     mesh, problem, _, _, obs = twin()
     e0 = ellipticity_field(mesh, 1.2)
@@ -192,6 +205,84 @@ def test_regularization_weight_shrinks_the_recovered_field():
                        problem, obs, e0, f_true, KERNEL, 1e-3, free_f=False)
         norms.append(np.sqrt(reg_inner(res.e_hat, res.e_hat.values, res.e_hat.values)))
     assert norms[0] > norms[1] > norms[2]
+
+
+DRIVER_TESTS = [
+    test_zero_iterations_at_the_global_minimum,
+    test_iteration_cap_bounds_the_history,
+    test_run_stops_at_the_first_stationary_iterate,
+    test_objective_history_is_non_increasing,
+    test_iterates_stay_inside_the_box,
+    test_a_start_on_a_bound_keeps_the_history_non_increasing,
+    test_fixed_fields_do_not_move,
+    test_solver_failure_carries_the_iterate_snapshot,
+    test_failure_inside_the_line_search_carries_the_trial_point,
+]
+
+
+def on_path(monkeypatch, path):
+    """Make identify() take ``path`` whatever the problem size."""
+    limit = 0 if path == "lbfgsb" else 10**12
+    monkeypatch.setattr(identify_module, "_LEAST_SQUARES_MAX_ENTRIES", limit)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``identify_module.<name>``; returns the list its calls append to."""
+    real = getattr(identify_module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identify_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("path", ["gauss_newton", "lbfgsb"])
+@pytest.mark.parametrize("case", DRIVER_TESTS, ids=lambda case: case.__name__.removeprefix("test_"))
+def test_driver_properties_hold_on_both_optimizers(monkeypatch, case, path):
+    on_path(monkeypatch, path)
+    if "monkeypatch" in inspect.signature(case).parameters:
+        case(monkeypatch)
+    else:
+        case()
+
+
+@pytest.mark.parametrize("path", ["gauss_newton", "lbfgsb"])
+def test_forward_solves_count_every_objective_evaluation(monkeypatch, path):
+    on_path(monkeypatch, path)
+    mesh, problem, _, _, obs = twin()
+    calls = count_calls(monkeypatch, "reduced_objective")
+    res = identify(config(alpha=1e-8, beta=1e-8, stop_tol=1e-6), problem, obs,
+                   ellipticity_field(mesh, 1.3), friction_field(mesh, 0.1), KERNEL, 1e-3)
+    assert res.stop_reason == "stationary"
+    assert res.forward_solves == len(calls) >= len(res.objective_history)
+
+
+def test_the_jacobian_size_selects_the_optimizer(monkeypatch):
+    mesh, problem, _, _, obs = twin()
+    p = mesh.n_elements + 1  # both fields free, one friction node
+    entries = p * (mesh.elements.size + p)  # the misfit factor has 2 rows per element
+    calls = count_calls(monkeypatch, "least_squares")
+    for limit, runs in ((entries, 1), (entries - 1, 1)):
+        monkeypatch.setattr(identify_module, "_LEAST_SQUARES_MAX_ENTRIES", limit)
+        res = identify(config(alpha=1e-8, beta=1e-8, stop_tol=1e-6), problem, obs,
+                       ellipticity_field(mesh, 1.3), friction_field(mesh, 0.1), KERNEL, 1e-3)
+        assert res.stop_reason == "stationary"
+        assert len(calls) == runs
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_joint_identification_needs_few_forward_solves(n):
+    # acceptance criterion 8's joint setting, where L-BFGS-B takes 1,642
+    # objective evaluations at n = 32 and more on finer meshes
+    mesh, problem, _, _, obs = twin(n=n)
+    cfg = config(alpha=1e-8, beta=1e-8, max_iters=15000, stop_tol=1e-10, misfit_norm="V")
+    res = identify(cfg, problem, obs, ellipticity_field(mesh, 1.3), friction_field(mesh, 0.1), KERNEL, 1e-4)
+    assert res.stop_reason == "stationary"
+    assert res.misfit <= 1e-10
+    assert res.forward_solves <= 20
 
 
 # --- continuation -----------------------------------------------------------------

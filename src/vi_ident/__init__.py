@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 from .adjoint import (
     LinearizedMap,
     OptimalityBundle,
-    Sensitivity,
     adjoint_solve,
     reduced_gradients,
     reduced_objective,
-    sensitivity_e,
-    sensitivity_f,
+    solution_derivative,
 )
 from .discretization import (
     DiscreteOperator,
@@ -66,12 +64,10 @@ __all__ = [
     "__version__",
     "LinearizedMap",
     "OptimalityBundle",
-    "Sensitivity",
     "adjoint_solve",
     "reduced_gradients",
     "reduced_objective",
-    "sensitivity_e",
-    "sensitivity_f",
+    "solution_derivative",
     "DiscreteOperator",
     "Mesh",
     "ParameterField",

@@ -1,25 +1,28 @@
-"""Forward sensitivities, adjoint state, and reduced gradients.
+"""Solution derivatives, adjoint state, and reduced gradients.
 
-At a converged regularized solution u the linearized operator
+At a converged regularized solution u the state residual
 
-    J = T(e) + gamma^* diag(w f M''_eps(gamma u)) gamma
+    R(u; e, f) = T(e) u - l + gamma^*(w f M'_eps(gamma u))
 
-is symmetric positive definite and shared by every sensitivity direction and
-by the adjoint equation.  It differs from T(e) only by a diagonal on the
-friction set, so :class:`LinearizedMap` factorizes nothing: it solves with the
+has the derivative J = T(e) + gamma^* diag(w f M''_eps(gamma u)) gamma in u,
+symmetric positive definite, and the derivative
+
+    N = [T'(u) | gamma^* diag(w M'_eps(gamma u))]
+
+in the coefficients concat(e, f): column j of ``T'(u)`` is ``T(1_j) u``.
+:class:`LinearizedMap` builds ``N`` once and solves with ``J`` through the
 operator's cached :class:`~vi_ident.forward.Factorization` (the one the
 forward solve used) plus a |D| x |D| Cholesky solve with the Schur complement
-S of T(e) onto D, shifted by that diagonal: Newton's Hessian.  Directional
-derivatives of the solution map solve
+S of T(e) onto D, shifted by the diagonal: Newton's Hessian.  Every derivative
+reads these two objects:
 
-    J du = -T(delta_e) u            (ellipticity direction)
-    J du = -gamma^*(delta_f M'_eps(gamma u))   (friction direction)
+    du = -J^{-1} N delta              (:func:`solution_derivative`)
+    J p = B^T B (observation - u)     (:func:`adjoint_solve`)
+    grad = Tikhonov terms + N^T p     (:func:`reduced_gradients`)
 
-and the adjoint state solves J p = Riesz(observation - u), from which the
-reduced gradients of the output-least-squares objective follow without any
-further forward solves.  :func:`solution_jacobian` solves for every
-coefficient direction at once: the dense ``du/d(e, f)`` from one block of
-right-hand sides.
+where ``B^T B`` is the misfit Gram matrix (:func:`misfit_factor`).  A block of
+directions gives the dense derivative in every coefficient from one block of
+right-hand sides; the gradient needs no further forward solve.
 """
 
 from __future__ import annotations
@@ -29,40 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import (
-    Mesh,
-    ParameterField,
-    elementwise_energy,
-    free_part,
-    full_part,
-    matrix_for_direction,
-    operator_jacobian,
-    trace_adjoint,
-)
+from .discretization import ParameterField, free_part, full_part, operator_jacobian
 from .forward import ForwardState, Problem, factorize, solution_map
 from .kernels import KernelSpec, modulus_smooth
 
 __all__ = [
-    "Sensitivity",
     "OptimalityBundle",
     "LinearizedMap",
-    "sensitivity_e",
-    "sensitivity_f",
-    "solution_jacobian",
+    "solution_derivative",
     "adjoint_solve",
     "reduced_gradients",
     "reduced_objective",
-    "misfit_riesz_matrix",
     "misfit_factor",
 ]
 
-
-@dataclass(frozen=True)
-class Sensitivity:
-    """A directional derivative of the regularized solution map."""
-
-    direction_kind: str  # "ellipticity" or "friction"
-    delta_u: np.ndarray  # full nodal vector
+MISFIT_NORMS = ("L2", "V")
 
 
 @dataclass(frozen=True)
@@ -82,17 +66,18 @@ class OptimalityBundle:
 
 
 class LinearizedMap:
-    """Newton Jacobian ``J = T(e) + E_D diag(w f M''_eps) E_D^T`` at a
-    converged regularized state.
+    """The derivatives ``J`` (in u) and ``N`` (in concat(e, f)) of the state
+    residual at a converged regularized state.
 
-    Solves go through the cached factorization of ``T(e)`` with the diagonal
-    shift applied on D by :meth:`~vi_ident.forward.Factorization.solve_shifted`
-    (a Cholesky solve with ``S + diag(w f M''_eps)``, ``S`` the Schur
-    complement of ``T(e)`` onto D), so building a map costs one |D| x |D|
-    Cholesky factorization, kept for every solve with the map.  A solve
-    takes a vector or an (n, k) block.  Reused across sensitivity and adjoint solves; building
-    it twice for the same state gives results identical to reuse (pure
-    function of the state).  ``matrix`` assembles ``J`` explicitly, for checks.
+    ``N`` is a sparse (free dofs) x (elements + friction nodes) matrix.
+    Solves with ``J = T(e) + E_D diag(w f M''_eps) E_D^T`` go through the
+    cached factorization of ``T(e)`` with the diagonal shift applied on D by
+    :meth:`~vi_ident.forward.Factorization.solve_shifted` (a Cholesky solve
+    with ``S + diag(w f M''_eps)``, ``S`` the Schur complement of ``T(e)``
+    onto D), so building a map costs one |D| x |D| Cholesky factorization,
+    kept for every solve with the map.  A solve takes a vector or an (n, k)
+    block.  Building the map twice for the same state gives results identical
+    to reuse (pure function of the state).
     """
 
     def __init__(
@@ -105,22 +90,22 @@ class LinearizedMap:
         eps: float,
     ):
         mesh = problem.mesh
-        self._op = problem.operator(e)
-        self.mesh = mesh
-        self.problem = problem
         self.u_free = free_part(mesh, state.u)
         pos = mesh.friction_free_positions
-        self.smooth = modulus_smooth(kernel, eps, self.u_free[pos])
-        self._shift = mesh.friction_weights * f.values * self.smooth.second_derivative
-        self._factorization = factorize(self._op, mesh)
-        self._cholesky = self._factorization.shifted_factor(self._shift) if np.any(self._shift) else None
-
-    @property
-    def matrix(self) -> sp.csc_matrix:
-        diag = np.bincount(
-            self.mesh.friction_free_positions, weights=self._shift, minlength=self._op.load.size
+        sm = modulus_smooth(kernel, eps, self.u_free[pos])
+        # N = [T'(u) | E_D diag(w M'_eps)]: one entry per friction column
+        T_u = operator_jacobian(mesh, problem.form, state.u)
+        self.N = sp.csc_matrix(
+            (
+                np.concatenate([T_u.data, mesh.friction_weights * sm.first_derivative]),
+                np.concatenate([T_u.indices, pos], dtype=np.int32),
+                np.concatenate([T_u.indptr, T_u.nnz + np.arange(1, pos.size + 1)], dtype=np.int32),
+            ),
+            shape=(T_u.shape[0], T_u.shape[1] + pos.size),
         )
-        return (self._op.matrix + sp.diags(diag)).tocsc()
+        self._shift = mesh.friction_weights * f.values * sm.second_derivative
+        self._factorization = factorize(problem.operator(e), mesh)
+        self._cholesky = self._factorization.shifted_factor(self._shift) if np.any(self._shift) else None
 
     def solve(self, rhs_free: np.ndarray) -> np.ndarray:
         return self._factorization.solve_shifted(self._shift, rhs_free, self._cholesky)
@@ -130,89 +115,34 @@ def _linmap(state, problem, e, f, kernel, eps, linmap):
     return linmap if linmap is not None else LinearizedMap(state, problem, e, f, kernel, eps)
 
 
-def sensitivity_e(
+def solution_derivative(
     state: ForwardState,
     problem: Problem,
     e: ParameterField,
     f: ParameterField,
     kernel: KernelSpec,
     eps: float,
-    delta_e: np.ndarray,
-    linmap: LinearizedMap | None = None,
-) -> Sensitivity:
-    """Derivative of the solution map along an ellipticity direction."""
-    lm = _linmap(state, problem, e, f, kernel, eps, linmap)
-    mesh = problem.mesh
-    T_dir = matrix_for_direction(mesh, delta_e, problem.form)
-    rhs = -(T_dir @ lm.u_free)
-    return Sensitivity("ellipticity", full_part(mesh, lm.solve(rhs)))
-
-
-def sensitivity_f(
-    state: ForwardState,
-    problem: Problem,
-    e: ParameterField,
-    f: ParameterField,
-    kernel: KernelSpec,
-    eps: float,
-    delta_f: np.ndarray,
-    linmap: LinearizedMap | None = None,
-) -> Sensitivity:
-    """Derivative of the solution map along a friction direction."""
-    lm = _linmap(state, problem, e, f, kernel, eps, linmap)
-    mesh = problem.mesh
-    delta_f = np.asarray(delta_f, dtype=float)
-    rhs_full = -trace_adjoint(mesh, delta_f * lm.smooth.first_derivative)
-    return Sensitivity("friction", full_part(mesh, lm.solve(free_part(mesh, rhs_full))))
-
-
-def solution_jacobian(
-    state: ForwardState,
-    problem: Problem,
-    e: ParameterField,
-    f: ParameterField,
-    kernel: KernelSpec,
-    eps: float,
-    free_e: bool = True,
-    free_f: bool = True,
+    directions: np.ndarray,
     linmap: LinearizedMap | None = None,
 ) -> np.ndarray:
-    """The dense derivative of the solution map on the free dofs, one column
-    per coefficient: every element if ``free_e``, then every friction node if
-    ``free_f``.  Column j is :func:`sensitivity_e` (or :func:`sensitivity_f`)
-    along the j-th unit vector; all columns come from one block solve with
-    the map.
+    """Derivative ``-J^{-1} N delta`` of the regularized solution map along
+    ``delta`` in ``concat(e, f)``.
+
+    ``directions`` is one direction (length ``ne + nf``) or an
+    ``(ne + nf, k)`` block of them, solved together; the result is the full
+    nodal vector, or an ``(n_nodes, k)`` block, zero on the Dirichlet set.
     """
     lm = _linmap(state, problem, e, f, kernel, eps, linmap)
-    mesh = problem.mesh
-    blocks = []
-    if free_e:
-        blocks.append(-operator_jacobian(mesh, problem.form, state.u).toarray())
-    if free_f:
-        pos = mesh.friction_free_positions
-        rhs_f = np.zeros((lm.u_free.size, pos.size))
-        rhs_f[pos, np.arange(pos.size)] = -mesh.friction_weights * lm.smooth.first_derivative
-        blocks.append(rhs_f)
-    return lm.solve(np.hstack(blocks))
-
-
-def _misfit_names(misfit_norm: str) -> tuple[str, str]:
-    if misfit_norm == "L2":
-        return "mass_gram", "mass_factor"
-    if misfit_norm == "V":
-        return "v_gram", "v_factor"
-    raise ValueError(f"misfit_norm must be 'L2' or 'V', got {misfit_norm!r}")
-
-
-def misfit_riesz_matrix(problem: Problem, misfit_norm: str = "L2") -> sp.csr_matrix:
-    """Gram matrix turning a free-dof residual into the misfit Riesz vector."""
-    return getattr(problem, _misfit_names(misfit_norm)[0])
+    return full_part(problem.mesh, lm.solve(-(lm.N @ np.asarray(directions, dtype=float))))
 
 
 def misfit_factor(problem: Problem, misfit_norm: str = "L2") -> sp.csr_matrix:
-    """The sparse ``B`` with ``B^T B`` the misfit Gram matrix, so that the
-    misfit of a free-dof residual r is ``1/2 |B r|^2``."""
-    return getattr(problem, _misfit_names(misfit_norm)[1])
+    """The sparse ``B`` with ``B^T B`` the misfit Gram matrix (the L2 mass
+    matrix or the V Gram matrix on the free dofs), so that the misfit of a
+    free-dof residual r is ``1/2 |B r|^2``."""
+    if misfit_norm not in MISFIT_NORMS:
+        raise ValueError(f"misfit_norm must be one of {MISFIT_NORMS}, got {misfit_norm!r}")
+    return problem.mass_factor if misfit_norm == "L2" else problem.v_factor
 
 
 def adjoint_solve(
@@ -226,16 +156,15 @@ def adjoint_solve(
     misfit_norm: str = "L2",
     linmap: LinearizedMap | None = None,
 ) -> np.ndarray:
-    """Adjoint state p solving J p = Riesz(observation - u).
+    """Adjoint state p solving ``J p = B^T B (observation - u)``.
 
-    The system matrix is the same SPD Jacobian as for the sensitivities (the
+    The system matrix is the same SPD Jacobian as for the derivatives (the
     problem is self-adjoint), so reusing a :class:`LinearizedMap` is exact.
     """
     lm = _linmap(state, problem, e, f, kernel, eps, linmap)
-    mesh = problem.mesh
-    G = misfit_riesz_matrix(problem, misfit_norm)
-    resid = free_part(mesh, np.asarray(observation, dtype=float)) - lm.u_free
-    return full_part(mesh, lm.solve(G @ resid))
+    B = misfit_factor(problem, misfit_norm)
+    resid = free_part(problem.mesh, observation) - lm.u_free
+    return full_part(problem.mesh, lm.solve(B.T @ (B @ resid)))
 
 
 def reduced_gradients(
@@ -248,29 +177,25 @@ def reduced_gradients(
     eps: float,
     alpha: float,
     beta: float,
+    linmap: LinearizedMap | None = None,
 ) -> OptimalityBundle:
-    """Reduced gradients of the regularized output-least-squares objective.
+    """Reduced gradients of the regularized output-least-squares objective:
+    ``concat(alpha G_e e, beta G_f f) + N^T p``.
 
-    grad_e per element: alpha (G_e e)_j + t(1_j; u, p);
-    grad_f per friction node: beta (G_f f)_i + w_i M'_eps(u_i) p_i.
+    Per element j that is alpha (G_e e)_j + t(1_j; u, p); per friction node
+    i, beta (G_f f)_i + w_i M'_eps(u_i) p_i.  ``linmap``, the map the
+    adjoint state was solved with, is reused when given.
     """
-    mesh = problem.mesh
-    u_free = free_part(mesh, state.u)
-    pos = mesh.friction_free_positions
-    sm = modulus_smooth(kernel, eps, u_free[pos])
-    p_free = free_part(mesh, adjoint_p)
-
-    grad_e = alpha * np.asarray(e.reg_inner_product @ e.values) + elementwise_energy(
-        mesh, problem.form, state.u, np.asarray(adjoint_p, dtype=float)
-    )
-    grad_f = beta * np.asarray(f.reg_inner_product @ f.values) + (
-        mesh.friction_weights * sm.first_derivative * p_free[pos]
-    )
-
+    lm = _linmap(state, problem, e, f, kernel, eps, linmap)
+    adjoint_p = np.asarray(adjoint_p, dtype=float)
+    grad = lm.N.T @ free_part(problem.mesh, adjoint_p)
+    ne = e.values.size
+    grad_e = alpha * np.asarray(e.reg_inner_product @ e.values) + grad[:ne]
+    grad_f = beta * np.asarray(f.reg_inner_product @ f.values) + grad[ne:]
     st_e = float(np.linalg.norm(e.values - e.project(e.values - grad_e)))
     st_f = float(np.linalg.norm(f.values - f.project(f.values - grad_f)))
     return OptimalityBundle(
-        adjoint_p=np.asarray(adjoint_p, dtype=float),
+        adjoint_p=adjoint_p,
         grad_e=grad_e,
         grad_f=grad_f,
         stationarity_e=st_e,
@@ -293,14 +218,13 @@ def reduced_objective(
 ):
     """Evaluate the reduced objective; returns (value, misfit, state).
 
-    value = 1/2 ||u_eps - observation||^2 + alpha/2 |e|_E^2 + beta/2 |f|_F^2
-    with the misfit norm chosen by ``misfit_norm``.
+    value = 1/2 |B (u_eps - observation)|^2 + alpha/2 |e|_E^2 + beta/2 |f|_F^2
+    with the misfit factor ``B`` chosen by ``misfit_norm``.
     """
     mesh = problem.mesh
     state = solution_map(e, f, eps, problem, kernel, tol=tol, u0_full=u0_full)
-    G = misfit_riesz_matrix(problem, misfit_norm)
-    resid = free_part(mesh, state.u) - free_part(mesh, np.asarray(observation, dtype=float))
-    misfit = 0.5 * float(resid @ (G @ resid))
+    r = misfit_factor(problem, misfit_norm) @ (free_part(mesh, state.u) - free_part(mesh, observation))
+    misfit = 0.5 * float(r @ r)
     reg = 0.5 * alpha * float(e.values @ (e.reg_inner_product @ e.values))
     reg += 0.5 * beta * float(f.values @ (f.reg_inner_product @ f.values))
     return misfit + reg, misfit, state

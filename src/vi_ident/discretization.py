@@ -46,7 +46,6 @@ __all__ = [
     "h1_gram",
     "mass_matrix",
     "v_norm",
-    "elementwise_energy",
     "operator_jacobian",
     "gram_factor",
     "free_part",
@@ -109,6 +108,17 @@ class Mesh:
         )
         m = (np.ones((3, 3)) + np.eye(3)) / 12.0
         return K, m[None, :, :] * meas[:, None, None]
+
+    @cached_property
+    def element_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keep, rows, indptr)``: the CSC pattern of a (free dofs) x
+        (elements) matrix whose column j holds element j's free nodes.
+        ``keep`` masks the free entries of ``elements``, ``rows`` holds their
+        free-dof indices, column by column."""
+        index = self.free_index[self.elements]
+        keep = index >= 0
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+        return keep, index[keep].astype(np.int32), indptr.astype(np.int32)
 
     @cached_property
     def operator_pattern(self) -> "OperatorPattern":
@@ -437,35 +447,14 @@ def load_vector(mesh: Mesh, g: Callable | float = 1.0) -> np.ndarray:
     return np.bincount(mesh.elements.ravel(), weights=contrib, minlength=mesh.n_nodes)[mesh.free_nodes]
 
 
-def matrix_for_direction(mesh: Mesh, delta_e: np.ndarray, form: str) -> sp.csr_matrix:
-    """T(delta_e) on free nodes for an arbitrary (sign-unrestricted) direction."""
-    delta_e = np.asarray(delta_e, dtype=float)
-    if delta_e.shape != (mesh.n_elements,):
-        raise ValueError("direction length must equal the element count")
-    return mesh.operator_pattern.assemble(_form_matrices(mesh, form) * delta_e[:, None, None])
-
-
-def elementwise_energy(mesh: Mesh, form: str, u_full: np.ndarray, p_full: np.ndarray) -> np.ndarray:
-    """Per-element values t(1_j; u, p), the e-derivative of t(e; u, p).
-
-    Returns the vector whose j-th entry is u^T (K_j + M_j) p over element j
-    with unit coefficient, so that t(e; u, p) = sum_j e_j * out_j.
-    """
-    ue = u_full[mesh.elements]
-    pe = p_full[mesh.elements]
-    return np.einsum("eij,ei,ej->e", _form_matrices(mesh, form), ue, pe)
-
-
-def operator_jacobian(mesh: Mesh, form: str, u_full: np.ndarray) -> sp.csr_matrix:
+def operator_jacobian(mesh: Mesh, form: str, u_full: np.ndarray) -> sp.csc_matrix:
     """The derivative of ``T(e) u`` in ``e`` on the free dofs, a sparse
     (free dofs) x (elements) matrix: column j is ``T(1_j) u``, the element's
-    local matrix applied to its nodal values of ``u``."""
-    E, m = mesh.elements.shape
+    local matrix applied to its nodal values of ``u``, so that its transpose
+    applied to p is the per-element ``t(1_j; u, p)``."""
     local = np.einsum("eij,ej->ei", _form_matrices(mesh, form), np.asarray(u_full, dtype=float)[mesh.elements])
-    rows = mesh.free_index[mesh.elements].ravel()
-    cols = np.repeat(np.arange(E), m)
-    keep = rows >= 0
-    return sp.csr_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=(mesh.free_nodes.size, E))
+    keep, rows, indptr = mesh.element_columns
+    return sp.csc_matrix((local[keep], rows, indptr), shape=(mesh.free_nodes.size, mesh.n_elements))
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +490,9 @@ def free_part(mesh: Mesh, v_full: np.ndarray) -> np.ndarray:
 
 
 def full_part(mesh: Mesh, v_free: np.ndarray) -> np.ndarray:
-    """Extend a free-dof vector by zeros on the Dirichlet nodes."""
-    out = np.zeros(mesh.n_nodes)
+    """Extend a free-dof vector, or an (n_free, k) block, by zeros on the
+    Dirichlet nodes."""
+    out = np.zeros((mesh.n_nodes, *np.shape(v_free)[1:]))
     out[mesh.free_nodes] = v_free
     return out
 

@@ -163,7 +163,7 @@ def run_gradient_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
     state = solution_map(e, f, eps, problem, kernel, tol=tol)
     lm = LinearizedMap(state, problem, e, f, kernel, eps)
     p = adjoint_solve(state, problem, e, f, kernel, eps, observation, linmap=lm)
-    bundle = reduced_gradients(state, p, problem, e, f, kernel, eps, alpha, beta)
+    bundle = reduced_gradients(state, p, problem, e, f, kernel, eps, alpha, beta, linmap=lm)
 
     rng = np.random.default_rng(seed)
     rows = []

@@ -44,9 +44,7 @@ from .discretization import (
     free_part,
     full_part,
     gram_factor,
-    h1_gram,
     load_vector,
-    mass_matrix,
     operator_matrix,
 )
 from .errors import SolverError
@@ -60,8 +58,6 @@ __all__ = [
     "solve_vi_oracle",
     "solve_regularized",
     "solution_map",
-    "smoothed_energy",
-    "nonsmooth_energy",
 ]
 
 
@@ -93,9 +89,9 @@ class Problem:
     those solves assembles or factorizes ``T(e)`` again.  A driver that moves
     ``e`` does not come back to an earlier one, so a new coefficient replaces
     the operator held.  The load does not depend on ``e`` and is computed
-    once.  The L2 and V Gram matrices of the misfit, and their factors
-    ``B`` with ``B^T B = G`` (:func:`~vi_ident.discretization.gram_factor`),
-    are built on first use.
+    once.  The factors ``B`` of the L2 and V misfit Gram matrices
+    (``B^T B = G``, :func:`~vi_ident.discretization.gram_factor`) are built
+    on first use.
     """
 
     mesh: Mesh
@@ -113,14 +109,6 @@ class Problem:
     @cached_property
     def load(self) -> np.ndarray:
         return load_vector(self.mesh, self.source)
-
-    @cached_property
-    def mass_gram(self) -> sp.csr_matrix:
-        return mass_matrix(self.mesh)
-
-    @cached_property
-    def v_gram(self) -> sp.csr_matrix:
-        return h1_gram(self.mesh)
 
     @cached_property
     def mass_factor(self) -> sp.csr_matrix:
@@ -240,28 +228,6 @@ def _check_friction(f: ParameterField, mesh: Mesh) -> np.ndarray:
     if vals.min(initial=0.0) < 0.0:
         raise ValueError("friction coefficient must be nonnegative")
     return vals
-
-
-def nonsmooth_energy(op: DiscreteOperator, mesh: Mesh, f: ParameterField, u_free: np.ndarray) -> float:
-    """Discrete energy 1/2 u^T K u - l^T u + sum_i w_i f_i |u_i|."""
-    wf = mesh.friction_weights * f.values
-    ud = u_free[mesh.friction_free_positions]
-    return float(0.5 * u_free @ (op.matrix @ u_free) - op.load @ u_free + wf @ np.abs(ud))
-
-
-def smoothed_energy(
-    op: DiscreteOperator,
-    mesh: Mesh,
-    f: ParameterField,
-    kernel: KernelSpec,
-    eps: float,
-    u_free: np.ndarray,
-) -> float:
-    """Energy with |.| replaced by the smoothed modulus M_eps."""
-    wf = mesh.friction_weights * f.values
-    ud = u_free[mesh.friction_free_positions]
-    M = modulus_value(kernel, eps, ud)
-    return float(0.5 * u_free @ (op.matrix @ u_free) - op.load @ u_free + wf @ M)
 
 
 def _condensed_energy(r: np.ndarray, q: np.ndarray, wf: np.ndarray, m: np.ndarray) -> float:

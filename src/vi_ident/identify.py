@@ -34,12 +34,13 @@ from scipy.linalg import block_diag, cholesky
 from scipy.optimize import Bounds, least_squares, minimize
 
 from .adjoint import (
+    MISFIT_NORMS,
     LinearizedMap,
     adjoint_solve,
     misfit_factor,
     reduced_gradients,
     reduced_objective,
-    solution_jacobian,
+    solution_derivative,
 )
 from .discretization import ParameterField, free_part, reg_inner
 from .errors import ConfigError, SolverError
@@ -77,6 +78,8 @@ class IdentificationConfig:
         object.__setattr__(self, "eps_schedule", tuple(float(x) for x in self.eps_schedule))
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be nonnegative")
+        if self.misfit_norm not in MISFIT_NORMS:
+            raise ConfigError(f"misfit_norm must be one of {MISFIT_NORMS}, got {self.misfit_norm!r}")
         sched = self.eps_schedule
         if any(x <= 0 for x in sched) or any(later >= earlier for earlier, later in zip(sched[:-1], sched[1:])):
             raise ConfigError("eps_schedule must be positive and strictly decreasing")
@@ -162,7 +165,8 @@ class _Run:
                 point.linmap = LinearizedMap(state, problem, e, f, kernel, eps)
                 p = adjoint_solve(state, problem, e, f, kernel, eps, self.observation, cfg.misfit_norm,
                                   linmap=point.linmap)
-                bundle = reduced_gradients(state, p, problem, e, f, kernel, eps, cfg.alpha, cfg.beta)
+                bundle = reduced_gradients(state, p, problem, e, f, kernel, eps, cfg.alpha, cfg.beta,
+                                           linmap=point.linmap)
                 point.grad = np.where(self.free, np.concatenate([bundle.grad_e, bundle.grad_f]), 0.0)
                 point.stationarity = (bundle.stationarity_e if self.free_e else 0.0,
                                       bundle.stationarity_f if self.free_f else 0.0)
@@ -229,6 +233,10 @@ class _Run:
             x[free] = y
             return x
 
+        p = np.count_nonzero(free)
+        directions = np.zeros((free.size, p))
+        directions[free] = np.eye(p)  # the free columns of the identity
+
         def fun(y):
             point = self.evaluate(full(y), gradient=False)
             return np.concatenate([B @ free_part(mesh, point.state.u) - data, R @ y])
@@ -238,9 +246,9 @@ class _Run:
             if self.accept(x):
                 raise _Stop
             point = self.evaluate(x)
-            du = solution_jacobian(point.state, self.problem, point.e, point.f, self.kernel, self.eps,
-                                   self.free_e, self.free_f, linmap=point.linmap)
-            return np.vstack([B @ du, R])
+            du = solution_derivative(point.state, self.problem, point.e, point.f, self.kernel, self.eps,
+                                     directions, linmap=point.linmap)
+            return np.vstack([B @ free_part(mesh, du), R])
 
         tol = np.finfo(float).eps
         try:
@@ -273,7 +281,7 @@ def identify(
     the free fields (``B^T B`` the misfit Gram, ``R^T R`` the regularization
     Grams) has a Jacobian of at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries,
     the run is scipy's bounded trust-region least squares (``trf``) on it,
-    with the dense Jacobian of :func:`~vi_ident.adjoint.solution_jacobian`
+    with the dense Jacobian of :func:`~vi_ident.adjoint.solution_derivative`
     (``1/2 |residual|^2`` is the objective up to the fixed fields' constant
     regularization terms); above that size, or with no field free, it is
     L-BFGS-B with the adjoint gradient.

@@ -8,7 +8,10 @@ independent routes rather than the library against itself.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
+
+from vi_ident.kernels import modulus_smooth, modulus_value
 
 # --- densities, written out independently of the library ---------------------
 
@@ -115,3 +118,31 @@ def benchmark_tip(f: float) -> float:
 def central_difference(fun, h: float) -> float:
     """(fun(h) - fun(-h)) / 2h for a scalar-argument callable."""
     return (fun(h) - fun(-h)) / (2.0 * h)
+
+
+# --- energies and the Newton Jacobian, assembled explicitly --------------------
+
+
+def nonsmooth_energy(op, mesh, f, u_free) -> float:
+    """Discrete energy 1/2 u^T K u - l^T u + sum_i w_i f_i |u_i|."""
+    wf = mesh.friction_weights * f.values
+    ud = u_free[mesh.friction_free_positions]
+    return float(0.5 * u_free @ (op.matrix @ u_free) - op.load @ u_free + wf @ np.abs(ud))
+
+
+def smoothed_energy(op, mesh, f, kernel, eps: float, u_free) -> float:
+    """Energy with |.| replaced by the smoothed modulus M_eps."""
+    wf = mesh.friction_weights * f.values
+    ud = u_free[mesh.friction_free_positions]
+    M = modulus_value(kernel, eps, ud)
+    return float(0.5 * u_free @ (op.matrix @ u_free) - op.load @ u_free + wf @ M)
+
+
+def linearized_matrix(problem, e, f, kernel, eps: float, u_full) -> sp.csc_matrix:
+    """The Newton Jacobian J = T(e) + E_D diag(w f M''_eps(u_D)) E_D^T on the
+    free dofs, assembled."""
+    mesh = problem.mesh
+    second = modulus_smooth(kernel, eps, np.asarray(u_full)[mesh.friction_nodes]).second_derivative
+    diag = np.zeros(mesh.free_nodes.size)
+    diag[mesh.friction_free_positions] = mesh.friction_weights * f.values * second
+    return (problem.operator(e).matrix + sp.diags(diag)).tocsc()

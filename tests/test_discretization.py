@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,13 +26,12 @@ from vi_ident import (
 from vi_ident import discretization
 from vi_ident.discretization import (
     element_measures,
-    elementwise_energy,
     elementwise_h1_gram,
     free_part,
     friction_gram,
     full_part,
     load_vector,
-    matrix_for_direction,
+    operator_jacobian,
 )
 from vi_ident.forward import Problem
 
@@ -198,14 +198,17 @@ def test_load_vector_one_point_rule():
 
 
 def test_patch_linear_function_energy():
-    # for u = a + b*x + c*y the gradient energy is b^2 + c^2 on the unit square
+    # for u = a + b*x + c*y the gradient energy is b^2 + c^2 on the unit square;
+    # every node is free, so the per-element energies t(1_j; u, u) cover all of u
     mesh = unit_square_mesh(4)
+    n = mesh.n_nodes
+    mesh = replace(mesh, dirichlet_nodes=np.array([], dtype=int), free_nodes=np.arange(n), free_index=np.arange(n))
     u = 0.7 + 1.5 * mesh.nodes[:, 0] - 2.0 * mesh.nodes[:, 1]
-    per_element = elementwise_energy(mesh, "grad_grad", u, u)
+    per_element = operator_jacobian(mesh, "grad_grad", u).T @ u
     assert np.isclose(per_element.sum(), 1.5**2 + 2.0**2)
 
 
-def test_elementwise_energy_is_the_assembly_derivative():
+def test_operator_jacobian_is_the_assembly_derivative():
     # u^T T(e) u = sum_j e_j * t(1_j; u, u) for vectors vanishing on Dirichlet nodes
     rng = np.random.default_rng(3)
     for mesh in (interval_mesh(0, 1, 9), unit_square_mesh(3)):
@@ -215,18 +218,20 @@ def test_elementwise_energy_is_the_assembly_derivative():
         u_full[mesh.dirichlet_nodes] = 0.0
         uf = free_part(mesh, u_full)
         quad_form = uf @ (assemble_operator(mesh, e).matrix @ uf)
-        split = e_vals @ elementwise_energy(mesh, "grad_grad", u_full, u_full)
+        split = e_vals @ (operator_jacobian(mesh, "grad_grad", u_full).T @ uf)
         assert np.isclose(quad_form, split)
 
 
-def test_matrix_for_direction_linearity():
+def test_operator_jacobian_applies_the_direction_matrix():
+    # T'(u) d = T(d) u for a sign-mixed direction d, T(d) assembled on the pattern
     mesh = interval_mesh(0, 1, 6)
     rng = np.random.default_rng(5)
     d1 = rng.standard_normal(6)
     d2 = rng.standard_normal(6)
-    A = matrix_for_direction(mesh, d1 + 2.5 * d2, "grad_grad").toarray()
-    B = (matrix_for_direction(mesh, d1, "grad_grad") + 2.5 * matrix_for_direction(mesh, d2, "grad_grad")).toarray()
-    assert np.allclose(A, B)
+    u = full_part(mesh, rng.standard_normal(mesh.free_nodes.size))
+    T_d = mesh.operator_pattern.assemble(mesh.local_matrices[0] * (d1 + 2.5 * d2)[:, None, None])
+    jac = operator_jacobian(mesh, "grad_grad", u)
+    assert np.allclose(T_d @ free_part(mesh, u), jac @ d1 + 2.5 * (jac @ d2))
 
 
 def coo_assembly(mesh, local):
@@ -251,7 +256,7 @@ def test_pattern_assembly_matches_the_coo_assembly(mesh, form):
     direction = rng.standard_normal(mesh.n_elements)  # sign-mixed
     for built, coeff in (
         (assemble_operator(mesh, ellipticity_field(mesh, e), form).matrix, e),
-        (matrix_for_direction(mesh, direction, form), direction),
+        (mesh.operator_pattern.assemble(local * direction[:, None, None]), direction),
     ):
         reference = coo_assembly(mesh, local * coeff[:, None, None])
         # the same stored pattern, explicit zeros included

@@ -28,10 +28,10 @@ from vi_ident import (
 )
 from vi_ident import adjoint, forward
 from vi_ident.discretization import free_part
-from vi_ident.forward import factorize, nonsmooth_energy, smoothed_energy
+from vi_ident.forward import factorize
 from vi_ident.kernels import KERNEL_NAMES, modulus_smooth
 
-from .helpers import benchmark_solution, benchmark_tip
+from .helpers import benchmark_solution, benchmark_tip, nonsmooth_energy, smoothed_energy
 
 KERNEL = get_kernel("sigmoid")
 
@@ -544,8 +544,10 @@ def test_one_factorization_serves_every_solve_at_one_coefficient(monkeypatch):
     state = solve_regularized(problem.operator(e), mesh, f, KERNEL, eps, tol=1e-11)
     warm = solution_map(e, f, eps, problem, KERNEL, u0_full=state.u)
     lin = LinearizedMap(warm, problem, e, f, KERNEL, eps)
-    adjoint.sensitivity_e(warm, problem, e, f, KERNEL, eps, np.ones(mesh.n_elements), linmap=lin)
-    adjoint.sensitivity_f(warm, problem, e, f, KERNEL, eps, np.ones(f.values.size))
+    ne = mesh.n_elements
+    adjoint.solution_derivative(warm, problem, e, f, KERNEL, eps, np.repeat([1.0, 0.0], [ne, f.values.size]),
+                                linmap=lin)
+    adjoint.solution_derivative(warm, problem, e, f, KERNEL, eps, np.repeat([0.0, 1.0], [ne, f.values.size]))
     adjoint.adjoint_solve(warm, problem, e, f, KERNEL, eps, exact.u)
     assert len(factorizations) == 1
 

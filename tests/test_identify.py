@@ -64,6 +64,12 @@ def test_armijo_and_weights_validated():
         IdentificationConfig(alpha=-1.0)
 
 
+def test_an_unknown_misfit_norm_is_a_config_error():
+    IdentificationConfig(misfit_norm="V")  # fine
+    with pytest.raises(ConfigError, match="misfit_norm"):
+        IdentificationConfig(misfit_norm="H2")
+
+
 # --- driver basics ----------------------------------------------------------------
 
 

@@ -24,6 +24,7 @@ import yaml
 
 from .discretization import FORMS
 from .errors import ConfigError
+from .forward import _NEWTON_TOL, _ORACLE_TOL
 from .kernels import KERNEL_NAMES
 
 __all__ = [
@@ -68,7 +69,7 @@ _EXPERIMENTS = {  # kind -> {field: default}
     "continuation": {**_TWIN, "eps_schedule": [1e-1, 1e-2, 1e-3, 1e-4]},
 }
 EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
-_SOLVER = {"newton_tol": 1e-12, "oracle_tol": 1e-10}
+_SOLVER = {"newton_tol": _NEWTON_TOL, "oracle_tol": _ORACLE_TOL}
 # The lower bounds the types do not imply; eps = 0 (the oracle) is forward-only.
 _MINIMA = {"eps": 0.0, "t_points": 1, "n_directions": 1, "max_iters": 0, "noise_level": 0.0}
 

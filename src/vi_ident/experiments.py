@@ -197,14 +197,11 @@ def run_gradient_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
 
 
 def _twin_setup(cfg: ExperimentConfig, seed: int):
-    problem, e0, f0 = make_problem(cfg)
+    problem, e, f = make_problem(cfg)  # the twin's fields keep their bounds and Grams
     exp = cfg.experiment
-    ell, fr = cfg.problem["ellipticity"], cfg.problem["friction"]
-    e_true = ellipticity_field(problem.mesh, exp["true_ellipticity"], ell["lower"], ell["upper"])
-    f_true = friction_field(problem.mesh, exp["true_friction"], fr["lower"], fr["upper"])
+    e_true, e_init = (e.with_values(np.full_like(e.values, exp[k])) for k in ("true_ellipticity", "initial_ellipticity"))
+    f_true, f_init = (f.with_values(np.full_like(f.values, exp[k])) for k in ("true_friction", "initial_friction"))
     observation = synthesize_observation(problem, e_true, f_true, exp["noise_level"], seed)
-    e_init = ellipticity_field(problem.mesh, exp["initial_ellipticity"], ell["lower"], ell["upper"])
-    f_init = friction_field(problem.mesh, exp["initial_friction"], fr["lower"], fr["upper"])
     return problem, observation, e_true, f_true, e_init, f_init
 
 

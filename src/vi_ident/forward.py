@@ -6,10 +6,13 @@ With ``y = T^{-1} l`` and the dense SPD Schur complement
 the condensed energy ``1/2 (x - y_D)^T S (x - y_D) + sum_i w_i f_i m(x_i)``.
 
 * :func:`solve_vi_oracle` minimizes it with ``m = |.|`` (the convex program
-  equivalent to the variational inequality of the second kind) by a
-  primal-dual active set method: slip nodes carry the multiplier ``+-w f``,
-  stick nodes are pinned to zero and take theirs from ``lam = S (y_D - x)``.
-  It terminates finitely and is the epsilon-independent ground truth.
+  equivalent to the variational inequality of the second kind) through its
+  dual: with ``S = R^T R`` the multiplier ``lam = S (y_D - x)`` solves the
+  box-constrained least-squares problem ``min 1/2 |R^{-T} lam - R y_D|^2``
+  over ``|lam| <= w f``, which scipy's bounded-variable least squares
+  (``lsq_linear(method="bvls")``) solves in finitely many steps.  Slip nodes
+  carry ``lam = +-w f``; stick nodes, whose ``lam`` lies inside the box, are
+  pinned to zero.  It is the epsilon-independent ground truth.
 
 * :func:`solve_regularized` minimizes it with ``m = M_eps`` by damped Newton.
   The gradient ``S (x - y_D) + w f M'_eps(x)`` is the full-space residual of
@@ -21,8 +24,8 @@ Each solver builds ``u`` with one final ``T``-solve and reports the
 full-space residual of that ``u``.  :func:`factorize` factorizes ``T(e)`` once
 per operator, D last, and keeps ``y`` and ``S`` (the trailing |D| x |D| block
 of its LU) with it; the sensitivities and the adjoint
-(:mod:`vi_ident.adjoint`) reuse it.  Every dense solve on D is a Cholesky
-solve with ``S`` plus a nonnegative diagonal, or with a block of ``S``.
+(:mod:`vi_ident.adjoint`) reuse it.  Outside the oracle, every dense solve on
+D is a Cholesky solve with ``S`` plus a nonnegative diagonal.
 :func:`solution_map` dispatches on ``eps`` (0 means oracle).
 """
 
@@ -34,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.optimize import lsq_linear
 from scipy.sparse.linalg import splu
 
 from .discretization import (
@@ -67,8 +71,9 @@ class ForwardState:
 
     ``u`` is the full nodal vector (zeros on the Dirichlet set); ``eps`` is 0
     for the oracle; ``residual_norm`` is the full-space residual of ``u``.
-    Histories hold one entry per accepted iterate: the condensed energy
-    (oracle), or the gradient norm on D (Newton) ending in ``residual_norm``.
+    ``iterations`` counts the box solver's iterations (oracle) or Newton's;
+    ``residual_history`` (Newton) holds the gradient norm on D per accepted
+    iterate, ending in ``residual_norm``.
     """
 
     u: np.ndarray
@@ -76,7 +81,6 @@ class ForwardState:
     iterations: int
     eps: float
     residual_history: tuple = ()
-    energy_history: tuple = ()
 
 
 @dataclass
@@ -120,7 +124,8 @@ class Problem:
         return gram_factor(self.mesh, K + M)
 
 
-_ORACLE_TOL = 1e-10  # the oracle's default tolerance, also for cold starts
+_ORACLE_TOL = 1e-10  # the oracle's default tolerance
+_NEWTON_TOL = 1e-12  # the smoothed solver's default tolerance
 
 
 class Factorization:
@@ -129,11 +134,12 @@ class Factorization:
     The LU runs in the mesh's elimination order (minimum degree off D, then
     D; :attr:`OperatorPattern.elimination`) with diagonal pivots, so for SPD
     ``T`` the trailing block of ``U`` gives the Schur complement of ``T``
-    onto D, ``S = U_DD^T diag(U_DD)^{-1} U_DD``.  ``load_solution``
-    ``y = T^{-1} l`` and ``schur`` ``S`` (the inverse of
-    ``E_D^T T^{-1} E_D``) are built on first use; the forward solvers
-    iterate on these, then call :meth:`extend` once.  ``last_oracle`` holds
-    the oracle's last ``(w f, x)``.  ``tau`` is the oracle's proximal step
+    onto D, ``S = R^T R`` with ``R = diag(U_DD)^{-1/2} U_DD``.
+    ``load_solution`` ``y = T^{-1} l``, ``schur_factor`` ``R`` and ``schur``
+    ``S`` (the inverse of ``E_D^T T^{-1} E_D``) are built on first use; the
+    forward solvers iterate on these, then call :meth:`extend` once.
+    ``last_oracle`` holds the oracle's last ``(w f, x)``.  ``tau`` is the
+    step of the oracle's proximal-gradient residual,
     ``1 / max(1, max row sum of |T|)``.  Raises ``ValueError`` if ``op.matrix``
     is not stored on ``mesh.operator_pattern``, and ``SolverError`` if the
     LU's own permutations move D out of the trailing block.
@@ -166,10 +172,15 @@ class Factorization:
         return self.solve(self._load)
 
     @cached_property
+    def schur_factor(self) -> np.ndarray:
+        """``R``, the upper triangular Cholesky factor of ``S = R^T R``."""
+        U_DD = self._lu.U[self._lead :, self._lead :].toarray()
+        return U_DD / np.sqrt(np.diag(U_DD))[:, None]
+
+    @cached_property
     def schur(self) -> np.ndarray:
         """``S``, the Schur complement of ``T`` onto D."""
-        U_DD = self._lu.U[self._lead :, self._lead :].toarray()
-        R = U_DD / np.sqrt(np.diag(U_DD))[:, None]  # the Cholesky factor of S
+        R = self.schur_factor
         return R.T @ R
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -248,74 +259,29 @@ def _prox_residual(op, mesh, f, u_free, tau) -> float:
     return float(np.linalg.norm(u_free - prox) / tau)
 
 
-def _cholesky_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A x = rhs`` for a dense SPD ``A``."""
-    return cho_solve(cho_factor(A), rhs)
+def _active_set(fac: Factorization, wf: np.ndarray):
+    """The oracle on D by its dual, a box-constrained least-squares problem;
+    returns ``(x, lam, iterations)``.
 
-
-def _pin_stick(S: np.ndarray, b: np.ndarray, lam: np.ndarray, stick: np.ndarray):
-    """``(x, lam)`` with ``lam = b - S x``, ``lam`` given on the slip nodes F off
-    the mask ``stick`` and ``x = 0`` on it: ``S_FF x_F = b_F - lam_F``."""
-    lam, x, slip = lam.copy(), np.zeros_like(b), ~stick
-    if np.any(slip):
-        x[slip] = _cholesky_solve(S[np.ix_(slip, slip)], b[slip] - lam[slip])
-    lam[stick] = b[stick] - S[np.ix_(stick, slip)] @ x[slip]
-    return x, lam
-
-
-def _active_set(fac: Factorization, wf: np.ndarray, tol: float):
-    """Primal-dual active set on D; returns ``(x, lam, iterations, energies)``.
-
-    Each node is slip+ (multiplier +w f), slip- (-w f) or stick (x = 0) by
-    ``xi = lam + x``; damping toward each new classification's solution keeps
-    the condensed energy non-increasing.  Stops when the proximal-gradient
-    residual on D, where ``T u - l = -E_D lam``, is at most ``tol``.
+    With ``S = R^T R``, ``lam = S (y_D - x)`` minimizes
+    ``1/2 |R^{-T} lam - R y_D|^2`` over ``|lam| <= w f``, solved to round-off
+    by scipy's bounded-variable least squares (the oracle checks the ``u``
+    built from it), and ``x = y_D - S^{-1} lam``.  Nodes whose multiplier
+    lies inside the box stick and are pinned to exactly 0.  Nodes with
+    ``w f = 0`` keep ``lam = 0`` and stay out of the box problem, which
+    rejects zero-width bounds.
     """
     y = fac.load_solution[fac.positions]
-    S, tau = fac.schur, fac.tau
-    b = S @ y
-    cap = 2 * wf.size + 10
-
-    def energy_of(x, lam):
-        return _condensed_energy(x - y, -lam, wf, np.abs(x))  # S (x - y) = -lam
-
-    def residual_of(x, lam):
-        z = x + tau * lam
-        return float(np.linalg.norm(x - np.sign(z) * np.maximum(np.abs(z) - tau * wf, 0.0)) / tau)
-
-    # The frictionless solve: exact when f = 0, a good sign predictor otherwise.
-    x, lam = y.copy(), np.zeros_like(y)
-    energies = [energy_of(x, lam)]
-    residual = residual_of(x, lam)
-    iterations = 0
-    while residual > tol:
-        if iterations >= cap:
-            raise SolverError(
-                f"active-set solver did not converge in {cap} iterations "
-                f"(residual {residual:.3e})",
-                residual=residual,
-            )
-        iterations += 1
-        xi = lam + x
-        status = np.sign(np.where(np.abs(xi) <= wf, 0.0, xi))
-        x_trial, lam_trial = _pin_stick(S, b, wf * status, status == 0.0)
-        theta = 1.0
-        x_new, lam_new = x_trial, lam_trial
-        e_new = energy_of(x_new, lam_new)
-        while e_new > energies[-1] + 1e-14 * (1.0 + abs(energies[-1])):
-            if theta <= 1e-8:
-                raise SolverError(
-                    f"active-set damping found no energy decrease (residual {residual:.3e})",
-                    residual=residual,
-                )
-            theta *= 0.5
-            x_new = (1.0 - theta) * x + theta * x_trial
-            lam_new = (1.0 - theta) * lam + theta * lam_trial
-            e_new = energy_of(x_new, lam_new)
-        x, lam = x_new, lam_new
-        energies.append(e_new)
-        residual = residual_of(x, lam)
-    return x, lam, iterations, energies
+    R = fac.schur_factor
+    lam, boxed = np.zeros_like(y), np.flatnonzero(wf)
+    if boxed.size == 0:
+        return y.copy(), lam, 0
+    A = solve_triangular(R, np.eye(y.size)[:, boxed], trans="T")  # R^{-T} restricted to the boxed nodes
+    fit = lsq_linear(A, R @ y, bounds=(-wf[boxed], wf[boxed]), method="bvls", tol=np.finfo(float).eps)
+    lam[boxed] = fit.x
+    x = -solve_triangular(R, fit.fun)  # fun = R^{-T} lam - R y_D = -R x
+    x[boxed[fit.active_mask == 0]] = 0.0
+    return x, lam, fit.nit
 
 
 def solve_vi_oracle(
@@ -324,34 +290,27 @@ def solve_vi_oracle(
     f: ParameterField,
     tol: float = _ORACLE_TOL,
 ) -> ForwardState:
-    """Solve the variational inequality by primal-dual active set on D.
+    """Solve the variational inequality by bounded-variable least squares on
+    the dual of its condensed energy on D.
 
-    ``u`` is built from the converged multipliers with one ``T``-solve;
-    ``residual_norm`` is its full-space proximal-gradient residual.
+    ``u`` is built from the multipliers with one ``T``-solve;
+    ``residual_norm`` is its full-space proximal-gradient residual and
+    ``iterations`` counts the box solver's iterations.
 
     Raises
     ------
     SolverError
-        If the residual has not dropped below ``tol`` within 2 |D| + 10
-        iterations, if damping finds no step that does not increase the
-        energy, or if the returned ``u`` misses ``tol``.
+        If the returned ``u`` misses ``tol``.
     """
     wf = mesh.friction_weights * _check_friction(f, mesh)
     fac = factorize(op, mesh)
-    x, lam, iterations, energies = _active_set(fac, wf, tol)
-    if tol <= _ORACLE_TOL:  # as accurate as the cold start's own oracle run
-        fac.last_oracle = (wf, x)
+    x, lam, iterations = _active_set(fac, wf)
+    fac.last_oracle = (wf, x)
     u = fac.extend(x, lam)
     residual = _prox_residual(op, mesh, f, u, fac.tau)
     if residual > tol:
-        raise SolverError(f"active-set residual {residual:.3e} above tol {tol:.1e}", residual=residual)
-    return ForwardState(
-        u=full_part(mesh, u),
-        residual_norm=residual,
-        iterations=iterations,
-        eps=0.0,
-        energy_history=tuple(energies),
-    )
+        raise SolverError(f"oracle residual {residual:.3e} above tol {tol:.1e}", residual=residual)
+    return ForwardState(u=full_part(mesh, u), residual_norm=residual, iterations=iterations, eps=0.0)
 
 
 def solve_regularized(
@@ -360,7 +319,7 @@ def solve_regularized(
     f: ParameterField,
     kernel: KernelSpec,
     eps: float,
-    tol: float = 1e-12,
+    tol: float = _NEWTON_TOL,
     max_iter: int = 100,
     u0_full: np.ndarray | None = None,
 ) -> ForwardState:
@@ -421,7 +380,7 @@ def solve_regularized(
             pass  # a poor warm start: fall through to the cold path
     last_wf, x = fac.last_oracle
     if not np.array_equal(last_wf, wf):
-        x = _active_set(fac, wf, _ORACLE_TOL)[0]
+        x = _active_set(fac, wf)[0]
         fac.last_oracle = (wf, x)
     return run(x)
 
@@ -445,7 +404,7 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
             reason = "stalled at the attainable precision" if stalled >= 2 else f"did not converge in {max_iter} iterations"
             raise SolverError(f"Newton {reason} (residual {history[-1]:.3e}, tol {tol:.1e})", residual=history[-1])
         iterations += 1
-        d = -_cholesky_solve(S + np.diag(wf * sm.second_derivative), g)
+        d = -cho_solve(cho_factor(S + np.diag(wf * sm.second_derivative)), g)
         # Full step first: near the solution Newton contracts the residual and
         # the energy decrease underflows double precision, so the Armijo test
         # is reserved for the globalization phase.
@@ -490,9 +449,9 @@ def solution_map(
     next call with the same coefficient vector.
     """
     op = problem.operator(e)
+    tol = (_ORACLE_TOL if eps == 0 else _NEWTON_TOL) if tol is None else tol
     if eps == 0:
-        return solve_vi_oracle(op, problem.mesh, f, **({"tol": tol} if tol is not None else {}))
+        return solve_vi_oracle(op, problem.mesh, f, tol)
     if kernel is None:
         raise ValueError("a kernel is required for eps > 0")
-    kwargs = {"tol": tol} if tol is not None else {}
-    return solve_regularized(op, problem.mesh, f, kernel, eps, u0_full=u0_full, **kwargs)
+    return solve_regularized(op, problem.mesh, f, kernel, eps, tol, u0_full=u0_full)

@@ -22,7 +22,16 @@ reads these two objects:
 
 where ``B^T B`` is the misfit Gram matrix (:func:`misfit_factor`).  A block of
 directions gives the dense derivative in every coefficient from one block of
-right-hand sides; the gradient needs no further forward solve.
+right-hand sides (the Gauss-Newton Jacobian with ``e`` free); the gradient
+needs no further forward solve.  The adjoint serves L-BFGS-B and the gradient
+check; Gauss-Newton reads its gradient off its Jacobian.
+
+With ``e`` fixed the state is affine in ``x = u_D``:
+``u = y + Z S (x - y_D)``, ``Z = T^{-1} E_D``.  The misfit then has |D|
+rows, ``B_D (u - observation)`` (:func:`friction_misfit_factor`), with the
+same derivative and the same differences as ``1/2 |B (u - observation)|^2``,
+and their |D| x |D| Jacobian in ``f`` (:func:`friction_jacobian`) takes one
+Cholesky factorization of Newton's Hessian on D and no ``LinearizedMap``.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .discretization import ParameterField, free_part, full_part, operator_jacobian
 from .forward import ForwardState, Problem, factorize, solution_map
@@ -44,6 +54,9 @@ __all__ = [
     "reduced_gradients",
     "reduced_objective",
     "misfit_factor",
+    "friction_misfit_factor",
+    "friction_jacobian",
+    "projected_residual",
 ]
 
 MISFIT_NORMS = ("L2", "V")
@@ -145,6 +158,52 @@ def misfit_factor(problem: Problem, misfit_norm: str = "L2") -> sp.csr_matrix:
     return problem.mass_factor if misfit_norm == "L2" else problem.v_factor
 
 
+def friction_misfit_factor(
+    problem: Problem, e: ParameterField, misfit_norm: str = "L2"
+) -> tuple[np.ndarray, np.ndarray]:
+    """The misfit on the friction set D at fixed ``e``: ``(R_Z, B_D)``.
+
+    At fixed ``e`` the regularized state is ``u = y + Z S (x - y_D)``, with
+    ``x = u_D`` and ``Z = T^{-1} E_D``
+    (:attr:`~vi_ident.forward.Factorization.friction_response`), so the
+    residual ``u - observation`` moves in the range of ``Z`` only.  With
+    ``G = B^T B`` and ``R_Z^T R_Z = Z^T G Z``, the |D| rows ``B_D r``,
+    ``B_D = R_Z^{-T} (G Z)^T``, are ``r`` projected G-orthogonally onto that
+    range: ``|B r|^2 - |B_D r|^2`` is the same for every such residual, and
+    ``B_D Z = R_Z``.
+    """
+    B = misfit_factor(problem, misfit_norm)
+    Z = factorize(problem.operator(e), problem.mesh).friction_response
+    GZ = (B.T @ B) @ Z  # the sparse G: B Z would have E * m rows
+    R_Z = cholesky(Z.T @ GZ)
+    return R_Z, solve_triangular(R_Z, GZ.T, trans="T")
+
+
+def friction_jacobian(
+    state: ForwardState,
+    problem: Problem,
+    e: ParameterField,
+    f: ParameterField,
+    kernel: KernelSpec,
+    eps: float,
+    R_Z: np.ndarray,
+) -> np.ndarray:
+    """The |D| x |D| Jacobian of ``B_D u`` in ``f`` at fixed ``e``,
+    ``-R_Z S (S + diag(w f M''_eps(x)))^{-1} diag(w M'_eps(x))``.
+
+    The condensed gradient ``S (x - y_D) + w f M'_eps(x)`` vanishes at the
+    state's ``x = u_D``, which gives ``dx/df``; then ``du = Z S dx`` and
+    ``B_D Z = R_Z`` (:func:`friction_misfit_factor`).  One |D| x |D|
+    Cholesky factorization, no ``T``-solve.
+    """
+    mesh = problem.mesh
+    fac = factorize(problem.operator(e), mesh)
+    sm = modulus_smooth(kernel, eps, free_part(mesh, state.u)[fac.positions])
+    w = mesh.friction_weights
+    dx = cho_solve(fac.shifted_factor(w * f.values * sm.second_derivative), np.diag(w * sm.first_derivative))
+    return -R_Z @ (fac.schur @ dx)
+
+
 def adjoint_solve(
     state: ForwardState,
     problem: Problem,
@@ -192,15 +251,19 @@ def reduced_gradients(
     ne = e.values.size
     grad_e = alpha * np.asarray(e.reg_inner_product @ e.values) + grad[:ne]
     grad_f = beta * np.asarray(f.reg_inner_product @ f.values) + grad[ne:]
-    st_e = float(np.linalg.norm(e.values - e.project(e.values - grad_e)))
-    st_f = float(np.linalg.norm(f.values - f.project(f.values - grad_f)))
     return OptimalityBundle(
         adjoint_p=adjoint_p,
         grad_e=grad_e,
         grad_f=grad_f,
-        stationarity_e=st_e,
-        stationarity_f=st_f,
+        stationarity_e=projected_residual(e, grad_e),
+        stationarity_f=projected_residual(f, grad_f),
     )
+
+
+def projected_residual(field_: ParameterField, grad: np.ndarray) -> float:
+    """The stationarity residual ``norm(x - clip(x - grad, box))`` of a field
+    with values x and gradient ``grad``."""
+    return float(np.linalg.norm(field_.values - field_.project(field_.values - grad)))
 
 
 def reduced_objective(

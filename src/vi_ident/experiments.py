@@ -252,12 +252,17 @@ def run_identify(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
         "e_error_max": float(np.abs(res.e_hat.values - e_true.values).max()),
         "stop_reason": res.stop_reason,
         "forward_solves": res.forward_solves,
+        "method": res.method,
         "checks_passed": max(st_e, st_f) <= icfg.stop_tol,
     }
 
 
 def run_continuation(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
-    """Identification over the eps schedule with warm starts and distances."""
+    """Identification over the eps schedule with warm starts and distances.
+
+    The checks pass when the successive distances decrease and every level
+    ends at a stationarity of at most ``stop_tol``.
+    """
     problem, observation, e_true, f_true, e0, f0 = _twin_setup(cfg, seed)
     exp = cfg.experiment
     kernel = get_kernel(cfg.kernel)
@@ -288,7 +293,10 @@ def run_continuation(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
         "f_error_max": float(np.abs(results[-1].f_hat.values - f_true.values).max()),
         "stop_reasons": [res.stop_reason for res in results],
         "forward_solves": [res.forward_solves for res in results],
-        "checks_passed": dist["successive_decreasing"],
+        "methods": [res.method for res in results],
+        "checks_passed": dist["successive_decreasing"] and all(
+            max(res.stationarity_history[-1]) <= icfg.stop_tol for res in results
+        ),
     }
 
 

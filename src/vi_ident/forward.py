@@ -138,6 +138,8 @@ class Factorization:
     ``load_solution`` ``y = T^{-1} l``, ``schur_factor`` ``R`` and ``schur``
     ``S`` (the inverse of ``E_D^T T^{-1} E_D``) are built on first use; the
     forward solvers iterate on these, then call :meth:`extend` once.
+    ``friction_response`` ``Z = T^{-1} E_D`` is built only by identification
+    with a fixed ``e``.
     ``last_oracle`` holds the oracle's last ``(w f, x)``.  ``tau`` is the
     step of the oracle's proximal-gradient residual,
     ``1 / max(1, max row sum of |T|)``.  Raises ``ValueError`` if ``op.matrix``
@@ -182,6 +184,15 @@ class Factorization:
         """``S``, the Schur complement of ``T`` onto D."""
         R = self.schur_factor
         return R.T @ R
+
+    @cached_property
+    def friction_response(self) -> np.ndarray:
+        """``Z = T^{-1} E_D``, the response of ``u`` to a unit load at each
+        node of D: one block ``T``-solve with |D| columns.  At fixed ``e`` the
+        regularized state is ``u = y + Z S (u_D - y_D)``."""
+        E_D = np.zeros((self._lu.shape[0], self.positions.size))
+        E_D[self.positions, np.arange(self.positions.size)] = 1.0
+        return self.solve(E_D)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``T x = rhs`` for a vector or an (n, k) block of right-hand sides."""

@@ -8,16 +8,24 @@ The driver minimizes
 over the admissible boxes.  The objective is a sum of squares, and the
 regularized solution map is smooth, so a run with few coefficients is bounded
 Gauss-Newton: scipy's trust-region least squares ``trf`` (Branch, Coleman,
-Li, SIAM J. Sci. Comput. 21, 1999) with the dense Jacobian of the solution map
-from one block solve, about ten forward solves per run.  Where that Jacobian
-is large (many free elements, or a fine 2D mesh) a run is scipy's
-L-BFGS-B (Byrd, Lu, Nocedal, Zhu, SIAM J. Sci. Comput. 16, 1995), one forward
-and one adjoint solve per evaluation.  Either way scipy's own stopping tests
-are at most round-off: a run stops on the projected-gradient residuals of
-:func:`~vi_ident.adjoint.reduced_gradients`, which vanish exactly at discrete
-KKT points of the box-constrained problem.  Only accepted iterates enter the
-histories, so the objective history is non-increasing and every iterate stays
-feasible.
+Li, SIAM J. Sci. Comput. 21, 1999) with a dense Jacobian, about ten forward
+solves per run.  With ``e`` free the misfit rows are ``B (u - observation)``
+(m rows per element of m nodes) and the Jacobian is the solution map's, from
+one block solve.  With only ``f`` free the state is affine in ``x = u_D``,
+so the misfit rows are the |D| rows ``B_D (u - observation)`` of
+:func:`~vi_ident.adjoint.friction_misfit_factor`, with a |D| x |D| Jacobian
+from one Cholesky factorization and no solve with ``T``.  The path rule
+counts those rows: a run is ``trf`` while the Jacobian (misfit rows plus one
+regularization row per free coefficient, times the free coefficients) has at
+most ``_LEAST_SQUARES_MAX_ENTRIES`` entries, and scipy's L-BFGS-B (Byrd, Lu,
+Nocedal, Zhu, SIAM J. Sci. Comput. 16, 1995) above that, one forward and one
+adjoint solve per evaluation.  Either way scipy's own stopping tests are at
+most round-off: a run stops on the projected-gradient residuals, which
+vanish exactly at discrete KKT points of the box-constrained problem.
+``trf`` reads the gradient ``J^T r`` off the Jacobian it has just built;
+L-BFGS-B takes it from the adjoint (:func:`~vi_ident.adjoint.reduced_gradients`).
+Only accepted iterates enter the histories, so the objective history is
+non-increasing and every iterate stays feasible.
 
 :func:`continuation_identify` repeats the minimization over a decreasing
 epsilon schedule with warm starts, recording the parameter distances used by
@@ -37,7 +45,10 @@ from .adjoint import (
     MISFIT_NORMS,
     LinearizedMap,
     adjoint_solve,
+    friction_jacobian,
+    friction_misfit_factor,
     misfit_factor,
+    projected_residual,
     reduced_gradients,
     reduced_objective,
     solution_derivative,
@@ -96,12 +107,14 @@ class IdentificationResult:
     misfit: float = field(default=float("nan"))
     stop_reason: str = ""  # "stationary", "max_iters" or scipy's message
     forward_solves: int = 0  # objective evaluations, one forward solve each
+    method: str = ""  # "trf" or "L-BFGS-B"
 
 
 # The largest dense Jacobian (residual length x free coefficients) for which
 # identify() runs Gauss-Newton (trf).  Each trf iteration takes an SVD of it,
-# and each Jacobian is a block solve with one column per free coefficient; in
-# 2D twin runs L-BFGS-B overtook trf between 169,000 and 348,000 entries.
+# and with e free each Jacobian is a block solve with one column per free
+# coefficient; in 2D joint twin runs L-BFGS-B overtook trf between 169,000 and
+# 348,000 entries.
 _LEAST_SQUARES_MAX_ENTRIES = 250_000
 
 
@@ -113,8 +126,7 @@ class _Stop(Exception):
 @dataclass
 class _Point:
     """One evaluation: the optimizer's variable x and what the driver needs at
-    it.  The linearized map, the gradient and the stationarity are filled in
-    when first needed."""
+    it.  The gradient and the stationarity are filled in when first needed."""
 
     x: np.ndarray
     e: ParameterField
@@ -122,7 +134,6 @@ class _Point:
     value: float
     misfit: float
     state: ForwardState
-    linmap: LinearizedMap | None = None
     grad: np.ndarray | None = None
     stationarity: tuple[float, float] | None = None
 
@@ -146,56 +157,71 @@ class _Run:
         self.last = self.accepted = None  # the last evaluated and the last accepted _Point
         self.forward_solves = 0
 
-    def evaluate(self, x, gradient=True) -> _Point:
-        """The _Point at x, with its gradient unless ``gradient`` is False."""
-        cfg, problem, kernel, eps = self.config, self.problem, self.kernel, self.eps
-        point = self.last if self.last is not None and np.array_equal(x, self.last.x) else None
+    def evaluate(self, x) -> _Point:
+        """The _Point at x: one forward solve, unless x was evaluated last."""
+        if self.last is not None and np.array_equal(x, self.last.x):
+            return self.last
+        cfg = self.config
         clipped = np.clip(x, self.lower, self.upper)
         e, f = self.e0.with_values(clipped[: self.ne]), self.f0.with_values(clipped[self.ne :])
         try:
-            if point is None:
-                value, misfit, state = reduced_objective(
-                    e, f, problem, self.observation, kernel, eps, cfg.alpha, cfg.beta, cfg.misfit_norm,
-                    tol=cfg.forward_tol, u0_full=self.u0_full if self.last is None else self.last.state.u,
-                )
-                self.forward_solves += 1
-                point = self.last = _Point(x.copy(), e, f, value, misfit, state)
-            if gradient and point.grad is None:
-                state = point.state
-                point.linmap = LinearizedMap(state, problem, e, f, kernel, eps)
-                p = adjoint_solve(state, problem, e, f, kernel, eps, self.observation, cfg.misfit_norm,
-                                  linmap=point.linmap)
-                bundle = reduced_gradients(state, p, problem, e, f, kernel, eps, cfg.alpha, cfg.beta,
-                                           linmap=point.linmap)
-                point.grad = np.where(self.free, np.concatenate([bundle.grad_e, bundle.grad_f]), 0.0)
-                point.stationarity = (bundle.stationarity_e if self.free_e else 0.0,
-                                      bundle.stationarity_f if self.free_f else 0.0)
+            value, misfit, state = reduced_objective(
+                e, f, self.problem, self.observation, self.kernel, self.eps, cfg.alpha, cfg.beta,
+                cfg.misfit_norm, tol=cfg.forward_tol,
+                u0_full=self.u0_full if self.last is None else self.last.state.u,
+            )
         except SolverError as err:
             err.iterate = {"iteration": len(self.objective_history),
                            "e": e.values.copy(), "f": f.values.copy()}
             raise
+        self.forward_solves += 1
+        self.last = _Point(x.copy(), e, f, value, misfit, state)
+        return self.last
+
+    def set_gradient(self, point, grad) -> _Point:
+        """Give ``point`` the gradient ``grad`` in concat(e, f), zero off the
+        free fields, and its projected-gradient stationarity."""
+        point.grad = np.where(self.free, grad, 0.0)
+        point.stationarity = (projected_residual(point.e, grad[: self.ne]) if self.free_e else 0.0,
+                              projected_residual(point.f, grad[self.ne :]) if self.free_f else 0.0)
         return point
 
-    def accept(self, x) -> bool:
+    def accept(self, point) -> bool:
         """Record an accepted iterate; True once the run stops there."""
-        self.accepted = self.evaluate(x)
-        self.objective_history.append(self.accepted.value)
-        self.stationarity_history.append(self.accepted.stationarity)
-        return (max(self.accepted.stationarity) <= self.config.stop_tol
+        self.accepted = point
+        self.objective_history.append(point.value)
+        self.stationarity_history.append(point.stationarity)
+        return (max(point.stationarity) <= self.config.stop_tol
                 or len(self.objective_history) > self.config.max_iters)
 
+    def adjoint_gradient(self, point) -> _Point:
+        """Give ``point`` its gradient from one adjoint solve, unless it has
+        one."""
+        if point.grad is None:
+            cfg = self.config
+            args = (point.state, self.problem, point.e, point.f, self.kernel, self.eps)
+            linmap = LinearizedMap(*args)
+            p = adjoint_solve(*args, self.observation, cfg.misfit_norm, linmap=linmap)
+            bundle = reduced_gradients(point.state, p, *args[1:], cfg.alpha, cfg.beta, linmap=linmap)
+            self.set_gradient(point, np.concatenate([bundle.grad_e, bundle.grad_f]))
+        return point
+
     def lbfgsb(self) -> str | None:
-        """L-BFGS-B from ``x0``; scipy's message, or None when :meth:`accept`
-        stopped the run."""
-        if self.accept(self.x0):
+        """L-BFGS-B from ``x0`` with the adjoint gradient; scipy's message, or
+        None when :meth:`accept` stopped the run."""
+
+        def at(x):
+            return self.adjoint_gradient(self.evaluate(x))
+
+        if self.accept(at(self.x0)):
             return None
 
         def fun(x):
-            point = self.evaluate(x)
+            point = at(x)
             return point.value, point.grad
 
         def callback(intermediate_result):
-            if self.accept(intermediate_result.x):
+            if self.accept(at(intermediate_result.x)):
                 raise StopIteration
 
         result = minimize(
@@ -209,15 +235,19 @@ class _Run:
         """Gauss-Newton (scipy's ``trf``) on the free coefficients from
         ``x0``; scipy's message, or None when :meth:`accept` stopped the run.
 
-        ``trf`` evaluates the Jacobian only at its start and at the points it
-        accepts, each of lower cost than the one before, so the Jacobian
-        records each one and runs the stop test there.  ``trf`` starts at
-        ``x0`` moved off any bound it lies on by a relative 1e-10.  Scipy's
-        own tests are set to round-off.
+        The misfit rows are ``B (u - observation)`` with ``e`` free, and the
+        |D| rows ``B_D (u - observation)`` of
+        :func:`~vi_ident.adjoint.friction_misfit_factor` with ``e`` fixed:
+        the same Jacobian and the same cost differences.  ``trf`` evaluates
+        the Jacobian only at its start and at the points it accepts, each of
+        lower cost than the one before, so the Jacobian records each one and
+        runs the stop test there, on the gradient ``J^T r`` of
+        ``1/2 |r|^2``.  ``trf`` starts at ``x0`` moved off any bound it lies
+        on by a relative 1e-10.  Scipy's own tests are set to round-off.
         """
-        cfg, mesh, free = self.config, self.problem.mesh, self.free
-        B = misfit_factor(self.problem, cfg.misfit_norm)
-        data = B @ free_part(mesh, np.asarray(self.observation, dtype=float))
+        cfg, problem, mesh, free = self.config, self.problem, self.problem.mesh, self.free
+        kernel, eps = self.kernel, self.eps
+        observation = free_part(mesh, np.asarray(self.observation, dtype=float))
         # R^T R = the regularization Grams of the free fields, scaled
         R = block_diag(*(
             np.sqrt(weight) * cholesky(gram.toarray() if sp.issparse(gram) else gram)
@@ -227,28 +257,40 @@ class _Run:
             )
             if is_free
         ))
+        if self.free_e:
+            B = misfit_factor(problem, cfg.misfit_norm)
+            p = np.count_nonzero(free)
+            directions = np.zeros((free.size, p))
+            directions[free] = np.eye(p)  # the free columns of the identity
+
+            def misfit_jacobian(point):
+                du = solution_derivative(point.state, problem, point.e, point.f, kernel, eps, directions)
+                return B @ free_part(mesh, du)
+        else:
+            R_Z, B = friction_misfit_factor(problem, self.e0, cfg.misfit_norm)
+
+            def misfit_jacobian(point):
+                return friction_jacobian(point.state, problem, point.e, point.f, kernel, eps, R_Z)
+
+        data = B @ observation
 
         def full(y):
             x = self.x0.copy()
             x[free] = y
             return x
 
-        p = np.count_nonzero(free)
-        directions = np.zeros((free.size, p))
-        directions[free] = np.eye(p)  # the free columns of the identity
-
         def fun(y):
-            point = self.evaluate(full(y), gradient=False)
-            return np.concatenate([B @ free_part(mesh, point.state.u) - data, R @ y])
+            return np.concatenate([B @ free_part(mesh, self.evaluate(full(y)).state.u) - data, R @ y])
 
         def jac(y):
             x = full(y)
-            if self.accept(x):
-                raise _Stop
             point = self.evaluate(x)
-            du = solution_derivative(point.state, self.problem, point.e, point.f, self.kernel, self.eps,
-                                     directions, linmap=point.linmap)
-            return np.vstack([B @ free_part(mesh, du), R])
+            J = np.vstack([misfit_jacobian(point), R])
+            grad = np.zeros(x.size)
+            grad[free] = J.T @ fun(y)
+            if self.accept(self.set_gradient(point, grad)):
+                raise _Stop
+            return J
 
         tol = np.finfo(float).eps
         try:
@@ -280,11 +322,13 @@ def identify(
     residual ``[B (u - observation); sqrt(alpha) R_e e; sqrt(beta) R_f f]`` of
     the free fields (``B^T B`` the misfit Gram, ``R^T R`` the regularization
     Grams) has a Jacobian of at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries,
-    the run is scipy's bounded trust-region least squares (``trf``) on it,
-    with the dense Jacobian of :func:`~vi_ident.adjoint.solution_derivative`
-    (``1/2 |residual|^2`` is the objective up to the fixed fields' constant
-    regularization terms); above that size, or with no field free, it is
-    L-BFGS-B with the adjoint gradient.
+    the run is scipy's bounded trust-region least squares (``trf``) on it
+    (``1/2 |residual|^2`` is the objective up to a constant); with ``e``
+    fixed, ``B`` is the |D|-row ``B_D`` of
+    :func:`~vi_ident.adjoint.friction_misfit_factor`, so the rule counts |D|
+    misfit rows, not one per element node.  Above that size, or with no
+    field free, the run is L-BFGS-B with the adjoint gradient.  The result's
+    ``method`` is ``"trf"`` or ``"L-BFGS-B"``.
     The run stops at the first accepted iterate whose stationarity is at most
     ``stop_tol`` (the start included), after ``max_iters`` accepted iterates,
     or when the optimizer gives up; the last accepted iterate is returned.
@@ -293,9 +337,10 @@ def identify(
     """
     run = _Run(config, problem, observation, e0, f0, kernel, eps, free_e, free_f, u0_full)
     p = np.count_nonzero(run.free)
-    # B has m rows per element of m nodes
-    gauss_newton = 0 < p and p * (problem.mesh.elements.size + p) <= _LEAST_SQUARES_MAX_ENTRIES
-    message = run.least_squares() if gauss_newton else run.lbfgsb()
+    # the misfit rows: |D| with e fixed, else m per element of m nodes
+    rows = problem.mesh.elements.size if free_e else f0.values.size
+    method = "trf" if 0 < p and p * (rows + p) <= _LEAST_SQUARES_MAX_ENTRIES else "L-BFGS-B"
+    message = run.least_squares() if method == "trf" else run.lbfgsb()
     accepted, n_accepted = run.accepted, len(run.objective_history)
     if max(accepted.stationarity) <= config.stop_tol:
         stop_reason = "stationary"
@@ -314,6 +359,7 @@ def identify(
         misfit=accepted.misfit,
         stop_reason=stop_reason,
         forward_solves=run.forward_solves,
+        method=method,
     )
 
 

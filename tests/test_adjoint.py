@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from vi_ident import (
+    KERNEL_NAMES,
     IdentificationConfig,
     LinearizedMap,
     Problem,
@@ -29,8 +30,9 @@ from vi_ident import (
     synthesize_observation,
     unit_square_mesh,
 )
-from vi_ident.adjoint import misfit_factor
+from vi_ident.adjoint import friction_jacobian, friction_misfit_factor, misfit_factor
 from vi_ident.discretization import free_part, h1_gram, mass_matrix
+from vi_ident.forward import factorize
 
 from .helpers import linearized_matrix
 
@@ -271,6 +273,43 @@ def test_misfit_factors_square_to_the_misfit_grams(mesh):
 
 
 @pytest.mark.parametrize("misfit_norm", ["L2", "V"])
+@pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
+def test_the_friction_set_reduction_keeps_the_misfit_and_its_jacobian(kernel_name, misfit_norm):
+    mesh = unit_square_mesh(6)
+    problem = Problem(mesh, source=10.0)
+    kernel, eps = get_kernel(kernel_name), 1e-2
+    e = ellipticity_field(mesh, 1.0)
+    f = friction_field(mesh, np.linspace(0.05, 0.6, mesh.friction_nodes.size))
+    observation = synthesize_observation(problem, e, friction_field(mesh, 0.25), noise_level=0.05, seed=3)
+    T = problem.operator(e).matrix
+    Z = factorize(problem.operator(e), mesh).friction_response
+    E_D = np.zeros_like(Z)
+    E_D[mesh.friction_free_positions, np.arange(Z.shape[1])] = 1.0
+    assert np.abs(T @ Z - E_D).max() <= 1e-13 * abs(T).max() * np.abs(Z).max()
+
+    R_Z, B_D = friction_misfit_factor(problem, e, misfit_norm)
+    B = misfit_factor(problem, misfit_norm)
+    G = (B.T @ B).toarray()
+    L = np.linalg.cholesky(Z.T @ G @ Z)  # R_Z^T, computed afresh
+    state = solution_map(e, f, eps, problem, kernel, tol=1e-13)
+    directions = np.vstack([np.zeros((mesh.n_elements, f.values.size)), np.eye(f.values.size)])
+    du = free_part(mesh, solution_derivative(state, problem, e, f, kernel, eps, directions))
+    reference = np.linalg.solve(L, Z.T @ G @ du)
+    J = friction_jacobian(state, problem, e, f, kernel, eps, R_Z)
+    assert np.linalg.norm(J - reference) <= 1e-10 * np.linalg.norm(reference)
+
+    def misfits(f_values):  # |B r|^2 and |B_D r|^2 for r = u - observation
+        u = solution_map(e, f.with_values(f_values), eps, problem, kernel, tol=1e-13).u
+        r = free_part(mesh, u - observation)
+        return float(np.sum((B @ r) ** 2)), float(np.sum((B_D @ r) ** 2))
+
+    (full_1, reduced_1), (full_2, reduced_2) = misfits(f.values), misfits(0.5 * f.values)
+    tol = 1e-12 * max(full_1, full_2)
+    assert abs(full_1 - full_2) > 1e6 * tol  # the two misfits differ
+    assert abs((full_1 - reduced_1) - (full_2 - reduced_2)) <= tol
+
+
+@pytest.mark.parametrize("misfit_norm", ["L2", "V"])
 @pytest.mark.parametrize("free_e, free_f", [(True, True), (True, False), (False, True)])
 def test_the_gradient_is_the_same_with_a_given_map(misfit_norm, free_e, free_f):
     mesh, problem, e, f = setup_1d(n=16)
@@ -278,10 +317,11 @@ def test_the_gradient_is_the_same_with_a_given_map(misfit_norm, free_e, free_f):
     observation = synthesize_observation(problem, ellipticity_field(mesh, 1.0), friction_field(mesh, 0.25))
     cfg = IdentificationConfig(alpha=1e-6, beta=1e-6, misfit_norm=misfit_norm)
     run = identify_module._Run(cfg, problem, observation, e, f, KERNEL, eps, free_e, free_f, None)
-    point = run.evaluate(run.x0)  # the driver's gradient, read off point.linmap
+    point = run.adjoint_gradient(run.evaluate(run.x0))  # the L-BFGS-B driver's gradient
+    linmap = LinearizedMap(point.state, problem, e, f, KERNEL, eps)
     p = adjoint_solve(point.state, problem, e, f, KERNEL, eps, observation, misfit_norm)
     fresh = reduced_gradients(point.state, p, problem, e, f, KERNEL, eps, 1e-6, 1e-6)
-    given = reduced_gradients(point.state, p, problem, e, f, KERNEL, eps, 1e-6, 1e-6, linmap=point.linmap)
+    given = reduced_gradients(point.state, p, problem, e, f, KERNEL, eps, 1e-6, 1e-6, linmap=linmap)
     for name in ("adjoint_p", "grad_e", "grad_f", "stationarity_e", "stationarity_f"):
         assert np.array_equal(getattr(fresh, name), getattr(given, name)), name
     assert np.array_equal(point.grad, np.where(run.free, np.concatenate([fresh.grad_e, fresh.grad_f]), 0.0))

@@ -467,6 +467,31 @@ def test_cli_continuation_smoke(tmp_path):
     assert all(isinstance(n, int) and n >= 1 for n in manifest["results"]["forward_solves"])
 
 
+def test_cli_continuation_strict_fails_on_a_level_that_is_not_stationary(tmp_path, capsys):
+    text = (
+        "problem:\n  mesh: {dimension: 1, n: 16}\n"
+        "kernel: sigmoid\n"
+        "experiment:\n  kind: continuation\n  max_iters: 1\n"
+    )
+    cfg_path = write(tmp_path, text)
+    out_dir = str(tmp_path / "o")
+    assert main(["continuation", "--config", str(cfg_path), "--out", out_dir]) == 0
+    assert main(["continuation", "--config", str(cfg_path), "--out", out_dir, "--strict"]) == 1
+    assert "FAILED" in capsys.readouterr().err
+    results = json.loads((tmp_path / "o" / "manifest.json").read_text())["results"]
+    assert results["successive_decreasing"]  # the distances alone would pass
+    assert "max_iters" in results["stop_reasons"]
+
+
+def test_the_manifest_names_the_optimizer(tmp_path):
+    cfg = parse_config(write(tmp_path, IDENTIFY_TWIN))
+    results, manifest = run_experiment(cfg, tmp_path / "i", seed=0)
+    assert json.loads(manifest.read_text())["results"]["method"] == results["method"] == "trf"
+    text = IDENTIFY_TWIN.replace("kind: identify\n  eps: 1.0e-4", "kind: continuation\n  eps_schedule: [1.0e-2, 1.0e-3]")
+    results, manifest = run_experiment(parse_config(write(tmp_path, text)), tmp_path / "c", seed=0)
+    assert json.loads(manifest.read_text())["results"]["methods"] == results["methods"] == ["trf", "trf"]
+
+
 def test_cli_seed_changes_noisy_results(tmp_path):
     text = IDENTIFY_TWIN + "  noise_level: 0.02\n"
     cfg_path = write(tmp_path, text)

@@ -1,6 +1,7 @@
 """Identification-driver tests: descent, feasibility, recovery, continuation."""
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 
@@ -23,6 +24,7 @@ from vi_ident import (
     solution_map,
     solve_vi_oracle,
     synthesize_observation,
+    unit_square_mesh,
 )
 
 KERNEL = get_kernel("sigmoid")
@@ -268,15 +270,57 @@ def test_forward_solves_count_every_objective_evaluation(monkeypatch, path):
 
 def test_the_jacobian_size_selects_the_optimizer(monkeypatch):
     mesh, problem, _, _, obs = twin()
-    p = mesh.n_elements + 1  # both fields free, one friction node
-    entries = p * (mesh.elements.size + p)  # the misfit factor has 2 rows per element
     calls = count_calls(monkeypatch, "least_squares")
-    for limit, runs in ((entries, 1), (entries - 1, 1)):
-        monkeypatch.setattr(identify_module, "_LEAST_SQUARES_MAX_ENTRIES", limit)
-        res = identify(config(alpha=1e-8, beta=1e-8, stop_tol=1e-6), problem, obs,
-                       ellipticity_field(mesh, 1.3), friction_field(mesh, 0.1), KERNEL, 1e-3)
-        assert res.stop_reason == "stationary"
-        assert len(calls) == runs
+    nf = mesh.friction_nodes.size
+    for free_e, e_start in ((True, 1.3), (False, 1.0)):
+        p = mesh.n_elements * free_e + nf
+        # the misfit rows: 2 per element with e free, |D| with e fixed
+        entries = p * ((mesh.elements.size if free_e else nf) + p)
+        for limit, method in ((entries, "trf"), (entries - 1, "L-BFGS-B"), (0, "L-BFGS-B")):
+            monkeypatch.setattr(identify_module, "_LEAST_SQUARES_MAX_ENTRIES", limit)
+            runs = len(calls)
+            res = identify(config(alpha=1e-8, beta=1e-8, stop_tol=1e-6), problem, obs,
+                           ellipticity_field(mesh, e_start), friction_field(mesh, 0.1), KERNEL, 1e-3,
+                           free_e=free_e)
+            assert res.stop_reason == "stationary"
+            assert res.method == method
+            assert len(calls) == runs + (method == "trf")
+
+
+def continuation_2d_twin(n):
+    """The 2D f-only twin of the CLI continuation benchmark: sqrt kernel,
+    source 10, e fixed at the truth."""
+    mesh = unit_square_mesh(n)
+    problem = Problem(mesh, source=10.0)
+    e = ellipticity_field(mesh, 1.0)
+    obs = synthesize_observation(problem, e, friction_field(mesh, 0.25))
+    return mesh, problem, e, obs
+
+
+def test_a_2d_friction_only_run_is_gauss_newton_on_the_friction_set():
+    mesh, problem, e, obs = continuation_2d_twin(40)
+    nf = mesh.friction_nodes.size
+    # counted with the E * m rows of B it would be L-BFGS-B
+    assert nf * (mesh.elements.size + nf) > identify_module._LEAST_SQUARES_MAX_ENTRIES
+    res = identify(config(alpha=1e-8, beta=1e-8), problem, obs, e, friction_field(mesh, 1.0),
+                   get_kernel("sqrt"), 1e-1, free_e=False)
+    assert res.method == "trf"
+    assert res.stop_reason == "stationary"
+    assert res.forward_solves <= 20
+
+
+@pytest.mark.parametrize("free_e", [False, True], ids=["f_only", "joint"])
+def test_the_stop_test_gradient_is_the_adjoint_gradient(free_e):
+    mesh, problem, e, obs = continuation_2d_twin(6)
+    cfg = config(alpha=1e-6, beta=1e-6, max_iters=0)  # stop at trf's first point
+    run = identify_module._Run(cfg, problem, obs, e.with_values(np.full_like(e.values, 1.3)),
+                               friction_field(mesh, 0.6), KERNEL, 1e-2, free_e, True, None)
+    assert run.least_squares() is None
+    point = run.accepted  # its gradient is J^T r
+    adjoint = run.adjoint_gradient(dataclasses.replace(point, grad=None, stationarity=None))
+    assert np.linalg.norm(point.grad - adjoint.grad) <= 1e-10 * np.linalg.norm(adjoint.grad)
+    assert np.allclose(point.stationarity, adjoint.stationarity, rtol=1e-10, atol=0.0)
+    assert (point.stationarity[0] > 0) == free_e
 
 
 @pytest.mark.parametrize("n", [32, 128])

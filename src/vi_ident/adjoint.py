@@ -28,10 +28,11 @@ check; Gauss-Newton reads its gradient off its Jacobian.
 
 With ``e`` fixed the state is affine in ``x = u_D``:
 ``u = y + Z S (x - y_D)``, ``Z = T^{-1} E_D``.  The misfit then has |D|
-rows, ``B_D (u - observation)`` (:func:`friction_misfit_factor`), with the
-same derivative and the same differences as ``1/2 |B (u - observation)|^2``,
-and their |D| x |D| Jacobian in ``f`` (:func:`friction_jacobian`) takes one
-Cholesky factorization of Newton's Hessian on D and no ``LinearizedMap``.
+rows, ``B_D (u - observation)`` (:func:`friction_misfit_factor`, kept on
+the factorization), with the same derivative and the same differences as
+``1/2 |B (u - observation)|^2``, and their |D| x |D| Jacobian in ``f``
+(:func:`friction_jacobian`) takes one Cholesky factorization of Newton's
+Hessian on D and no ``LinearizedMap``.
 """
 
 from __future__ import annotations
@@ -136,7 +137,6 @@ def solution_derivative(
     kernel: KernelSpec,
     eps: float,
     directions: np.ndarray,
-    linmap: LinearizedMap | None = None,
 ) -> np.ndarray:
     """Derivative ``-J^{-1} N delta`` of the regularized solution map along
     ``delta`` in ``concat(e, f)``.
@@ -145,7 +145,7 @@ def solution_derivative(
     ``(ne + nf, k)`` block of them, solved together; the result is the full
     nodal vector, or an ``(n_nodes, k)`` block, zero on the Dirichlet set.
     """
-    lm = _linmap(state, problem, e, f, kernel, eps, linmap)
+    lm = LinearizedMap(state, problem, e, f, kernel, eps)
     return full_part(problem.mesh, lm.solve(-(lm.N @ np.asarray(directions, dtype=float))))
 
 
@@ -165,18 +165,24 @@ def friction_misfit_factor(
 
     At fixed ``e`` the regularized state is ``u = y + Z S (x - y_D)``, with
     ``x = u_D`` and ``Z = T^{-1} E_D``
-    (:attr:`~vi_ident.forward.Factorization.friction_response`), so the
+    (:meth:`~vi_ident.forward.Factorization.friction_response`), so the
     residual ``u - observation`` moves in the range of ``Z`` only.  With
     ``G = B^T B`` and ``R_Z^T R_Z = Z^T G Z``, the |D| rows ``B_D r``,
     ``B_D = R_Z^{-T} (G Z)^T``, are ``r`` projected G-orthogonally onto that
     range: ``|B r|^2 - |B_D r|^2`` is the same for every such residual, and
-    ``B_D Z = R_Z``.
+    ``B_D Z = R_Z``.  Built once per misfit norm and kept on the
+    factorization of ``T(e)``; the build holds two dense (free dofs) x |D|
+    arrays, ``Z`` and ``G Z``, and keeps one, ``B_D``.
     """
-    B = misfit_factor(problem, misfit_norm)
-    Z = factorize(problem.operator(e), problem.mesh).friction_response
-    GZ = (B.T @ B) @ Z  # the sparse G: B Z would have E * m rows
-    R_Z = cholesky(Z.T @ GZ)
-    return R_Z, solve_triangular(R_Z, GZ.T, trans="T")
+    fac = factorize(problem.operator(e), problem.mesh)
+    if misfit_norm not in fac.friction_misfits:
+        B = misfit_factor(problem, misfit_norm)
+        Z = fac.friction_response()
+        GZ = (B.T @ B) @ Z  # the sparse G: B Z would have E * m rows
+        R_Z = cholesky(Z.T @ GZ)
+        del Z
+        fac.friction_misfits[misfit_norm] = R_Z, solve_triangular(R_Z, GZ.T, trans="T", overwrite_b=True)
+    return fac.friction_misfits[misfit_norm]
 
 
 def friction_jacobian(

@@ -138,8 +138,8 @@ class Factorization:
     ``load_solution`` ``y = T^{-1} l``, ``schur_factor`` ``R`` and ``schur``
     ``S`` (the inverse of ``E_D^T T^{-1} E_D``) are built on first use; the
     forward solvers iterate on these, then call :meth:`extend` once.
-    ``friction_response`` ``Z = T^{-1} E_D`` is built only by identification
-    with a fixed ``e``.
+    ``friction_misfits`` holds identification's misfit on D at this ``e``,
+    per misfit norm (:func:`~vi_ident.adjoint.friction_misfit_factor`).
     ``last_oracle`` holds the oracle's last ``(w f, x)``.  ``tau`` is the
     step of the oracle's proximal-gradient residual,
     ``1 / max(1, max row sum of |T|)``.  Raises ``ValueError`` if ``op.matrix``
@@ -155,6 +155,7 @@ class Factorization:
         self.tau = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
         self._load = op.load
         self.last_oracle = (None, None)
+        self.friction_misfits = {}
         self._order, self._rank, indptr, indices, to_csc = mesh.operator_pattern.elimination
         self._lu = splu(
             sp.csc_matrix((K.data[to_csc], indices, indptr), shape=K.shape),
@@ -185,14 +186,13 @@ class Factorization:
         R = self.schur_factor
         return R.T @ R
 
-    @cached_property
     def friction_response(self) -> np.ndarray:
         """``Z = T^{-1} E_D``, the response of ``u`` to a unit load at each
-        node of D: one block ``T``-solve with |D| columns.  At fixed ``e`` the
-        regularized state is ``u = y + Z S (u_D - y_D)``."""
-        E_D = np.zeros((self._lu.shape[0], self.positions.size))
-        E_D[self.positions, np.arange(self.positions.size)] = 1.0
-        return self.solve(E_D)
+        node of D: one block ``T``-solve with |D| columns, not kept.  At fixed
+        ``e`` the regularized state is ``u = y + Z S (u_D - y_D)``."""
+        n, k = self._lu.shape[0], self.positions.size
+        # E_D in elimination order is the identity on the trailing |D| rows
+        return self._lu.solve(np.eye(n, k, -self._lead))[self._rank]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``T x = rhs`` for a vector or an (n, k) block of right-hand sides."""

@@ -17,9 +17,11 @@ so the misfit rows are the |D| rows ``B_D (u - observation)`` of
 from one Cholesky factorization and no solve with ``T``.  The path rule
 counts those rows: a run is ``trf`` while the Jacobian (misfit rows plus one
 regularization row per free coefficient, times the free coefficients) has at
-most ``_LEAST_SQUARES_MAX_ENTRIES`` entries, and scipy's L-BFGS-B (Byrd, Lu,
-Nocedal, Zhu, SIAM J. Sci. Comput. 16, 1995) above that, one forward and one
-adjoint solve per evaluation.  Either way scipy's own stopping tests are at
+most ``_LEAST_SQUARES_MAX_ENTRIES`` entries and, with ``e`` fixed, the dense
+(free dofs) x |D| arrays the |D| rows are built from have at most
+``_FRICTION_RESPONSE_MAX_ENTRIES``; otherwise scipy's L-BFGS-B (Byrd, Lu,
+Nocedal, Zhu, SIAM J. Sci. Comput. 16, 1995), one forward and one adjoint
+solve per evaluation.  Either way scipy's own stopping tests are at
 most round-off: a run stops on the projected-gradient residuals, which
 vanish exactly at discrete KKT points of the box-constrained problem.
 ``trf`` reads the gradient ``J^T r`` off the Jacobian it has just built;
@@ -116,6 +118,13 @@ class IdentificationResult:
 # coefficient; in 2D joint twin runs L-BFGS-B overtook trf between 169,000 and
 # 348,000 entries.
 _LEAST_SQUARES_MAX_ENTRIES = 250_000
+# The largest (free dofs) x |D| array for which a run with e fixed is trf: its
+# misfit rows are built from two such dense arrays, whose size grows as n^3 on
+# an n x n mesh.  2D f-only continuation, trf against L-BFGS-B (one thread,
+# 2-core machine), time and peak RSS: at n = 128 (2.1 million entries) 0.93
+# against 2.8 s and 183 against 157 MiB, at n = 192 (7.0 million) 2.9 against
+# 7.0 s and 352 against 256 MiB.
+_FRICTION_RESPONSE_MAX_ENTRIES = 4_000_000
 
 
 class _Stop(Exception):
@@ -326,8 +335,10 @@ def identify(
     (``1/2 |residual|^2`` is the objective up to a constant); with ``e``
     fixed, ``B`` is the |D|-row ``B_D`` of
     :func:`~vi_ident.adjoint.friction_misfit_factor`, so the rule counts |D|
-    misfit rows, not one per element node.  Above that size, or with no
-    field free, the run is L-BFGS-B with the adjoint gradient.  The result's
+    misfit rows, not one per element node, and also needs the dense
+    (free dofs) x |D| arrays ``B_D`` is built from to have at most
+    ``_FRICTION_RESPONSE_MAX_ENTRIES`` entries.  Above these sizes, or with
+    no field free, the run is L-BFGS-B with the adjoint gradient.  The result's
     ``method`` is ``"trf"`` or ``"L-BFGS-B"``.
     The run stops at the first accepted iterate whose stationarity is at most
     ``stop_tol`` (the start included), after ``max_iters`` accepted iterates,
@@ -337,9 +348,13 @@ def identify(
     """
     run = _Run(config, problem, observation, e0, f0, kernel, eps, free_e, free_f, u0_full)
     p = np.count_nonzero(run.free)
-    # the misfit rows: |D| with e fixed, else m per element of m nodes
-    rows = problem.mesh.elements.size if free_e else f0.values.size
-    method = "trf" if 0 < p and p * (rows + p) <= _LEAST_SQUARES_MAX_ENTRIES else "L-BFGS-B"
+    mesh, nf = problem.mesh, f0.values.size
+    # the misfit rows: m per element of m nodes, or with e fixed |D|, built
+    # from dense (free dofs) x |D| arrays
+    rows = mesh.elements.size if free_e else nf
+    dense = 0 if free_e else mesh.free_nodes.size * nf
+    fits = p * (rows + p) <= _LEAST_SQUARES_MAX_ENTRIES and dense <= _FRICTION_RESPONSE_MAX_ENTRIES
+    method = "trf" if 0 < p and fits else "L-BFGS-B"
     message = run.least_squares() if method == "trf" else run.lbfgsb()
     accepted, n_accepted = run.accepted, len(run.objective_history)
     if max(accepted.stationarity) <= config.stop_tol:

@@ -31,7 +31,7 @@ from vi_ident import (
     unit_square_mesh,
 )
 from vi_ident.adjoint import friction_jacobian, friction_misfit_factor, misfit_factor
-from vi_ident.discretization import free_part, h1_gram, mass_matrix
+from vi_ident.discretization import free_part, full_part, h1_gram, mass_matrix
 from vi_ident.forward import factorize
 
 from .helpers import linearized_matrix
@@ -100,10 +100,9 @@ def test_sensitivities_are_linear_in_the_direction():
     rng = np.random.default_rng(44)
     d1 = rng.standard_normal(mesh.n_elements)
     d2 = rng.standard_normal(mesh.n_elements)
-    lin = LinearizedMap(state, problem, e, f, KERNEL, eps)
-    s12 = solution_derivative(state, problem, e, f, KERNEL, eps, along(mesh, de=2.0 * d1 - 3.0 * d2), linmap=lin)
-    s1 = solution_derivative(state, problem, e, f, KERNEL, eps, along(mesh, de=d1), linmap=lin)
-    s2 = solution_derivative(state, problem, e, f, KERNEL, eps, along(mesh, de=d2), linmap=lin)
+    s12 = solution_derivative(state, problem, e, f, KERNEL, eps, along(mesh, de=2.0 * d1 - 3.0 * d2))
+    s1 = solution_derivative(state, problem, e, f, KERNEL, eps, along(mesh, de=d1))
+    s2 = solution_derivative(state, problem, e, f, KERNEL, eps, along(mesh, de=d2))
     assert np.allclose(s12, 2.0 * s1 - 3.0 * s2, atol=1e-12)
 
 
@@ -113,7 +112,7 @@ def test_shared_linearization_equals_fresh():
     state = solution_map(e, f, eps, problem, kernel=KERNEL, tol=1e-13)
     delta = along(mesh, de=np.ones(mesh.n_elements))
     lin = LinearizedMap(state, problem, e, f, KERNEL, eps)
-    a = solution_derivative(state, problem, e, f, KERNEL, eps, delta, linmap=lin)
+    a = full_part(mesh, lin.solve(-(lin.N @ delta)))  # -J^{-1} N delta on a map built beforehand
     b = solution_derivative(state, problem, e, f, KERNEL, eps, delta)
     assert np.allclose(a, b)
 
@@ -253,9 +252,9 @@ def test_the_map_holds_the_coefficient_derivative_of_the_residual(dimension, for
 def test_a_block_of_directions_matches_one_direction_at_a_time(dimension, form):
     mesh, problem, e, f, state, lin = solved_pair(dimension, form)
     unit = np.eye(mesh.n_elements + mesh.friction_nodes.size)
-    block = solution_derivative(state, problem, e, f, KERNEL, 1e-2, unit, linmap=lin)
+    block = solution_derivative(state, problem, e, f, KERNEL, 1e-2, unit)
     assert block.shape == (mesh.n_nodes, unit.shape[1])
-    columns = np.column_stack([solution_derivative(state, problem, e, f, KERNEL, 1e-2, d, linmap=lin) for d in unit])
+    columns = np.column_stack([full_part(mesh, lin.solve(-(lin.N @ d))) for d in unit])
     assert np.abs(block - columns).max() <= 1e-13 * np.abs(columns).max()
     assert not block[mesh.dirichlet_nodes].any()
 
@@ -282,12 +281,13 @@ def test_the_friction_set_reduction_keeps_the_misfit_and_its_jacobian(kernel_nam
     f = friction_field(mesh, np.linspace(0.05, 0.6, mesh.friction_nodes.size))
     observation = synthesize_observation(problem, e, friction_field(mesh, 0.25), noise_level=0.05, seed=3)
     T = problem.operator(e).matrix
-    Z = factorize(problem.operator(e), mesh).friction_response
+    Z = factorize(problem.operator(e), mesh).friction_response()
     E_D = np.zeros_like(Z)
     E_D[mesh.friction_free_positions, np.arange(Z.shape[1])] = 1.0
     assert np.abs(T @ Z - E_D).max() <= 1e-13 * abs(T).max() * np.abs(Z).max()
 
     R_Z, B_D = friction_misfit_factor(problem, e, misfit_norm)
+    assert friction_misfit_factor(problem, e, misfit_norm)[1] is B_D  # kept on the factorization
     B = misfit_factor(problem, misfit_norm)
     G = (B.T @ B).toarray()
     L = np.linalg.cholesky(Z.T @ G @ Z)  # R_Z^T, computed afresh

@@ -516,10 +516,9 @@ def test_one_factorization_serves_every_solve_at_one_coefficient(monkeypatch):
     assert exact.iterations >= 1
     state = solve_regularized(problem.operator(e), mesh, f, KERNEL, eps, tol=1e-11)
     warm = solution_map(e, f, eps, problem, KERNEL, u0_full=state.u)
-    lin = LinearizedMap(warm, problem, e, f, KERNEL, eps)
+    LinearizedMap(warm, problem, e, f, KERNEL, eps)
     ne = mesh.n_elements
-    adjoint.solution_derivative(warm, problem, e, f, KERNEL, eps, np.repeat([1.0, 0.0], [ne, f.values.size]),
-                                linmap=lin)
+    adjoint.solution_derivative(warm, problem, e, f, KERNEL, eps, np.repeat([1.0, 0.0], [ne, f.values.size]))
     adjoint.solution_derivative(warm, problem, e, f, KERNEL, eps, np.repeat([0.0, 1.0], [ne, f.values.size]))
     adjoint.adjoint_solve(warm, problem, e, f, KERNEL, eps, exact.u)
     assert len(factorizations) == 1

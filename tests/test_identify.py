@@ -26,6 +26,7 @@ from vi_ident import (
     synthesize_observation,
     unit_square_mesh,
 )
+from vi_ident.forward import Factorization
 
 KERNEL = get_kernel("sigmoid")
 # The package re-exports the function ``identify`` under the submodule's name.
@@ -272,12 +273,16 @@ def test_the_jacobian_size_selects_the_optimizer(monkeypatch):
     mesh, problem, _, _, obs = twin()
     calls = count_calls(monkeypatch, "least_squares")
     nf = mesh.friction_nodes.size
+    dense = mesh.free_nodes.size * nf  # the (free dofs) x |D| arrays with e fixed
     for free_e, e_start in ((True, 1.3), (False, 1.0)):
         p = mesh.n_elements * free_e + nf
         # the misfit rows: 2 per element with e free, |D| with e fixed
         entries = p * ((mesh.elements.size if free_e else nf) + p)
-        for limit, method in ((entries, "trf"), (entries - 1, "L-BFGS-B"), (0, "L-BFGS-B")):
+        cases = [(entries, dense, "trf"), (entries - 1, dense, "L-BFGS-B"), (0, dense, "L-BFGS-B"),
+                 (entries, dense - 1, "trf" if free_e else "L-BFGS-B")]
+        for limit, dense_limit, method in cases:
             monkeypatch.setattr(identify_module, "_LEAST_SQUARES_MAX_ENTRIES", limit)
+            monkeypatch.setattr(identify_module, "_FRICTION_RESPONSE_MAX_ENTRIES", dense_limit)
             runs = len(calls)
             res = identify(config(alpha=1e-8, beta=1e-8, stop_tol=1e-6), problem, obs,
                            ellipticity_field(mesh, e_start), friction_field(mesh, 0.1), KERNEL, 1e-3,
@@ -307,6 +312,21 @@ def test_a_2d_friction_only_run_is_gauss_newton_on_the_friction_set():
     assert res.method == "trf"
     assert res.stop_reason == "stationary"
     assert res.forward_solves <= 20
+
+
+def test_a_friction_only_continuation_builds_the_misfit_on_the_friction_set_once(monkeypatch):
+    mesh, problem, e, obs = continuation_2d_twin(6)
+    real, responses = Factorization.friction_response, []
+
+    def counted(self):
+        responses.append(1)
+        return real(self)
+
+    monkeypatch.setattr(Factorization, "friction_response", counted)
+    results = continuation_identify(config(alpha=1e-8, beta=1e-8, eps_schedule=(1e-1, 1e-2, 1e-3)), problem,
+                                    obs, e, friction_field(mesh, 1.0), get_kernel("sqrt"), free_e=False)
+    assert [res.method for res in results] == ["trf"] * 3
+    assert len(responses) == 1  # e and the misfit norm are the same at every level
 
 
 @pytest.mark.parametrize("free_e", [False, True], ids=["f_only", "joint"])

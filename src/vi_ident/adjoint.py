@@ -28,9 +28,10 @@ check; Gauss-Newton reads its gradient off its Jacobian.
 
 With ``e`` fixed the state is affine in ``x = u_D``:
 ``u = y + Z S (x - y_D)``, ``Z = T^{-1} E_D``.  The misfit then has |D|
-rows, ``B_D (u - observation)`` (:func:`friction_misfit_factor`, kept on
-the factorization), with the same derivative and the same differences as
-``1/2 |B (u - observation)|^2``, and their |D| x |D| Jacobian in ``f``
+rows, ``c_D + R_Z S (x - y_D)``, and a constant ``kappa``: ``1/2 |rows|^2 +
+kappa`` is ``1/2 |u - observation|_G^2`` (:func:`friction_misfit_factor`,
+kept on the factorization as ``(R_Z, c_D, kappa)``), read off Newton's ``x``
+with no ``T``-solve.  Their |D| x |D| Jacobian in ``f``
 (:func:`friction_jacobian`) takes one Cholesky factorization of Newton's
 Hessian on D and no ``LinearizedMap``.
 """
@@ -43,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .discretization import ParameterField, free_part, full_part, operator_jacobian
+from .discretization import ParameterField, free_part, full_part, h1_gram, mass_matrix, operator_jacobian
 from .forward import ForwardState, Problem, factorize, solution_map
 from .kernels import KernelSpec, modulus_smooth
 
@@ -54,6 +55,7 @@ __all__ = [
     "adjoint_solve",
     "reduced_gradients",
     "reduced_objective",
+    "regularization",
     "misfit_factor",
     "friction_misfit_factor",
     "friction_jacobian",
@@ -158,56 +160,73 @@ def misfit_factor(problem: Problem, misfit_norm: str = "L2") -> sp.csr_matrix:
     return problem.mass_factor if misfit_norm == "L2" else problem.v_factor
 
 
+def _misfit_gram(mesh, misfit_norm: str) -> sp.csr_matrix:
+    """The assembled misfit Gram matrix ``G`` on the free dofs."""
+    if misfit_norm not in MISFIT_NORMS:
+        raise ValueError(f"misfit_norm must be one of {MISFIT_NORMS}, got {misfit_norm!r}")
+    return mass_matrix(mesh) if misfit_norm == "L2" else h1_gram(mesh)
+
+
 def friction_misfit_factor(
-    problem: Problem, e: ParameterField, misfit_norm: str = "L2"
-) -> tuple[np.ndarray, np.ndarray]:
-    """The misfit on the friction set D at fixed ``e``: ``(R_Z, B_D)``.
+    problem: Problem, e: ParameterField, observation: np.ndarray, misfit_norm: str = "L2"
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The misfit on the friction set D at fixed ``e``: ``(R_Z, c_D, kappa)``.
 
     At fixed ``e`` the regularized state is ``u = y + Z S (x - y_D)``, with
     ``x = u_D`` and ``Z = T^{-1} E_D``
     (:meth:`~vi_ident.forward.Factorization.friction_response`), so the
-    residual ``u - observation`` moves in the range of ``Z`` only.  With
-    ``G = B^T B`` and ``R_Z^T R_Z = Z^T G Z``, the |D| rows ``B_D r``,
-    ``B_D = R_Z^{-T} (G Z)^T``, are ``r`` projected G-orthogonally onto that
-    range: ``|B r|^2 - |B_D r|^2`` is the same for every such residual, and
-    ``B_D Z = R_Z``.  Built once per misfit norm and kept on the
+    residual ``r = u - observation`` is ``r_0 = y - observation`` moved in
+    the range of ``Z``.  With ``G`` the assembled misfit Gram matrix and
+    ``R_Z^T R_Z = Z^T G Z``, the |D| misfit rows
+    ``c_D + R_Z S (x - y_D)``, ``c_D = R_Z^{-T} Z^T G r_0``, are the
+    coordinates of the G-orthogonal projection of ``r`` onto that range,
+    and ``1/2 |r|_G^2 = 1/2 |rows|^2 + kappa`` with
+    ``kappa = 1/2 |r_0 - Z R_Z^{-1} c_D|_G^2``, the part no ``x`` reaches,
+    computed directly, not as a difference, so that it keeps full accuracy.
+    Built once per misfit norm and observation and kept on the
     factorization of ``T(e)``; the build holds two dense (free dofs) x |D|
-    arrays, ``Z`` and ``G Z``, and keeps one, ``B_D``.
+    arrays, ``Z`` and ``G Z``, and keeps neither.
     """
-    fac = factorize(problem.operator(e), problem.mesh)
-    if misfit_norm not in fac.friction_misfits:
-        B = misfit_factor(problem, misfit_norm)
+    mesh = problem.mesh
+    fac = factorize(problem.operator(e), mesh)
+    observation = free_part(mesh, observation)
+    key = (misfit_norm, observation.tobytes())
+    if key not in fac.friction_misfits:
+        G = _misfit_gram(mesh, misfit_norm)
         Z = fac.friction_response()
-        GZ = (B.T @ B) @ Z  # the sparse G: B Z would have E * m rows
+        GZ = G @ Z
         R_Z = cholesky(Z.T @ GZ)
-        del Z
-        fac.friction_misfits[misfit_norm] = R_Z, solve_triangular(R_Z, GZ.T, trans="T", overwrite_b=True)
-    return fac.friction_misfits[misfit_norm]
+        r0 = fac.load_solution - observation
+        c_D = solve_triangular(R_Z, GZ.T @ r0, trans="T")
+        del GZ
+        r0 -= Z @ solve_triangular(R_Z, c_D)
+        fac.friction_misfits[key] = R_Z, c_D, 0.5 * float(r0 @ (G @ r0))
+    return fac.friction_misfits[key]
 
 
 def friction_jacobian(
-    state: ForwardState,
+    x: np.ndarray,
     problem: Problem,
     e: ParameterField,
     f: ParameterField,
     kernel: KernelSpec,
     eps: float,
     R_Z: np.ndarray,
-) -> np.ndarray:
-    """The |D| x |D| Jacobian of ``B_D u`` in ``f`` at fixed ``e``,
-    ``-R_Z S (S + diag(w f M''_eps(x)))^{-1} diag(w M'_eps(x))``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The |D| x |D| Jacobian ``R_Z S dx/df`` of the misfit rows of
+    :func:`friction_misfit_factor` in ``f`` at ``x = u_D`` and fixed ``e``,
+    and ``dx/df = -(S + diag(w f M''_eps(x)))^{-1} diag(w M'_eps(x))``.
 
     The condensed gradient ``S (x - y_D) + w f M'_eps(x)`` vanishes at the
-    state's ``x = u_D``, which gives ``dx/df``; then ``du = Z S dx`` and
-    ``B_D Z = R_Z`` (:func:`friction_misfit_factor`).  One |D| x |D|
+    regularized solution's ``x``, which gives ``dx/df``.  One |D| x |D|
     Cholesky factorization, no ``T``-solve.
     """
     mesh = problem.mesh
     fac = factorize(problem.operator(e), mesh)
-    sm = modulus_smooth(kernel, eps, free_part(mesh, state.u)[fac.positions])
+    sm = modulus_smooth(kernel, eps, x)
     w = mesh.friction_weights
-    dx = cho_solve(fac.shifted_factor(w * f.values * sm.second_derivative), np.diag(w * sm.first_derivative))
-    return -R_Z @ (fac.schur @ dx)
+    dx = -cho_solve(fac.shifted_factor(w * f.values * sm.second_derivative), np.diag(w * sm.first_derivative))
+    return R_Z @ (fac.schur @ dx), dx
 
 
 def adjoint_solve(
@@ -294,6 +313,11 @@ def reduced_objective(
     state = solution_map(e, f, eps, problem, kernel, tol=tol, u0_full=u0_full)
     r = misfit_factor(problem, misfit_norm) @ (free_part(mesh, state.u) - free_part(mesh, observation))
     misfit = 0.5 * float(r @ r)
+    return misfit + regularization(e, f, alpha, beta), misfit, state
+
+
+def regularization(e: ParameterField, f: ParameterField, alpha: float, beta: float) -> float:
+    """The Tikhonov term ``alpha/2 |e|_E^2 + beta/2 |f|_F^2`` of the reduced
+    objective."""
     reg = 0.5 * alpha * float(e.values @ (e.reg_inner_product @ e.values))
-    reg += 0.5 * beta * float(f.values @ (f.reg_inner_product @ f.values))
-    return misfit + reg, misfit, state
+    return reg + 0.5 * beta * float(f.values @ (f.reg_inner_product @ f.values))

@@ -227,7 +227,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        # libyaml's parser when PyYAML was built with it, else the Python one
+        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
     except OSError as exc:
@@ -261,23 +262,26 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _format_cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
+_PLAIN = frozenset({float, int, str})  # the cell types csv writes as emit_csv does
+
+
+def _plain(row):
+    """``row`` with numpy scalars as the Python numbers they hold and bools as
+    0 or 1; a row of Python floats, ints and strings is returned as it is."""
+    if _PLAIN.issuperset(map(type, row)):
+        return row
+    return [x.item() if isinstance(x, np.generic) else int(x) if isinstance(x, bool) else x for x in row]
 
 
 def emit_csv(rows, path: str | Path, header: list[str]) -> None:
-    """Write rows as CSV with a header; floats keep full round-trip precision."""
+    """Write rows as CSV with a header; floats keep full round-trip precision
+    (``repr``), integers are written in decimal."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(x) for x in row])
+        writer.writerows(map(_plain, rows))
 
 
 def read_csv(path: str | Path):

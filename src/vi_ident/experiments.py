@@ -62,10 +62,8 @@ def make_problem(cfg: ExperimentConfig):
 
 
 def _solution_rows(mesh, u):
-    if mesh.dimension == 1:
-        return [(i, mesh.nodes[i, 0], u[i]) for i in range(mesh.n_nodes)], ["node", "x", "value"]
-    rows = [(i, mesh.nodes[i, 0], mesh.nodes[i, 1], u[i]) for i in range(mesh.n_nodes)]
-    return rows, ["node", "x", "y", "value"]
+    rows = [(i, *x, value) for i, (x, value) in enumerate(zip(mesh.nodes.tolist(), u.tolist()))]
+    return rows, ["node", "x", "value"] if mesh.dimension == 1 else ["node", "x", "y", "value"]
 
 
 def run_forward(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
@@ -218,8 +216,8 @@ def _ident_config(cfg: ExperimentConfig, eps_schedule) -> IdentificationConfig:
 
 
 def _dump_parameters(out_dir: Path, e: ParameterField, f: ParameterField):
-    rows = [("ellipticity", i, v) for i, v in enumerate(e.values)]
-    rows += [("friction", i, v) for i, v in enumerate(f.values)]
+    rows = [("ellipticity", i, v) for i, v in enumerate(e.values.tolist())]
+    rows += [("friction", i, v) for i, v in enumerate(f.values.tolist())]
     emit_csv(rows, out_dir / "parameters.csv", ["field", "index", "value"])
 
 

@@ -14,11 +14,14 @@ the condensed energy ``1/2 (x - y_D)^T S (x - y_D) + sum_i w_i f_i m(x_i)``.
   carry ``lam = +-w f``; stick nodes, whose ``lam`` lies inside the box, are
   pinned to zero.  It is the epsilon-independent ground truth.
 
-* :func:`solve_regularized` minimizes it with ``m = M_eps`` by damped Newton.
-  The gradient ``S (x - y_D) + w f M'_eps(x)`` is the full-space residual of
-  the harmonic extension of ``x``; the Hessian ``S + diag(w f M''_eps(x))``
-  is SPD.  A cold start begins at the oracle's ``x``, within
-  ``sqrt(8 k eps sum(w f))`` of the smoothed solution in the energy norm.
+* :func:`solve_friction_set` minimizes it with ``m = M_eps`` by damped Newton
+  and returns ``x``.  The gradient ``S (x - y_D) + w f M'_eps(x)`` is the
+  full-space residual of the harmonic extension of ``x``; the Hessian
+  ``S + diag(w f M''_eps(x))`` is SPD.  A cold start begins at the oracle's
+  ``x``, within ``sqrt(8 k eps sum(w f))`` of the smoothed solution in the
+  energy norm.  :func:`solve_regularized` follows it with
+  :func:`friction_set_state`; identification with ``e`` fixed calls the two
+  on their own and extends only the ``x`` it stops at.
 
 Each solver builds ``u`` with one final ``T``-solve and reports the
 full-space residual of that ``u``.  :func:`factorize` factorizes ``T(e)`` once
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,14 +55,17 @@ from .discretization import (
     operator_matrix,
 )
 from .errors import SolverError
-from .kernels import KernelSpec, modulus_smooth, modulus_value
+from .kernels import KernelSpec, SmoothedEval, modulus_smooth, modulus_value
 
 __all__ = [
     "ForwardState",
     "Factorization",
+    "FrictionSetSolution",
     "Problem",
     "factorize",
     "solve_vi_oracle",
+    "solve_friction_set",
+    "friction_set_state",
     "solve_regularized",
     "solution_map",
 ]
@@ -139,7 +145,8 @@ class Factorization:
     ``S`` (the inverse of ``E_D^T T^{-1} E_D``) are built on first use; the
     forward solvers iterate on these, then call :meth:`extend` once.
     ``friction_misfits`` holds identification's misfit on D at this ``e``,
-    per misfit norm (:func:`~vi_ident.adjoint.friction_misfit_factor`).
+    ``(R_Z, c_D, kappa)`` per misfit norm and observation
+    (:func:`~vi_ident.adjoint.friction_misfit_factor`).
     ``last_oracle`` holds the oracle's last ``(w f, x)``.  ``tau`` is the
     step of the oracle's proximal-gradient residual,
     ``1 / max(1, max row sum of |T|)``.  Raises ``ValueError`` if ``op.matrix``
@@ -324,6 +331,111 @@ def solve_vi_oracle(
     return ForwardState(u=full_part(mesh, u), residual_norm=residual, iterations=iterations, eps=0.0)
 
 
+class FrictionSetSolution(NamedTuple):
+    """Newton's converged ``x = u_D`` on the friction set, with
+    ``q = S (x - y_D)``, the smoothed modulus at ``x``, the iteration count and
+    the gradient-norm history."""
+
+    x: np.ndarray
+    q: np.ndarray
+    modulus: SmoothedEval
+    iterations: int
+    history: list
+
+
+def solve_friction_set(
+    op: DiscreteOperator,
+    mesh: Mesh,
+    f: ParameterField,
+    kernel: KernelSpec,
+    eps: float,
+    tol: float = _NEWTON_TOL,
+    max_iter: int = 100,
+    starts: tuple = (),
+) -> FrictionSetSolution:
+    """Newton solve of the regularized variational equation on D alone.
+
+    A full step is taken when it cuts the gradient norm on D by 10%, else an
+    Armijo backtracking on the condensed energy guards against the curvature
+    ``M'' ~ 1/eps``.  Newton runs from each of ``starts`` (vectors on D) in
+    turn, and from the oracle's ``x`` (reused if the oracle has solved ``op``
+    at this ``f``) when none converges.  It converges when the gradient on D,
+    the full-space residual of the harmonic extension of ``x``, is at most
+    ``tol``; no ``T``-solve is made.
+
+    Raises
+    ------
+    SolverError
+        If Newton from the oracle's ``x`` stalls on full steps, exhausts
+        ``max_iter`` or its line search finds no sufficient energy decrease.
+    """
+    wf = mesh.friction_weights * _check_friction(f, mesh)
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    fac = factorize(op, mesh)
+    for x0 in starts:
+        try:
+            return _newton(fac, wf, kernel, eps, tol, max_iter, x0)
+        except SolverError:
+            pass  # a poor start: try the next one
+    last_wf, x = fac.last_oracle
+    if not np.array_equal(last_wf, wf):
+        x = _active_set(fac, wf)[0]
+        fac.last_oracle = (wf, x)
+    return _newton(fac, wf, kernel, eps, tol, max_iter, x)
+
+
+def friction_set_state(
+    op: DiscreteOperator,
+    mesh: Mesh,
+    f: ParameterField,
+    kernel: KernelSpec,
+    eps: float,
+    solution: FrictionSetSolution,
+    tol: float = _NEWTON_TOL,
+) -> ForwardState:
+    """The :class:`ForwardState` of a :func:`solve_friction_set` solution.
+
+    ``u`` is the harmonic extension of ``x``, built with one ``T``-solve;
+    ``residual_norm`` (the last entry of ``residual_history``) is its
+    full-space residual ``|K u - l + E_D (w f M'_eps(u_D))|``.  Where the
+    round-off of that solve exceeds ``tol``, one full-space Newton step
+    through :meth:`Factorization.solve_shifted` removes it.
+
+    Raises
+    ------
+    SolverError
+        If the returned ``u`` misses ``tol``.
+    """
+    wf = mesh.friction_weights * _check_friction(f, mesh)
+    fac = factorize(op, mesh)
+    pos = fac.positions
+
+    def residual_of(u, sm):
+        r = op.matrix @ u - op.load
+        r[pos] += wf * sm.first_derivative
+        return r
+
+    x, q, sm, iterations, history = solution
+    u = fac.extend(x, -q)
+    r = residual_of(u, sm)
+    if np.linalg.norm(r) > tol:
+        # the gradient on D does not see the round-off of the T-solve
+        u += fac.solve_shifted(wf * sm.second_derivative, -r)
+        sm = modulus_smooth(kernel, eps, u[pos])
+        r = residual_of(u, sm)
+    residual = float(np.linalg.norm(r))
+    if residual > tol:
+        raise SolverError(f"Newton residual {residual:.3e} above tol {tol:.1e}", residual=residual)
+    return ForwardState(
+        u=full_part(mesh, u),
+        residual_norm=residual,
+        iterations=iterations,
+        eps=float(eps),
+        residual_history=(*history[:-1], residual),
+    )
+
+
 def solve_regularized(
     op: DiscreteOperator,
     mesh: Mesh,
@@ -334,71 +446,23 @@ def solve_regularized(
     max_iter: int = 100,
     u0_full: np.ndarray | None = None,
 ) -> ForwardState:
-    """Newton solve of the regularized variational equation on D.
-
-    A full step is taken when it cuts the gradient norm on D by 10%, else an
-    Armijo backtracking on the condensed energy guards against the curvature
-    ``M'' ~ 1/eps``.  Starts from ``u0_full`` on D when given, and from the
-    oracle's ``x`` (reused if the oracle has solved ``op`` at this ``f``)
-    when not or when that run fails.  ``u`` is built with one ``T``-solve;
-    ``residual_norm`` (the last entry of ``residual_history``)
-    is its full-space residual ``|K u - l + E_D (w f M'_eps(u_D))|``.  Where
-    the round-off of that solve exceeds ``tol``, one full-space Newton step
-    through :meth:`Factorization.solve_shifted` removes it.
+    """Newton solve of the regularized variational equation: Newton on D
+    (:func:`solve_friction_set`), started from ``u0_full`` on D when given,
+    then the full-space state of its ``x`` (:func:`friction_set_state`).
 
     Raises
     ------
     SolverError
-        If Newton stalls on full steps, exhausts ``max_iter``, its line search
-        finds no sufficient energy decrease, or the returned ``u`` misses
+        If Newton fails from the oracle's ``x``, or the returned ``u`` misses
         ``tol``.
     """
-    wf = mesh.friction_weights * _check_friction(f, mesh)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    fac = factorize(op, mesh)
-    pos = fac.positions
-
-    def residual_of(u, sm):
-        r = op.matrix @ u - op.load
-        r[pos] += wf * sm.first_derivative
-        return r
-
-    def run(x0):
-        x, q, sm, iterations, history = _newton(fac, wf, kernel, eps, tol, max_iter, x0)
-        u = fac.extend(x, -q)  # the harmonic extension of x
-        r = residual_of(u, sm)
-        if np.linalg.norm(r) > tol:
-            # the gradient on D does not see the round-off of the T-solve
-            u += fac.solve_shifted(wf * sm.second_derivative, -r)
-            sm = modulus_smooth(kernel, eps, u[pos])
-            r = residual_of(u, sm)
-        residual = float(np.linalg.norm(r))
-        if residual > tol:
-            raise SolverError(f"Newton residual {residual:.3e} above tol {tol:.1e}", residual=residual)
-        return ForwardState(
-            u=full_part(mesh, u),
-            residual_norm=residual,
-            iterations=iterations,
-            eps=float(eps),
-            residual_history=(*history[:-1], residual),
-        )
-
-    if u0_full is not None:
-        try:
-            return run(free_part(mesh, np.asarray(u0_full, dtype=float))[pos])
-        except SolverError:
-            pass  # a poor warm start: fall through to the cold path
-    last_wf, x = fac.last_oracle
-    if not np.array_equal(last_wf, wf):
-        x = _active_set(fac, wf)[0]
-        fac.last_oracle = (wf, x)
-    return run(x)
+    starts = () if u0_full is None else (free_part(mesh, u0_full)[mesh.friction_free_positions],)
+    solution = solve_friction_set(op, mesh, f, kernel, eps, tol, max_iter, starts)
+    return friction_set_state(op, mesh, f, kernel, eps, solution, tol)
 
 
 def _newton(fac, wf, kernel, eps, tol, max_iter, x):
-    """Damped Newton on D from ``x``; returns ``(x, S (x - y_D), modulus at x,
-    iterations, gradient-norm history)``."""
+    """Damped Newton on D from ``x``."""
     y = fac.load_solution[fac.positions]
     S = fac.schur
 
@@ -442,7 +506,7 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
         # A full step that no longer reduces the residual: double precision is
         # exhausted, so fail fast instead of looping to the iteration cap.
         stalled = stalled + 1 if step == 1.0 and history[-1] >= 0.9999 * history[-2] else 0
-    return x, q, sm, iterations, history
+    return FrictionSetSolution(x, q, sm, iterations, history)
 
 
 def solution_map(

@@ -12,9 +12,16 @@ Li, SIAM J. Sci. Comput. 21, 1999) with a dense Jacobian, about ten forward
 solves per run.  With ``e`` free the misfit rows are ``B (u - observation)``
 (m rows per element of m nodes) and the Jacobian is the solution map's, from
 one block solve.  With only ``f`` free the state is affine in ``x = u_D``,
-so the misfit rows are the |D| rows ``B_D (u - observation)`` of
-:func:`~vi_ident.adjoint.friction_misfit_factor`, with a |D| x |D| Jacobian
-from one Cholesky factorization and no solve with ``T``.  The path rule
+so the run stays on the friction set D: every trial is a Newton solve on D
+(:func:`~vi_ident.forward.solve_friction_set`) started from the first-order
+prediction ``x + (dx/df)(f - f_at)`` of the last Jacobian, the misfit rows
+are the |D| rows ``c_D + R_Z S (x - y_D)`` of
+:func:`~vi_ident.adjoint.friction_misfit_factor` (the misfit up to a
+constant), and the |D| x |D| Jacobian takes one Cholesky factorization and
+no solve with ``T``.  Trials are accepted on Newton's gradient test on D,
+the full-space residual of the harmonic extension of ``x``; the full-space
+state, with its own residual check, is built once per run, where it stops
+(and for the adjoint gradient, when asked).  The path rule
 counts those rows: a run is ``trf`` while the Jacobian (misfit rows plus one
 regularization row per free coefficient, times the free coefficients) has at
 most ``_LEAST_SQUARES_MAX_ENTRIES`` entries and, with ``e`` fixed, the dense
@@ -53,11 +60,20 @@ from .adjoint import (
     projected_residual,
     reduced_gradients,
     reduced_objective,
+    regularization,
     solution_derivative,
 )
 from .discretization import ParameterField, free_part, reg_inner
 from .errors import ConfigError, SolverError
-from .forward import ForwardState, Problem, solution_map
+from .forward import (
+    _NEWTON_TOL,
+    ForwardState,
+    FrictionSetSolution,
+    Problem,
+    friction_set_state,
+    solution_map,
+    solve_friction_set,
+)
 from .kernels import KernelSpec
 
 __all__ = [
@@ -135,14 +151,19 @@ class _Stop(Exception):
 @dataclass
 class _Point:
     """One evaluation: the optimizer's variable x and what the driver needs at
-    it.  The gradient and the stationarity are filled in when first needed."""
+    it.  With ``e`` fixed and Gauss-Newton, ``friction`` holds Newton's
+    solution on D and ``rows`` the misfit rows; the full-space ``state`` is
+    then built when first needed.  The gradient and the stationarity are
+    filled in when first needed."""
 
     x: np.ndarray
     e: ParameterField
     f: ParameterField
     value: float
     misfit: float
-    state: ForwardState
+    state: ForwardState | None = None
+    friction: FrictionSetSolution | None = None
+    rows: np.ndarray | None = None
     grad: np.ndarray | None = None
     stationarity: tuple[float, float] | None = None
 
@@ -165,27 +186,74 @@ class _Run:
         self.stationarity_history: list[tuple[float, float]] = []
         self.last = self.accepted = None  # the last evaluated and the last accepted _Point
         self.forward_solves = 0
+        self.forward_tol = _NEWTON_TOL if config.forward_tol is None else config.forward_tol
+        # Gauss-Newton with e fixed: (R_Z, c_D, kappa) of friction_misfit_factor,
+        # and (f, x, dx/df) at the last Jacobian
+        self.friction_misfit = self.prediction = None
 
     def evaluate(self, x) -> _Point:
-        """The _Point at x: one forward solve, unless x was evaluated last."""
+        """The _Point at x: one forward solve, unless x was evaluated last.
+        With ``friction_misfit`` set it is Newton on D alone, started from
+        the first-order prediction of the last Jacobian, then from that
+        Jacobian's ``x``."""
         if self.last is not None and np.array_equal(x, self.last.x):
             return self.last
         cfg = self.config
         clipped = np.clip(x, self.lower, self.upper)
         e, f = self.e0.with_values(clipped[: self.ne]), self.f0.with_values(clipped[self.ne :])
         try:
-            value, misfit, state = reduced_objective(
-                e, f, self.problem, self.observation, self.kernel, self.eps, cfg.alpha, cfg.beta,
-                cfg.misfit_norm, tol=cfg.forward_tol,
-                u0_full=self.u0_full if self.last is None else self.last.state.u,
-            )
+            if self.friction_misfit is None:
+                point = _Point(x.copy(), e, f, *reduced_objective(
+                    e, f, self.problem, self.observation, self.kernel, self.eps, cfg.alpha, cfg.beta,
+                    cfg.misfit_norm, tol=cfg.forward_tol,
+                    u0_full=self.u0_full if self.last is None else self.last.state.u,
+                ))
+            else:
+                point = self._on_friction_set(x, e, f)
         except SolverError as err:
-            err.iterate = {"iteration": len(self.objective_history),
-                           "e": e.values.copy(), "f": f.values.copy()}
+            self._attach_iterate(err, e, f, len(self.objective_history))
             raise
         self.forward_solves += 1
-        self.last = _Point(x.copy(), e, f, value, misfit, state)
-        return self.last
+        self.last = point
+        return point
+
+    def _on_friction_set(self, x, e, f) -> _Point:
+        R_Z, c_D, kappa = self.friction_misfit
+        mesh = self.problem.mesh
+        if self.prediction is not None:
+            f_at, x_at, dx_df = self.prediction
+            starts = (x_at + dx_df @ (f.values - f_at), x_at)
+        elif self.u0_full is not None:
+            starts = (free_part(mesh, self.u0_full)[mesh.friction_free_positions],)
+        else:
+            starts = ()
+        solution = solve_friction_set(
+            self.problem.operator(e), mesh, f, self.kernel, self.eps, self.forward_tol, starts=starts
+        )
+        rows = c_D + R_Z @ solution.q
+        misfit = 0.5 * float(rows @ rows) + kappa
+        value = misfit + regularization(e, f, self.config.alpha, self.config.beta)
+        return _Point(x.copy(), e, f, value, misfit, friction=solution, rows=rows)
+
+    @staticmethod
+    def _attach_iterate(err, e, f, iteration):
+        err.iterate = {"iteration": iteration, "e": e.values.copy(), "f": f.values.copy()}
+
+    def state(self, point) -> ForwardState:
+        """The full-space state at ``point``; on the friction set, the
+        harmonic extension of Newton's ``x`` with its full-space residual
+        check, built once."""
+        if point.state is None:
+            try:
+                point.state = friction_set_state(
+                    self.problem.operator(point.e), self.problem.mesh, point.f, self.kernel, self.eps,
+                    point.friction, self.forward_tol,
+                )
+            except SolverError as err:
+                accepted = point is self.accepted
+                self._attach_iterate(err, point.e, point.f, len(self.objective_history) - accepted)
+                raise
+        return point.state
 
     def set_gradient(self, point, grad) -> _Point:
         """Give ``point`` the gradient ``grad`` in concat(e, f), zero off the
@@ -208,7 +276,7 @@ class _Run:
         one."""
         if point.grad is None:
             cfg = self.config
-            args = (point.state, self.problem, point.e, point.f, self.kernel, self.eps)
+            args = (self.state(point), self.problem, point.e, point.f, self.kernel, self.eps)
             linmap = LinearizedMap(*args)
             p = adjoint_solve(*args, self.observation, cfg.misfit_norm, linmap=linmap)
             bundle = reduced_gradients(point.state, p, *args[1:], cfg.alpha, cfg.beta, linmap=linmap)
@@ -244,10 +312,12 @@ class _Run:
         """Gauss-Newton (scipy's ``trf``) on the free coefficients from
         ``x0``; scipy's message, or None when :meth:`accept` stopped the run.
 
-        The misfit rows are ``B (u - observation)`` with ``e`` free, and the
-        |D| rows ``B_D (u - observation)`` of
-        :func:`~vi_ident.adjoint.friction_misfit_factor` with ``e`` fixed:
-        the same Jacobian and the same cost differences.  ``trf`` evaluates
+        The misfit rows are ``B (u - observation)`` with ``e`` free.  With
+        ``e`` fixed they are the |D| rows ``c_D + R_Z S (x - y_D)`` of
+        :func:`~vi_ident.adjoint.friction_misfit_factor`, which differ from
+        the misfit by a constant, read off Newton's solution on D; the
+        Jacobian's ``dx/df`` also predicts where the next trial's Newton
+        starts.  ``trf`` evaluates
         the Jacobian only at its start and at the points it accepts, each of
         lower cost than the one before, so the Jacobian records each one and
         runs the stop test there, on the gradient ``J^T r`` of
@@ -256,7 +326,6 @@ class _Run:
         """
         cfg, problem, mesh, free = self.config, self.problem, self.problem.mesh, self.free
         kernel, eps = self.kernel, self.eps
-        observation = free_part(mesh, np.asarray(self.observation, dtype=float))
         # R^T R = the regularization Grams of the free fields, scaled
         R = block_diag(*(
             np.sqrt(weight) * cholesky(gram.toarray() if sp.issparse(gram) else gram)
@@ -268,20 +337,28 @@ class _Run:
         ))
         if self.free_e:
             B = misfit_factor(problem, cfg.misfit_norm)
+            data = B @ free_part(mesh, self.observation)
             p = np.count_nonzero(free)
             directions = np.zeros((free.size, p))
             directions[free] = np.eye(p)  # the free columns of the identity
+
+            def misfit_rows(point):
+                return B @ free_part(mesh, point.state.u) - data
 
             def misfit_jacobian(point):
                 du = solution_derivative(point.state, problem, point.e, point.f, kernel, eps, directions)
                 return B @ free_part(mesh, du)
         else:
-            R_Z, B = friction_misfit_factor(problem, self.e0, cfg.misfit_norm)
+            self.friction_misfit = friction_misfit_factor(problem, self.e0, self.observation, cfg.misfit_norm)
+            R_Z = self.friction_misfit[0]
+
+            def misfit_rows(point):
+                return point.rows
 
             def misfit_jacobian(point):
-                return friction_jacobian(point.state, problem, point.e, point.f, kernel, eps, R_Z)
-
-        data = B @ observation
+                J, dx_df = friction_jacobian(point.friction.x, problem, point.e, point.f, kernel, eps, R_Z)
+                self.prediction = point.f.values, point.friction.x, dx_df
+                return J
 
         def full(y):
             x = self.x0.copy()
@@ -289,7 +366,7 @@ class _Run:
             return x
 
         def fun(y):
-            return np.concatenate([B @ free_part(mesh, self.evaluate(full(y)).state.u) - data, R @ y])
+            return np.concatenate([misfit_rows(self.evaluate(full(y))), R @ y])
 
         def jac(y):
             x = full(y)
@@ -333,10 +410,10 @@ def identify(
     Grams) has a Jacobian of at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries,
     the run is scipy's bounded trust-region least squares (``trf``) on it
     (``1/2 |residual|^2`` is the objective up to a constant); with ``e``
-    fixed, ``B`` is the |D|-row ``B_D`` of
+    fixed, the misfit rows are the |D| rows of
     :func:`~vi_ident.adjoint.friction_misfit_factor`, so the rule counts |D|
     misfit rows, not one per element node, and also needs the dense
-    (free dofs) x |D| arrays ``B_D`` is built from to have at most
+    (free dofs) x |D| arrays they are built from to have at most
     ``_FRICTION_RESPONSE_MAX_ENTRIES`` entries.  Above these sizes, or with
     no field free, the run is L-BFGS-B with the adjoint gradient.  The result's
     ``method`` is ``"trf"`` or ``"L-BFGS-B"``.
@@ -369,7 +446,7 @@ def identify(
         f_hat=accepted.f,
         objective_history=tuple(run.objective_history),
         stationarity_history=tuple(run.stationarity_history),
-        final_state=accepted.state,
+        final_state=run.state(accepted),
         eps_used=float(eps),
         misfit=accepted.misfit,
         stop_reason=stop_reason,

@@ -146,3 +146,16 @@ def linearized_matrix(problem, e, f, kernel, eps: float, u_full) -> sp.csc_matri
     diag = np.zeros(mesh.free_nodes.size)
     diag[mesh.friction_free_positions] = mesh.friction_weights * f.values * second
     return (problem.operator(e).matrix + sp.diags(diag)).tocsc()
+
+
+# --- CSV cells ------------------------------------------------------------------
+
+
+def format_cell(x) -> str:
+    """One CSV cell as text, cell by cell: floats by ``repr``, integers in
+    decimal (bools as 0 or 1), anything else by ``str``."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)

@@ -10,6 +10,7 @@ import importlib
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from vi_ident import (
     KERNEL_NAMES,
@@ -280,33 +281,45 @@ def test_the_friction_set_reduction_keeps_the_misfit_and_its_jacobian(kernel_nam
     e = ellipticity_field(mesh, 1.0)
     f = friction_field(mesh, np.linspace(0.05, 0.6, mesh.friction_nodes.size))
     observation = synthesize_observation(problem, e, friction_field(mesh, 0.25), noise_level=0.05, seed=3)
-    T = problem.operator(e).matrix
-    Z = factorize(problem.operator(e), mesh).friction_response()
+    op, pos = problem.operator(e), mesh.friction_free_positions
+    T = op.matrix
+    Z = factorize(op, mesh).friction_response()
     E_D = np.zeros_like(Z)
-    E_D[mesh.friction_free_positions, np.arange(Z.shape[1])] = 1.0
+    E_D[pos, np.arange(Z.shape[1])] = 1.0
     assert np.abs(T @ Z - E_D).max() <= 1e-13 * abs(T).max() * np.abs(Z).max()
 
-    R_Z, B_D = friction_misfit_factor(problem, e, misfit_norm)
-    assert friction_misfit_factor(problem, e, misfit_norm)[1] is B_D  # kept on the factorization
+    R_Z, c_D, kappa = friction_misfit_factor(problem, e, observation, misfit_norm)
+    assert friction_misfit_factor(problem, e, observation, misfit_norm)[1] is c_D  # kept on the factorization
     B = misfit_factor(problem, misfit_norm)
-    G = (B.T @ B).toarray()
-    L = np.linalg.cholesky(Z.T @ G @ Z)  # R_Z^T, computed afresh
+    BZ = B @ Z
+    L = np.linalg.cholesky(BZ.T @ BZ)  # R_Z^T, computed afresh
+    assert np.abs(R_Z.T - L).max() <= 1e-12 * np.abs(L).max()
     state = solution_map(e, f, eps, problem, kernel, tol=1e-13)
+    x = free_part(mesh, state.u)[pos]
     directions = np.vstack([np.zeros((mesh.n_elements, f.values.size)), np.eye(f.values.size)])
     du = free_part(mesh, solution_derivative(state, problem, e, f, kernel, eps, directions))
-    reference = np.linalg.solve(L, Z.T @ G @ du)
-    J = friction_jacobian(state, problem, e, f, kernel, eps, R_Z)
+    J, dx_df = friction_jacobian(x, problem, e, f, kernel, eps, R_Z)
+    assert np.linalg.norm(dx_df - du[pos]) <= 1e-10 * np.linalg.norm(du[pos])
+    reference = np.linalg.solve(L, BZ.T @ (B @ du))
     assert np.linalg.norm(J - reference) <= 1e-10 * np.linalg.norm(reference)
 
-    def misfits(f_values):  # |B r|^2 and |B_D r|^2 for r = u - observation
-        u = solution_map(e, f.with_values(f_values), eps, problem, kernel, tol=1e-13).u
-        r = free_part(mesh, u - observation)
-        return float(np.sum((B @ r) ** 2)), float(np.sum((B_D @ r) ** 2))
+    y = spsolve(T.tocsc(), op.load)  # the frictionless state, off the factorization
+    # the part of B (y - observation) outside the range of B Z
+    r0 = B @ (y - free_part(mesh, observation))
+    outside = r0 - BZ @ np.linalg.lstsq(BZ, r0, rcond=None)[0]
+    assert abs(kappa - 0.5 * outside @ outside) <= 1e-10 * kappa
 
-    (full_1, reduced_1), (full_2, reduced_2) = misfits(f.values), misfits(0.5 * f.values)
-    tol = 1e-12 * max(full_1, full_2)
-    assert abs(full_1 - full_2) > 1e6 * tol  # the two misfits differ
-    assert abs((full_1 - reduced_1) - (full_2 - reduced_2)) <= tol
+    for f_values in (f.values, 0.5 * f.values):
+        u = free_part(mesh, solution_map(e, f.with_values(f_values), eps, problem, kernel, tol=1e-13).u)
+        x, r = u[pos], B @ (u - free_part(mesh, observation))
+        rows = c_D + R_Z @ np.linalg.solve(Z[pos], x - y[pos])  # S = Z_D^{-1}
+        assert abs(0.5 * rows @ rows + kappa - 0.5 * r @ r) <= 1e-12 * (r @ r)
+
+    # an observation in reach: kappa is 0 up to round-off, not a difference of two misfits
+    reachable = solution_map(e, f, eps, problem, kernel, tol=1e-13).u
+    R_Z, c_D, kappa = friction_misfit_factor(problem, e, reachable, misfit_norm)
+    u_norm = np.linalg.norm(B @ free_part(mesh, reachable))
+    assert 0.0 <= kappa <= (1e-14 * u_norm) ** 2
 
 
 @pytest.mark.parametrize("misfit_norm", ["L2", "V"])

@@ -1,16 +1,21 @@
 """Config parsing, CSV/manifest emission, and CLI behaviour."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from vi_ident import ConfigError
 from vi_ident.cli import _COMMAND_KINDS, main
 from vi_ident.config import EXPERIMENT_KINDS, emit_csv, parse_config, read_csv
 from vi_ident.experiments import _RUNNERS, run_experiment
+
+from .helpers import format_cell
 
 MINIMAL_FORWARD = """
 problem:
@@ -112,6 +117,23 @@ def test_missing_file_and_bad_yaml(tmp_path):
         parse_config(write(tmp_path, "a: [unterminated"))
 
 
+@pytest.mark.parametrize("text", ["a: [unterminated", "a: 1\n\tb: 2\n", "a: {b: 1\n"])
+def test_malformed_yaml_is_the_same_config_error_with_either_loader(tmp_path, monkeypatch, capsys, text):
+    bad, good = write(tmp_path, text), write(tmp_path, IDENTIFY_TWIN, "good.yaml")
+
+    def outcome():
+        with pytest.raises(ConfigError, match="not valid YAML") as err:
+            parse_config(bad)
+        code = main(["solve-forward", "--config", str(bad)])
+        assert "config error" in capsys.readouterr().err
+        return str(err.value).startswith(f"{bad}: not valid YAML ("), code, parse_config(good)
+
+    assert hasattr(yaml, "CSafeLoader")  # PyYAML built with libyaml
+    with_libyaml = outcome()
+    monkeypatch.delattr(yaml, "CSafeLoader")  # a PyYAML without libyaml
+    assert outcome() == with_libyaml == (True, 2, with_libyaml[2])
+
+
 # --- CSV round trip ----------------------------------------------------------------
 
 
@@ -123,6 +145,22 @@ def test_csv_round_trip_preserves_doubles(tmp_path):
     assert header == ["i", "x"]
     for (i, x), (j, y) in zip(rows, back):
         assert float(i) == j and float(x) == y  # bitwise, thanks to repr
+
+
+def test_emit_csv_writes_the_bytes_of_the_cell_by_cell_formatter(tmp_path):
+    cells = [0.1 + 0.2, np.float64(np.pi), np.float64(-0.0), np.int64(-7), np.int64(2**62), 3, True, False,
+             float("nan"), np.float64(np.nan), float("inf"), -float("inf"), -0.0, 1e-300, 5e-324, 1e16,
+             "plain", "a,b", 'say "hi"', "two\nlines", " padded ", ""]
+    rows = [cells, cells[::-1], tuple(cells[:3]), [1, 0.5, "x"], ("friction", 4, 0.25)]
+    header = ["c%d" % i for i in range(len(cells))]
+    path = tmp_path / "cells.csv"
+    emit_csv(rows, path, header)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_cell(x) for x in row])
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 # --- experiment runs -----------------------------------------------------------------

@@ -7,6 +7,7 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from vi_ident import (
     ConfigError,
@@ -26,7 +27,11 @@ from vi_ident import (
     synthesize_observation,
     unit_square_mesh,
 )
-from vi_ident.forward import Factorization
+from vi_ident.adjoint import misfit_factor, projected_residual, reduced_objective, solution_derivative
+from vi_ident.config import parse_config
+from vi_ident.discretization import free_part
+from vi_ident.experiments import _ident_config, _twin_setup
+from vi_ident.forward import Factorization, factorize
 
 KERNEL = get_kernel("sigmoid")
 # The package re-exports the function ``identify`` under the submodule's name.
@@ -172,7 +177,9 @@ def test_friction_recovery_on_the_twin_benchmark():
 def test_solver_failure_carries_the_iterate_snapshot():
     mesh, problem, _, _, obs = twin()
     e0 = ellipticity_field(mesh, 1.0)
-    f0 = friction_field(mesh, 1.0)
+    # at 1.0 Newton on the friction set reaches a gradient of exactly 0, which
+    # meets any tolerance; the full-space check then fails at the level's end
+    f0 = friction_field(mesh, 0.6)
     cfg = config(forward_tol=1e-30, max_iters=5)  # unattainable tolerance
     with pytest.raises(SolverError) as err:
         identify(cfg, problem, obs, e0, f0, KERNEL, 1e-4, free_e=False)
@@ -314,19 +321,206 @@ def test_a_2d_friction_only_run_is_gauss_newton_on_the_friction_set():
     assert res.forward_solves <= 20
 
 
+def counted_method(monkeypatch, cls, name):
+    """Wrap ``cls.<name>``; returns the list its calls append to."""
+    real, calls = getattr(cls, name), []
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def test_a_friction_only_continuation_builds_the_misfit_on_the_friction_set_once(monkeypatch):
+    responses = counted_method(monkeypatch, Factorization, "friction_response")
+    extensions = counted_method(monkeypatch, Factorization, "extend")
+    for factor in ("mass_factor", "v_factor"):  # the misfit factors B are never built
+        monkeypatch.setattr(Problem, factor, property(lambda self: pytest.fail("B built")))
     mesh, problem, e, obs = continuation_2d_twin(6)
-    real, responses = Factorization.friction_response, []
+    assert len(extensions) == 1  # the oracle's
+    for misfit_norm in ("L2", "V"):
+        results = continuation_identify(
+            config(alpha=1e-8, beta=1e-8, eps_schedule=(1e-1, 1e-2, 1e-3), misfit_norm=misfit_norm),
+            problem, obs, e, friction_field(mesh, 1.0), get_kernel("sqrt"), free_e=False,
+        )
+        assert [res.method for res in results] == ["trf"] * 3
+        assert [res.stop_reason for res in results] == ["stationary"] * 3
+    # e and the misfit norm are the same at every level; each level extends
+    # Newton's x on D to a full-space state once, where it stops
+    assert len(responses) == 2
+    assert len(extensions) == 1 + 2 * 3
 
-    def counted(self):
-        responses.append(1)
-        return real(self)
 
-    monkeypatch.setattr(Factorization, "friction_response", counted)
-    results = continuation_identify(config(alpha=1e-8, beta=1e-8, eps_schedule=(1e-1, 1e-2, 1e-3)), problem,
-                                    obs, e, friction_field(mesh, 1.0), get_kernel("sqrt"), free_e=False)
-    assert [res.method for res in results] == ["trf"] * 3
-    assert len(responses) == 1  # e and the misfit norm are the same at every level
+def full_space_continuation(cfg, problem, obs, e, f0, kernel):
+    """The friction-only Gauss-Newton continuation with a full-space forward
+    solve at every trial: residual ``[Q^T B (u - obs); sqrt(beta) R_f f]``
+    (``B Z = Q R`` a thin QR, ``Z = T^{-1} E_D``), Jacobian from
+    ``solution_derivative``, and identify()'s stop test.  Per level: f-hat,
+    stop reason, forward solves."""
+    mesh = problem.mesh
+    B = misfit_factor(problem, cfg.misfit_norm)
+    Q = np.linalg.qr(B @ factorize(problem.operator(e), mesh).friction_response())[0]
+    gram = f0.reg_inner_product
+    R = np.sqrt(cfg.beta) * np.linalg.cholesky(gram.toarray() if hasattr(gram, "toarray") else gram).T
+    nf = f0.values.size
+    directions = np.vstack([np.zeros((mesh.n_elements, nf)), np.eye(nf)])
+    bounds, tol = (f0.lower_bound, f0.upper_bound), np.finfo(float).eps
+    levels, f, warm = [], f0, None
+    for eps in cfg.eps_schedule:
+        last, accepted, solves = {}, [], [0]
+
+        def at(y):
+            if "y" not in last or not np.array_equal(last["y"], y):
+                fy = f.with_values(np.clip(y, *bounds))
+                u0 = last["state"].u if last else warm
+                last.update(y=y.copy(), f=fy, state=solution_map(e, fy, eps, problem, kernel, cfg.forward_tol, u0))
+                solves[0] += 1
+            return last
+
+        def fun(y):
+            return np.concatenate([Q.T @ (B @ free_part(mesh, at(y)["state"].u - obs)), R @ y])
+
+        def jac(y):
+            point = dict(at(y))
+            du = solution_derivative(point["state"], problem, e, point["f"], kernel, eps, directions)
+            J = np.vstack([Q.T @ (B @ free_part(mesh, du)), R])
+            accepted.append(point)
+            if projected_residual(point["f"], J.T @ fun(y)) <= cfg.stop_tol:
+                raise StopIteration("stationary")
+            if len(accepted) > cfg.max_iters:
+                raise StopIteration("max_iters")
+            return J
+
+        try:
+            reason = least_squares(fun, f.values, jac=jac, bounds=bounds, method="trf", x_scale="jac",
+                                   ftol=tol, xtol=tol, gtol=tol).message
+        except StopIteration as stop:
+            reason = stop.args[0]
+        f, warm = accepted[-1]["f"], accepted[-1]["state"].u
+        levels.append((f.values, reason, solves[0]))
+    return levels
+
+
+CONTINUATION_YAML = """\
+problem:
+  mesh: {dimension: 2, n: 16}
+  source: 10.0
+  friction: {value: 1.0, lower: 0.0, upper: 5.0}
+kernel: sqrt
+experiment:
+  kind: continuation
+  eps_schedule: [1.0e-1, 1.0e-2, 1.0e-3, 1.0e-4]
+  free_e: false
+  initial_friction: 1.0
+  true_friction: 0.2537
+"""
+
+
+def twin_6(tmp_path):
+    mesh, problem, e, obs = continuation_2d_twin(6)
+    cfg = config(alpha=1e-8, beta=1e-8, eps_schedule=(1e-1, 1e-2, 1e-3, 1e-4))
+    return cfg, problem, obs, e, friction_field(mesh, 1.0), get_kernel("sqrt")
+
+
+def cli_yaml_16(tmp_path):
+    path = tmp_path / "continuation.yaml"
+    path.write_text(CONTINUATION_YAML)
+    cfg = parse_config(path)
+    problem, obs, e, _, _, f0 = _twin_setup(cfg, 0)
+    return _ident_config(cfg, cfg.experiment["eps_schedule"]), problem, obs, e, f0, get_kernel(cfg.kernel)
+
+
+@pytest.mark.parametrize("setting", [twin_6, cli_yaml_16], ids=["twin_6", "cli_yaml_16"])
+def test_the_friction_set_path_matches_a_full_space_reference(monkeypatch, tmp_path, setting):
+    cfg, problem, obs, e, f0, kernel = setting(tmp_path)
+    accepted = []
+    real_accept = identify_module._Run.accept
+
+    def recording(run, point):
+        u0 = np.zeros(problem.mesh.n_nodes)
+        u0[problem.mesh.friction_nodes] = point.friction.x
+        accepted.append((point.f, u0))
+        return real_accept(run, point)
+
+    monkeypatch.setattr(identify_module._Run, "accept", recording)
+    results = continuation_identify(cfg, problem, obs, e, f0, kernel, free_e=False)
+    assert [res.method for res in results] == ["trf"] * len(cfg.eps_schedule)
+    reference = full_space_continuation(cfg, problem, obs, e, f0, kernel)
+    for res, (f_hat, reason, solves) in zip(results, reference):
+        assert np.abs(res.f_hat.values - f_hat).max() <= 1e-10 * np.abs(f_hat).max()
+        assert (res.stop_reason, res.forward_solves) == (reason, solves)
+        for value in res.objective_history:
+            # Newton started from the same x: the stopping test moves the
+            # value of a cold start by up to 3e-10 relative at forward_tol 1e-12
+            f, u0 = accepted.pop(0)
+            full = reduced_objective(e, f, problem, obs, kernel, res.eps_used, cfg.alpha, cfg.beta,
+                                     cfg.misfit_norm, tol=cfg.forward_tol, u0_full=u0)[0]
+            assert abs(value - full) <= 1e-10 * full
+    assert not accepted
+
+
+def test_each_trial_starts_newton_from_the_jacobians_prediction(monkeypatch, tmp_path):
+    cfg, problem, obs, e, f0, kernel = twin_6(tmp_path)
+    real, distances = identify_module.solve_friction_set, []
+
+    def recording(*args, starts=(), **kwargs):
+        solution = real(*args, starts=starts, **kwargs)
+        distances.append([np.linalg.norm(start - solution.x) for start in starts])
+        return solution
+
+    monkeypatch.setattr(identify_module, "solve_friction_set", recording)
+    continuation_identify(cfg, problem, obs, e, f0, kernel, free_e=False)
+    # a level's start has the previous level's x (the first level's none);
+    # every trial has the prediction, then the x it was predicted from
+    assert [len(d) for d in distances].count(1) == len(cfg.eps_schedule) - 1
+    trials = [d for d in distances if len(d) == 2]
+    assert len(trials) == len(distances) - len(cfg.eps_schedule)
+    assert all(predicted <= 0.1 * previous for predicted, previous in trials)
+
+
+def test_a_failure_on_the_friction_set_carries_the_trial_point(monkeypatch):
+    mesh, problem, e, obs = continuation_2d_twin(6)
+    real, calls = identify_module.solve_friction_set, []
+
+    def failing_on_third_call(op, mesh, f, *args, **kwargs):
+        calls.append(f.values.copy())
+        if len(calls) == 3:
+            raise SolverError("injected failure", residual=1.0)
+        return real(op, mesh, f, *args, **kwargs)
+
+    monkeypatch.setattr(identify_module, "solve_friction_set", failing_on_third_call)
+    with pytest.raises(SolverError) as err:
+        identify(config(alpha=1e-8, beta=1e-8), problem, obs, e, friction_field(mesh, 1.0),
+                 get_kernel("sqrt"), 1e-1, free_e=False)
+    snap = err.value.iterate
+    assert snap["iteration"] == 2  # each earlier trial was accepted
+    assert np.array_equal(snap["e"], e.values)
+    assert np.array_equal(snap["f"], calls[-1])
+    assert not np.array_equal(calls[-1], calls[0])  # a trial, not the start
+
+
+def test_a_failed_full_space_check_carries_the_accepted_point(monkeypatch):
+    mesh, problem, e, obs = continuation_2d_twin(6)
+    accepted = []
+    real_accept = identify_module._Run.accept
+
+    def recording(run, point):
+        accepted.append(point.f.values)
+        return real_accept(run, point)
+
+    def failing(*args, **kwargs):
+        raise SolverError("injected failure", residual=1.0)
+
+    monkeypatch.setattr(identify_module._Run, "accept", recording)
+    monkeypatch.setattr(identify_module, "friction_set_state", failing)
+    with pytest.raises(SolverError) as err:
+        identify(config(alpha=1e-8, beta=1e-8), problem, obs, e, friction_field(mesh, 1.0),
+                 get_kernel("sqrt"), 1e-1, free_e=False)
+    snap = err.value.iterate
+    assert snap["iteration"] == len(accepted) - 1 > 0
+    assert np.array_equal(snap["f"], accepted[-1])
 
 
 @pytest.mark.parametrize("free_e", [False, True], ids=["f_only", "joint"])

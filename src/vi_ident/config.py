@@ -268,6 +268,7 @@ _PLAIN = frozenset({float, int, str})  # the cell types csv writes as emit_csv d
 def _plain(row):
     """``row`` with numpy scalars as the Python numbers they hold and bools as
     0 or 1; a row of Python floats, ints and strings is returned as it is."""
+    row = tuple(row)  # a row may be an iterator, read once
     if _PLAIN.issuperset(map(type, row)):
         return row
     return [x.item() if isinstance(x, np.generic) else int(x) if isinstance(x, bool) else x for x in row]

@@ -151,14 +151,14 @@ def test_emit_csv_writes_the_bytes_of_the_cell_by_cell_formatter(tmp_path):
     cells = [0.1 + 0.2, np.float64(np.pi), np.float64(-0.0), np.int64(-7), np.int64(2**62), 3, True, False,
              float("nan"), np.float64(np.nan), float("inf"), -float("inf"), -0.0, 1e-300, 5e-324, 1e16,
              "plain", "a,b", 'say "hi"', "two\nlines", " padded ", ""]
-    rows = [cells, cells[::-1], tuple(cells[:3]), [1, 0.5, "x"], ("friction", 4, 0.25)]
+    rows = [cells, cells[::-1], tuple(cells[:3]), [1, 0.5, "x"], ("friction", 4, 0.25), iter([2, 0.75, "y"])]
     header = ["c%d" % i for i in range(len(cells))]
     path = tmp_path / "cells.csv"
     emit_csv(rows, path, header)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
+    for row in rows[:-1] + [[2, 0.75, "y"]]:
         writer.writerow([format_cell(x) for x in row])
     assert path.read_bytes() == expected.getvalue().encode()
 

@@ -29,8 +29,6 @@ from .discretization import (
     interval_mesh,
     mass_matrix,
     reg_inner,
-    trace_adjoint,
-    trace_apply,
     unit_square_mesh,
     v_norm,
 )
@@ -79,8 +77,6 @@ __all__ = [
     "interval_mesh",
     "mass_matrix",
     "reg_inner",
-    "trace_adjoint",
-    "trace_apply",
     "unit_square_mesh",
     "v_norm",
     "ConfigError",

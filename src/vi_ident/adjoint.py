@@ -17,14 +17,14 @@ S of T(e) onto D, shifted by the diagonal: Newton's Hessian.  Every derivative
 reads these two objects:
 
     du = -J^{-1} N delta              (:func:`solution_derivative`)
-    J p = B^T B (observation - u)     (:func:`adjoint_solve`)
+    J p = G (observation - u)         (:func:`adjoint_solve`)
     grad = Tikhonov terms + N^T p     (:func:`reduced_gradients`)
 
-where ``B^T B`` is the misfit Gram matrix (:func:`misfit_factor`).  A block of
-directions gives the dense derivative in every coefficient from one block of
-right-hand sides (the Gauss-Newton Jacobian with ``e`` free); the gradient
-needs no further forward solve.  The adjoint serves L-BFGS-B and the gradient
-check; Gauss-Newton reads its gradient off its Jacobian.
+where ``G`` is the assembled misfit Gram matrix (:func:`misfit_gram`).  A
+block of directions gives the dense derivative in every coefficient from one
+block of right-hand sides (the Gauss-Newton Jacobian with ``e`` free); the
+gradient needs no further forward solve.  The adjoint serves L-BFGS-B and the
+gradient check; Gauss-Newton reads its gradient off its Jacobian.
 
 With ``e`` fixed the state is affine in ``x = u_D``:
 ``u = y + Z S (x - y_D)``, ``Z = T^{-1} E_D``.  The misfit then has |D|
@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .discretization import ParameterField, free_part, full_part, h1_gram, mass_matrix, operator_jacobian
+from .discretization import ParameterField, free_part, full_part, operator_jacobian
 from .forward import ForwardState, Problem, factorize, solution_map
 from .kernels import KernelSpec, modulus_smooth
 
@@ -56,7 +56,7 @@ __all__ = [
     "reduced_gradients",
     "reduced_objective",
     "regularization",
-    "misfit_factor",
+    "misfit_gram",
     "friction_misfit_factor",
     "friction_jacobian",
     "projected_residual",
@@ -151,20 +151,13 @@ def solution_derivative(
     return full_part(problem.mesh, lm.solve(-(lm.N @ np.asarray(directions, dtype=float))))
 
 
-def misfit_factor(problem: Problem, misfit_norm: str = "L2") -> sp.csr_matrix:
-    """The sparse ``B`` with ``B^T B`` the misfit Gram matrix (the L2 mass
-    matrix or the V Gram matrix on the free dofs), so that the misfit of a
-    free-dof residual r is ``1/2 |B r|^2``."""
+def misfit_gram(problem: Problem, misfit_norm: str = "L2") -> sp.csr_matrix:
+    """The assembled misfit Gram matrix ``G`` on the free dofs (the L2 mass
+    matrix or the V Gram matrix), cached on the problem, so that the misfit
+    of a free-dof residual r is ``1/2 r^T G r``."""
     if misfit_norm not in MISFIT_NORMS:
         raise ValueError(f"misfit_norm must be one of {MISFIT_NORMS}, got {misfit_norm!r}")
-    return problem.mass_factor if misfit_norm == "L2" else problem.v_factor
-
-
-def _misfit_gram(mesh, misfit_norm: str) -> sp.csr_matrix:
-    """The assembled misfit Gram matrix ``G`` on the free dofs."""
-    if misfit_norm not in MISFIT_NORMS:
-        raise ValueError(f"misfit_norm must be one of {MISFIT_NORMS}, got {misfit_norm!r}")
-    return mass_matrix(mesh) if misfit_norm == "L2" else h1_gram(mesh)
+    return problem.mass_gram if misfit_norm == "L2" else problem.v_gram
 
 
 def friction_misfit_factor(
@@ -192,7 +185,7 @@ def friction_misfit_factor(
     observation = free_part(mesh, observation)
     key = (misfit_norm, observation.tobytes())
     if key not in fac.friction_misfits:
-        G = _misfit_gram(mesh, misfit_norm)
+        G = misfit_gram(problem, misfit_norm)
         Z = fac.friction_response()
         GZ = G @ Z
         R_Z = cholesky(Z.T @ GZ)
@@ -240,15 +233,15 @@ def adjoint_solve(
     misfit_norm: str = "L2",
     linmap: LinearizedMap | None = None,
 ) -> np.ndarray:
-    """Adjoint state p solving ``J p = B^T B (observation - u)``.
+    """Adjoint state p solving ``J p = G (observation - u)``, ``G`` the
+    misfit Gram matrix of :func:`misfit_gram`.
 
     The system matrix is the same SPD Jacobian as for the derivatives (the
     problem is self-adjoint), so reusing a :class:`LinearizedMap` is exact.
     """
     lm = _linmap(state, problem, e, f, kernel, eps, linmap)
-    B = misfit_factor(problem, misfit_norm)
     resid = free_part(problem.mesh, observation) - lm.u_free
-    return full_part(problem.mesh, lm.solve(B.T @ (B @ resid)))
+    return full_part(problem.mesh, lm.solve(misfit_gram(problem, misfit_norm) @ resid))
 
 
 def reduced_gradients(
@@ -306,13 +299,14 @@ def reduced_objective(
 ):
     """Evaluate the reduced objective; returns (value, misfit, state).
 
-    value = 1/2 |B (u_eps - observation)|^2 + alpha/2 |e|_E^2 + beta/2 |f|_F^2
-    with the misfit factor ``B`` chosen by ``misfit_norm``.
+    value = 1/2 r^T G r + alpha/2 |e|_E^2 + beta/2 |f|_F^2, with
+    ``r = u_eps - observation`` on the free dofs and the misfit Gram matrix
+    ``G`` (:func:`misfit_gram`) chosen by ``misfit_norm``.
     """
     mesh = problem.mesh
     state = solution_map(e, f, eps, problem, kernel, tol=tol, u0_full=u0_full)
-    r = misfit_factor(problem, misfit_norm) @ (free_part(mesh, state.u) - free_part(mesh, observation))
-    misfit = 0.5 * float(r @ r)
+    r = free_part(mesh, state.u) - free_part(mesh, observation)
+    misfit = 0.5 * float(r @ (misfit_gram(problem, misfit_norm) @ r))
     return misfit + regularization(e, f, alpha, beta), misfit, state
 
 

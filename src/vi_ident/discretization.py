@@ -36,8 +36,6 @@ __all__ = [
     "operator_matrix",
     "load_vector",
     "OperatorPattern",
-    "trace_apply",
-    "trace_adjoint",
     "reg_inner",
     "ellipticity_field",
     "friction_field",
@@ -47,7 +45,6 @@ __all__ = [
     "mass_matrix",
     "v_norm",
     "operator_jacobian",
-    "gram_factor",
     "free_part",
     "full_part",
 ]
@@ -458,30 +455,8 @@ def operator_jacobian(mesh: Mesh, form: str, u_full: np.ndarray) -> sp.csc_matri
 
 
 # ---------------------------------------------------------------------------
-# Trace map onto the friction set.
+# Free-dof restriction and extension.
 # ---------------------------------------------------------------------------
-
-
-def trace_apply(mesh: Mesh, v: np.ndarray) -> np.ndarray:
-    """Restrict a full nodal vector to the friction nodes (gamma v)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (mesh.n_nodes,):
-        raise ValueError(f"expected a nodal vector of length {mesh.n_nodes}")
-    return v[mesh.friction_nodes]
-
-
-def trace_adjoint(mesh: Mesh, mu: np.ndarray) -> np.ndarray:
-    """Scatter a D-vector back to the nodes (gamma* mu).
-
-    Weighted so that (gamma v, mu)_D = sum_i w_i (gamma v)_i mu_i equals the
-    plain nodal dot product <v, gamma* mu> exactly.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (mesh.friction_nodes.size,):
-        raise ValueError(f"expected a D-vector of length {mesh.friction_nodes.size}")
-    out = np.zeros(mesh.n_nodes)
-    out[mesh.friction_nodes] = mesh.friction_weights * mu
-    return out
 
 
 def free_part(mesh: Mesh, v_full: np.ndarray) -> np.ndarray:
@@ -577,23 +552,6 @@ def h1_gram(mesh: Mesh) -> sp.csr_matrix:
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """P1 mass matrix on the free nodes (L2 inner product on V)."""
     return mesh.operator_pattern.assemble(mesh.local_matrices[1])
-
-
-def gram_factor(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    """A sparse ``B`` with ``B^T B`` equal to the matrix assembled on the free
-    dofs from the SPD per-element matrices ``local`` (shape (E, m, m)).
-
-    ``B`` stacks the elements' symmetric square roots, m rows per element,
-    with the Dirichlet columns dropped; no dense factor of the assembled
-    matrix is formed.
-    """
-    E, m = mesh.elements.shape
-    w, Q = np.linalg.eigh(local)
-    roots = (Q * np.sqrt(w)[:, None, :]) @ Q.transpose(0, 2, 1)
-    rows = np.repeat(np.arange(E * m), m)
-    cols = np.broadcast_to(mesh.free_index[mesh.elements][:, None, :], (E, m, m)).ravel()
-    keep = cols >= 0
-    return sp.csr_matrix((roots.ravel()[keep], (rows[keep], cols[keep])), shape=(E * m, mesh.free_nodes.size))
 
 
 def v_norm(mesh: Mesh, v_full: np.ndarray, gram: sp.csr_matrix | None = None) -> float:

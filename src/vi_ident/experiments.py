@@ -20,7 +20,6 @@ from .discretization import (
     build_mesh,
     ellipticity_field,
     friction_field,
-    h1_gram,
     v_norm,
 )
 from .errors import ConfigError, SolverError
@@ -113,7 +112,7 @@ def run_rate_study(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
     mesh = problem.mesh
     exp = cfg.experiment
     oracle = solution_map(e, f, 0.0, problem, tol=cfg.solver["oracle_tol"])
-    gram = h1_gram(mesh)
+    gram = problem.v_gram
     rows = []
     slopes = {}
     for name in exp["kernels"]:

@@ -50,8 +50,9 @@ from .discretization import (
     ParameterField,
     free_part,
     full_part,
-    gram_factor,
+    h1_gram,
     load_vector,
+    mass_matrix,
     operator_matrix,
 )
 from .errors import SolverError
@@ -99,9 +100,8 @@ class Problem:
     those solves assembles or factorizes ``T(e)`` again.  A driver that moves
     ``e`` does not come back to an earlier one, so a new coefficient replaces
     the operator held.  The load does not depend on ``e`` and is computed
-    once.  The factors ``B`` of the L2 and V misfit Gram matrices
-    (``B^T B = G``, :func:`~vi_ident.discretization.gram_factor`) are built
-    on first use.
+    once.  The L2 and V misfit Gram matrices ``G`` on the free dofs
+    (:func:`~vi_ident.adjoint.misfit_gram`) are assembled on first use.
     """
 
     mesh: Mesh
@@ -121,13 +121,12 @@ class Problem:
         return load_vector(self.mesh, self.source)
 
     @cached_property
-    def mass_factor(self) -> sp.csr_matrix:
-        return gram_factor(self.mesh, self.mesh.local_matrices[1])
+    def mass_gram(self) -> sp.csr_matrix:
+        return mass_matrix(self.mesh)
 
     @cached_property
-    def v_factor(self) -> sp.csr_matrix:
-        K, M = self.mesh.local_matrices
-        return gram_factor(self.mesh, K + M)
+    def v_gram(self) -> sp.csr_matrix:
+        return h1_gram(self.mesh)
 
 
 _ORACLE_TOL = 1e-10  # the oracle's default tolerance

@@ -9,10 +9,12 @@ over the admissible boxes.  The objective is a sum of squares, and the
 regularized solution map is smooth, so a run with few coefficients is bounded
 Gauss-Newton: scipy's trust-region least squares ``trf`` (Branch, Coleman,
 Li, SIAM J. Sci. Comput. 21, 1999) with a dense Jacobian, about ten forward
-solves per run.  With ``e`` free the misfit rows are ``B (u - observation)``
-(m rows per element of m nodes) and the Jacobian is the solution map's, from
-one block solve.  With only ``f`` free the state is affine in ``x = u_D``,
-so the run stays on the friction set D: every trial is a Newton solve on D
+solves per run.  With ``e`` free the misfit rows are ``C (u - observation)``,
+``C`` the dense upper Cholesky factor of the misfit Gram matrix ``G`` on the
+free dofs (:func:`~vi_ident.adjoint.misfit_gram`), and the Jacobian is the
+solution map's, from one block solve.  With only ``f`` free the state is
+affine in ``x = u_D``, so the run stays on the friction set D: every trial is
+a Newton solve on D
 (:func:`~vi_ident.forward.solve_friction_set`) started from the first-order
 prediction ``x + (dx/df)(f - f_at)`` of the last Jacobian, the misfit rows
 are the |D| rows ``c_D + R_Z S (x - y_D)`` of
@@ -21,11 +23,12 @@ constant), and the |D| x |D| Jacobian takes one Cholesky factorization and
 no solve with ``T``.  Trials are accepted on Newton's gradient test on D,
 the full-space residual of the harmonic extension of ``x``; the full-space
 state, with its own residual check, is built once per run, where it stops
-(and for the adjoint gradient, when asked).  The path rule
-counts those rows: a run is ``trf`` while the Jacobian (misfit rows plus one
-regularization row per free coefficient, times the free coefficients) has at
-most ``_LEAST_SQUARES_MAX_ENTRIES`` entries and, with ``e`` fixed, the dense
-(free dofs) x |D| arrays the |D| rows are built from have at most
+(and for the adjoint gradient, when asked).  A run is ``trf`` while the
+Jacobian (misfit rows plus one regularization row per free coefficient, times
+the free coefficients) has at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries,
+with the misfit rows counted as |D| with ``e`` fixed and as m per element of
+m nodes with ``e`` free, and, with ``e`` fixed, the dense (free dofs) x |D|
+arrays the |D| rows are built from have at most
 ``_FRICTION_RESPONSE_MAX_ENTRIES``; otherwise scipy's L-BFGS-B (Byrd, Lu,
 Nocedal, Zhu, SIAM J. Sci. Comput. 16, 1995), one forward and one adjoint
 solve per evaluation.  Either way scipy's own stopping tests are at
@@ -56,7 +59,7 @@ from .adjoint import (
     adjoint_solve,
     friction_jacobian,
     friction_misfit_factor,
-    misfit_factor,
+    misfit_gram,
     projected_residual,
     reduced_gradients,
     reduced_objective,
@@ -132,7 +135,9 @@ class IdentificationResult:
 # identify() runs Gauss-Newton (trf).  Each trf iteration takes an SVD of it,
 # and with e free each Jacobian is a block solve with one column per free
 # coefficient; in 2D joint twin runs L-BFGS-B overtook trf between 169,000 and
-# 348,000 entries.
+# 348,000 entries.  With e free the rule counts m misfit rows per element of m
+# nodes, the unit of that measurement; the Jacobian itself has one misfit row
+# per free dof, fewer.
 _LEAST_SQUARES_MAX_ENTRIES = 250_000
 # The largest (free dofs) x |D| array for which a run with e fixed is trf: its
 # misfit rows are built from two such dense arrays, whose size grows as n^3 on
@@ -312,7 +317,7 @@ class _Run:
         """Gauss-Newton (scipy's ``trf``) on the free coefficients from
         ``x0``; scipy's message, or None when :meth:`accept` stopped the run.
 
-        The misfit rows are ``B (u - observation)`` with ``e`` free.  With
+        The misfit rows are ``C (u - observation)`` with ``e`` free.  With
         ``e`` fixed they are the |D| rows ``c_D + R_Z S (x - y_D)`` of
         :func:`~vi_ident.adjoint.friction_misfit_factor`, which differ from
         the misfit by a constant, read off Newton's solution on D; the
@@ -336,18 +341,20 @@ class _Run:
             if is_free
         ))
         if self.free_e:
-            B = misfit_factor(problem, cfg.misfit_norm)
-            data = B @ free_part(mesh, self.observation)
+            # C^T C = G: N x N with N free dofs, and p >= N, so the path rule
+            # bounds C as it bounds the Jacobian
+            C = cholesky(misfit_gram(problem, cfg.misfit_norm).toarray())
+            obs = free_part(mesh, self.observation)
             p = np.count_nonzero(free)
             directions = np.zeros((free.size, p))
             directions[free] = np.eye(p)  # the free columns of the identity
 
             def misfit_rows(point):
-                return B @ free_part(mesh, point.state.u) - data
+                return C @ (free_part(mesh, point.state.u) - obs)
 
             def misfit_jacobian(point):
                 du = solution_derivative(point.state, problem, point.e, point.f, kernel, eps, directions)
-                return B @ free_part(mesh, du)
+                return C @ free_part(mesh, du)
         else:
             self.friction_misfit = friction_misfit_factor(problem, self.e0, self.observation, cfg.misfit_norm)
             R_Z = self.friction_misfit[0]
@@ -405,18 +412,18 @@ def identify(
 
     The variable is ``concat(e, f)``; a field held fixed (``free_e``/``free_f``
     False) does not move and has zero stationarity residual.  While the
-    residual ``[B (u - observation); sqrt(alpha) R_e e; sqrt(beta) R_f f]`` of
-    the free fields (``B^T B`` the misfit Gram, ``R^T R`` the regularization
+    residual ``[C (u - observation); sqrt(alpha) R_e e; sqrt(beta) R_f f]`` of
+    the free fields (``C^T C`` the misfit Gram, ``R^T R`` the regularization
     Grams) has a Jacobian of at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries,
-    the run is scipy's bounded trust-region least squares (``trf``) on it
-    (``1/2 |residual|^2`` is the objective up to a constant); with ``e``
-    fixed, the misfit rows are the |D| rows of
-    :func:`~vi_ident.adjoint.friction_misfit_factor`, so the rule counts |D|
-    misfit rows, not one per element node, and also needs the dense
-    (free dofs) x |D| arrays they are built from to have at most
-    ``_FRICTION_RESPONSE_MAX_ENTRIES`` entries.  Above these sizes, or with
-    no field free, the run is L-BFGS-B with the adjoint gradient.  The result's
-    ``method`` is ``"trf"`` or ``"L-BFGS-B"``.
+    counting m misfit rows per element of m nodes, the run is scipy's bounded
+    trust-region least squares (``trf``) on it (``1/2 |residual|^2`` is the
+    objective up to a constant); with ``e`` fixed, the misfit rows are the
+    |D| rows of :func:`~vi_ident.adjoint.friction_misfit_factor`, so the rule
+    counts |D| misfit rows and also needs the dense (free dofs) x |D| arrays
+    they are built from to have at most ``_FRICTION_RESPONSE_MAX_ENTRIES``
+    entries.  Above these sizes, or with no field free, the run is L-BFGS-B
+    with the adjoint gradient.  The result's ``method`` is ``"trf"`` or
+    ``"L-BFGS-B"``.
     The run stops at the first accepted iterate whose stationarity is at most
     ``stop_tol`` (the start included), after ``max_iters`` accepted iterates,
     or when the optimizer gives up; the last accepted iterate is returned.
@@ -426,8 +433,9 @@ def identify(
     run = _Run(config, problem, observation, e0, f0, kernel, eps, free_e, free_f, u0_full)
     p = np.count_nonzero(run.free)
     mesh, nf = problem.mesh, f0.values.size
-    # the misfit rows: m per element of m nodes, or with e fixed |D|, built
-    # from dense (free dofs) x |D| arrays
+    # the misfit rows, counted as m per element of m nodes (the unit of the
+    # trf/L-BFGS-B crossover measurement), or with e fixed |D|, built from
+    # dense (free dofs) x |D| arrays
     rows = mesh.elements.size if free_e else nf
     dense = 0 if free_e else mesh.free_nodes.size * nf
     fits = p * (rows + p) <= _LEAST_SQUARES_MAX_ENTRIES and dense <= _FRICTION_RESPONSE_MAX_ENTRIES

@@ -18,8 +18,6 @@ from vi_ident import (
     interval_mesh,
     mass_matrix,
     reg_inner,
-    trace_adjoint,
-    trace_apply,
     unit_square_mesh,
     v_norm,
 )
@@ -307,32 +305,6 @@ def test_out_of_bounds_coefficient_rejected():
     e.values[:] = 50.0
     with pytest.raises(ValueError):
         assemble_operator(mesh, e)
-
-
-# --- traces ---------------------------------------------------------------------
-
-
-def test_trace_apply_restricts():
-    mesh = interval_mesh(0, 1, 5)
-    v = np.arange(6, dtype=float)
-    assert np.allclose(trace_apply(mesh, v), [5.0])
-
-
-def test_trace_adjointness():
-    # <v, gamma* mu> = sum_i w_i v(x_i) mu_i
-    rng = np.random.default_rng(11)
-    for mesh in (interval_mesh(0, 1, 6), unit_square_mesh(4)):
-        v = rng.standard_normal(mesh.n_nodes)
-        mu = rng.standard_normal(mesh.friction_nodes.size)
-        lhs = v @ trace_adjoint(mesh, mu)
-        rhs = (mesh.friction_weights * trace_apply(mesh, v)) @ mu
-        assert np.isclose(lhs, rhs)
-
-
-def test_trace_adjoint_rejects_wrong_length():
-    mesh = unit_square_mesh(4)
-    with pytest.raises(ValueError):
-        trace_adjoint(mesh, np.zeros(7))
 
 
 # --- inner products and norms ----------------------------------------------------

@@ -27,7 +27,7 @@ from vi_ident import (
     synthesize_observation,
     unit_square_mesh,
 )
-from vi_ident.adjoint import misfit_factor, projected_residual, reduced_objective, solution_derivative
+from vi_ident.adjoint import misfit_gram, projected_residual, reduced_objective, solution_derivative
 from vi_ident.config import parse_config
 from vi_ident.discretization import free_part
 from vi_ident.experiments import _ident_config, _twin_setup
@@ -336,8 +336,6 @@ def counted_method(monkeypatch, cls, name):
 def test_a_friction_only_continuation_builds_the_misfit_on_the_friction_set_once(monkeypatch):
     responses = counted_method(monkeypatch, Factorization, "friction_response")
     extensions = counted_method(monkeypatch, Factorization, "extend")
-    for factor in ("mass_factor", "v_factor"):  # the misfit factors B are never built
-        monkeypatch.setattr(Problem, factor, property(lambda self: pytest.fail("B built")))
     mesh, problem, e, obs = continuation_2d_twin(6)
     assert len(extensions) == 1  # the oracle's
     for misfit_norm in ("L2", "V"):
@@ -356,11 +354,12 @@ def test_a_friction_only_continuation_builds_the_misfit_on_the_friction_set_once
 def full_space_continuation(cfg, problem, obs, e, f0, kernel):
     """The friction-only Gauss-Newton continuation with a full-space forward
     solve at every trial: residual ``[Q^T B (u - obs); sqrt(beta) R_f f]``
-    (``B Z = Q R`` a thin QR, ``Z = T^{-1} E_D``), Jacobian from
+    (``B^T B = G`` the misfit Gram, ``B Z = Q R`` a thin QR,
+    ``Z = T^{-1} E_D``), Jacobian from
     ``solution_derivative``, and identify()'s stop test.  Per level: f-hat,
     stop reason, forward solves."""
     mesh = problem.mesh
-    B = misfit_factor(problem, cfg.misfit_norm)
+    B = np.linalg.cholesky(misfit_gram(problem, cfg.misfit_norm).toarray()).T
     Q = np.linalg.qr(B @ factorize(problem.operator(e), mesh).friction_response())[0]
     gram = f0.reg_inner_product
     R = np.sqrt(cfg.beta) * np.linalg.cholesky(gram.toarray() if hasattr(gram, "toarray") else gram).T
@@ -523,10 +522,11 @@ def test_a_failed_full_space_check_carries_the_accepted_point(monkeypatch):
     assert np.array_equal(snap["f"], accepted[-1])
 
 
+@pytest.mark.parametrize("misfit_norm", ["L2", "V"])
 @pytest.mark.parametrize("free_e", [False, True], ids=["f_only", "joint"])
-def test_the_stop_test_gradient_is_the_adjoint_gradient(free_e):
+def test_the_stop_test_gradient_is_the_adjoint_gradient(free_e, misfit_norm):
     mesh, problem, e, obs = continuation_2d_twin(6)
-    cfg = config(alpha=1e-6, beta=1e-6, max_iters=0)  # stop at trf's first point
+    cfg = config(alpha=1e-6, beta=1e-6, max_iters=0, misfit_norm=misfit_norm)  # stop at trf's first point
     run = identify_module._Run(cfg, problem, obs, e.with_values(np.full_like(e.values, 1.3)),
                                friction_field(mesh, 0.6), KERNEL, 1e-2, free_e, True, None)
     assert run.least_squares() is None

@@ -537,6 +537,31 @@ def test_the_stop_test_gradient_is_the_adjoint_gradient(free_e, misfit_norm):
     assert (point.stationarity[0] > 0) == free_e
 
 
+@pytest.mark.parametrize("misfit_norm", ["L2", "V"])
+@pytest.mark.parametrize("free_e", [False, True], ids=["f_only", "joint"])
+def test_the_gauss_newton_rows_square_to_the_objective(monkeypatch, free_e, misfit_norm):
+    # 1/2 |rows|^2 is 1/2 r^T G r + the regularization of the free fields,
+    # less kappa when e is fixed: the misfit rows are read through the
+    # assembled Gram G
+    mesh, problem, e, obs = continuation_2d_twin(6)
+    cfg = config(alpha=1e-3, beta=1e-3, misfit_norm=misfit_norm)
+    run = identify_module._Run(cfg, problem, obs, e.with_values(np.full_like(e.values, 1.3)),
+                               friction_field(mesh, 0.6), KERNEL, 1e-2, free_e, True, None)
+    rows = []
+
+    def first_rows(fun, y0, **kwargs):
+        rows.append(fun(y0))
+        raise identify_module._Stop
+
+    monkeypatch.setattr(identify_module, "least_squares", first_rows)
+    assert run.least_squares() is None
+    kappa = 0.0 if free_e else run.friction_misfit[2]
+    alpha = cfg.alpha if free_e else 0.0  # a fixed e adds a constant, not a row
+    value = reduced_objective(run.e0, run.f0, problem, obs, KERNEL, 1e-2, alpha, cfg.beta,
+                              misfit_norm, tol=cfg.forward_tol)[0]
+    assert abs(0.5 * rows[0] @ rows[0] + kappa - value) <= 1e-10 * value
+
+
 @pytest.mark.parametrize("n", [32, 128])
 def test_joint_identification_needs_few_forward_solves(n):
     # acceptance criterion 8's joint setting, where L-BFGS-B takes 1,642

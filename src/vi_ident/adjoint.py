@@ -38,6 +38,7 @@ Hessian on D and no ``LinearizedMap``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,19 +167,20 @@ def friction_misfit_factor(
     """The misfit on the friction set D at fixed ``e``: ``(R_Z, c_D, kappa)``.
 
     At fixed ``e`` the regularized state is ``u = y + Z S (x - y_D)``, with
-    ``x = u_D`` and ``Z = T^{-1} E_D``
-    (:meth:`~vi_ident.forward.Factorization.friction_response`), so the
-    residual ``r = u - observation`` is ``r_0 = y - observation`` moved in
-    the range of ``Z``.  With ``G`` the assembled misfit Gram matrix and
+    ``x = u_D`` and ``Z = T^{-1} E_D``, so the residual
+    ``r = u - observation`` is ``r_0 = y - observation`` moved in the range
+    of ``Z``.  With ``G`` the assembled misfit Gram matrix and
     ``R_Z^T R_Z = Z^T G Z``, the |D| misfit rows
     ``c_D + R_Z S (x - y_D)``, ``c_D = R_Z^{-T} Z^T G r_0``, are the
     coordinates of the G-orthogonal projection of ``r`` onto that range,
     and ``1/2 |r|_G^2 = 1/2 |rows|^2 + kappa`` with
     ``kappa = 1/2 |r_0 - Z R_Z^{-1} c_D|_G^2``, the part no ``x`` reaches,
     computed directly, not as a difference, so that it keeps full accuracy.
-    Built once per misfit norm and observation and kept on the
-    factorization of ``T(e)``; the build holds two dense (free dofs) x |D|
-    arrays, ``Z`` and ``G Z``, and keeps neither.
+    As ``T`` is symmetric, ``Z^T G v = (T^{-1} G v)_D``: ``Z^T G Z`` is
+    built one block of about sqrt(|D|) columns of ``E_D`` at a time, two
+    block ``T``-solves each, and ``c_D`` and ``kappa`` take one solve each,
+    so no (free dofs) x |D| array is held.  Built once per misfit norm and
+    observation and kept on the factorization of ``T(e)``.
     """
     mesh = problem.mesh
     fac = factorize(problem.operator(e), mesh)
@@ -186,13 +188,20 @@ def friction_misfit_factor(
     key = (misfit_norm, observation.tobytes())
     if key not in fac.friction_misfits:
         G = misfit_gram(problem, misfit_norm)
-        Z = fac.friction_response()
-        GZ = G @ Z
-        R_Z = cholesky(Z.T @ GZ)
+        pos = fac.positions
+        n, d = G.shape[0], pos.size
+        ZGZ = np.empty((d, d))
+        width = math.isqrt(d) + 1  # about sqrt(|D|) solves, each with about sqrt(|D|) columns
+        for b in range(0, d, width):
+            E_b = np.zeros((n, min(width, d - b)))  # a block of columns of E_D
+            E_b[pos[b : b + width], np.arange(E_b.shape[1])] = 1.0
+            ZGZ[:, b : b + width] = fac.solve(G @ fac.solve(E_b))[pos]
+        R_Z = cholesky(ZGZ)
         r0 = fac.load_solution - observation
-        c_D = solve_triangular(R_Z, GZ.T @ r0, trans="T")
-        del GZ
-        r0 -= Z @ solve_triangular(R_Z, c_D)
+        c_D = solve_triangular(R_Z, fac.solve(G @ r0)[pos], trans="T")
+        load = np.zeros(n)
+        load[pos] = solve_triangular(R_Z, c_D)
+        r0 -= fac.solve(load)
         fac.friction_misfits[key] = R_Z, c_D, 0.5 * float(r0 @ (G @ r0))
     return fac.friction_misfits[key]
 

@@ -192,14 +192,6 @@ class Factorization:
         R = self.schur_factor
         return R.T @ R
 
-    def friction_response(self) -> np.ndarray:
-        """``Z = T^{-1} E_D``, the response of ``u`` to a unit load at each
-        node of D: one block ``T``-solve with |D| columns, not kept.  At fixed
-        ``e`` the regularized state is ``u = y + Z S (u_D - y_D)``."""
-        n, k = self._lu.shape[0], self.positions.size
-        # E_D in elimination order is the identity on the trailing |D| rows
-        return self._lu.solve(np.eye(n, k, -self._lead))[self._rank]
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``T x = rhs`` for a vector or an (n, k) block of right-hand sides."""
         return self._lu.solve(rhs[self._order])[self._rank]

@@ -23,17 +23,16 @@ constant), and the |D| x |D| Jacobian takes one Cholesky factorization and
 no solve with ``T``.  Trials are accepted on Newton's gradient test on D,
 the full-space residual of the harmonic extension of ``x``; the full-space
 state, with its own residual check, is built once per run, where it stops
-(and for the adjoint gradient, when asked).  A run is ``trf`` while the
-Jacobian (misfit rows plus one regularization row per free coefficient, times
-the free coefficients) has at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries,
-with the misfit rows counted as |D| with ``e`` fixed and as m per element of
-m nodes with ``e`` free, and, with ``e`` fixed, the dense (free dofs) x |D|
-arrays the |D| rows are built from have at most
-``_FRICTION_RESPONSE_MAX_ENTRIES``; otherwise scipy's L-BFGS-B (Byrd, Lu,
-Nocedal, Zhu, SIAM J. Sci. Comput. 16, 1995), one forward and one adjoint
-solve per evaluation.  Either way scipy's own stopping tests are at
-most round-off: a run stops on the projected-gradient residuals, which
-vanish exactly at discrete KKT points of the box-constrained problem.
+(and for the adjoint gradient, when asked).  A run with only ``f`` free is
+``trf`` at any size.  With ``e`` free it is ``trf`` while the Jacobian
+(misfit rows plus one regularization row per free coefficient, times the
+free coefficients) has at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries, with
+the misfit rows counted as m per element of m nodes; above that, and with no
+field free, it is scipy's L-BFGS-B (Byrd, Lu, Nocedal, Zhu, SIAM J. Sci.
+Comput. 16, 1995), one forward and one adjoint solve per evaluation.  Either
+way scipy's own stopping tests are at most round-off: a run stops on the
+projected-gradient residuals, which vanish exactly at discrete KKT points of
+the box-constrained problem.
 ``trf`` reads the gradient ``J^T r`` off the Jacobian it has just built;
 L-BFGS-B takes it from the adjoint (:func:`~vi_ident.adjoint.reduced_gradients`).
 Only accepted iterates enter the histories, so the objective history is
@@ -104,7 +103,7 @@ class IdentificationConfig:
     max_iters: int = 500
     stop_tol: float = 1e-9
     misfit_norm: str = "L2"
-    forward_tol: float | None = None
+    forward_tol: float = _NEWTON_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "eps_schedule", tuple(float(x) for x in self.eps_schedule))
@@ -132,20 +131,13 @@ class IdentificationResult:
 
 
 # The largest dense Jacobian (residual length x free coefficients) for which
-# identify() runs Gauss-Newton (trf).  Each trf iteration takes an SVD of it,
-# and with e free each Jacobian is a block solve with one column per free
+# identify() runs Gauss-Newton (trf) with e free.  Each trf iteration takes an
+# SVD of it, and each Jacobian is a block solve with one column per free
 # coefficient; in 2D joint twin runs L-BFGS-B overtook trf between 169,000 and
-# 348,000 entries.  With e free the rule counts m misfit rows per element of m
-# nodes, the unit of that measurement; the Jacobian itself has one misfit row
-# per free dof, fewer.
+# 348,000 entries.  The rule counts m misfit rows per element of m nodes, the
+# unit of that measurement; the Jacobian itself has one misfit row per free
+# dof, fewer.
 _LEAST_SQUARES_MAX_ENTRIES = 250_000
-# The largest (free dofs) x |D| array for which a run with e fixed is trf: its
-# misfit rows are built from two such dense arrays, whose size grows as n^3 on
-# an n x n mesh.  2D f-only continuation, trf against L-BFGS-B (one thread,
-# 2-core machine), time and peak RSS: at n = 128 (2.1 million entries) 0.93
-# against 2.8 s and 183 against 157 MiB, at n = 192 (7.0 million) 2.9 against
-# 7.0 s and 352 against 256 MiB.
-_FRICTION_RESPONSE_MAX_ENTRIES = 4_000_000
 
 
 class _Stop(Exception):
@@ -191,7 +183,6 @@ class _Run:
         self.stationarity_history: list[tuple[float, float]] = []
         self.last = self.accepted = None  # the last evaluated and the last accepted _Point
         self.forward_solves = 0
-        self.forward_tol = _NEWTON_TOL if config.forward_tol is None else config.forward_tol
         # Gauss-Newton with e fixed: (R_Z, c_D, kappa) of friction_misfit_factor,
         # and (f, x, dx/df) at the last Jacobian
         self.friction_misfit = self.prediction = None
@@ -233,7 +224,7 @@ class _Run:
         else:
             starts = ()
         solution = solve_friction_set(
-            self.problem.operator(e), mesh, f, self.kernel, self.eps, self.forward_tol, starts=starts
+            self.problem.operator(e), mesh, f, self.kernel, self.eps, self.config.forward_tol, starts=starts
         )
         rows = c_D + R_Z @ solution.q
         misfit = 0.5 * float(rows @ rows) + kappa
@@ -252,7 +243,7 @@ class _Run:
             try:
                 point.state = friction_set_state(
                     self.problem.operator(point.e), self.problem.mesh, point.f, self.kernel, self.eps,
-                    point.friction, self.forward_tol,
+                    point.friction, self.config.forward_tol,
                 )
             except SolverError as err:
                 accepted = point is self.accepted
@@ -411,19 +402,17 @@ def identify(
     """Minimization of the regularized objective at fixed eps.
 
     The variable is ``concat(e, f)``; a field held fixed (``free_e``/``free_f``
-    False) does not move and has zero stationarity residual.  While the
-    residual ``[C (u - observation); sqrt(alpha) R_e e; sqrt(beta) R_f f]`` of
-    the free fields (``C^T C`` the misfit Gram, ``R^T R`` the regularization
-    Grams) has a Jacobian of at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries,
-    counting m misfit rows per element of m nodes, the run is scipy's bounded
-    trust-region least squares (``trf``) on it (``1/2 |residual|^2`` is the
-    objective up to a constant); with ``e`` fixed, the misfit rows are the
-    |D| rows of :func:`~vi_ident.adjoint.friction_misfit_factor`, so the rule
-    counts |D| misfit rows and also needs the dense (free dofs) x |D| arrays
-    they are built from to have at most ``_FRICTION_RESPONSE_MAX_ENTRIES``
-    entries.  Above these sizes, or with no field free, the run is L-BFGS-B
-    with the adjoint gradient.  The result's ``method`` is ``"trf"`` or
-    ``"L-BFGS-B"``.
+    False) does not move and has zero stationarity residual.  The run is
+    scipy's bounded trust-region least squares (``trf``) on the residual
+    ``[C (u - observation); sqrt(alpha) R_e e; sqrt(beta) R_f f]`` of the free
+    fields (``C^T C`` the misfit Gram, ``R^T R`` the regularization Grams;
+    ``1/2 |residual|^2`` is the objective up to a constant) while its Jacobian
+    has at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries, counting m misfit rows
+    per element of m nodes.  With ``e`` fixed the misfit rows are the |D|
+    rows of :func:`~vi_ident.adjoint.friction_misfit_factor`, and a run with
+    ``f`` free is ``trf`` at any size.  Above that size with ``e`` free, or
+    with no field free, the run is L-BFGS-B with the adjoint gradient.  The
+    result's ``method`` is ``"trf"`` or ``"L-BFGS-B"``.
     The run stops at the first accepted iterate whose stationarity is at most
     ``stop_tol`` (the start included), after ``max_iters`` accepted iterates,
     or when the optimizer gives up; the last accepted iterate is returned.
@@ -432,13 +421,7 @@ def identify(
     """
     run = _Run(config, problem, observation, e0, f0, kernel, eps, free_e, free_f, u0_full)
     p = np.count_nonzero(run.free)
-    mesh, nf = problem.mesh, f0.values.size
-    # the misfit rows, counted as m per element of m nodes (the unit of the
-    # trf/L-BFGS-B crossover measurement), or with e fixed |D|, built from
-    # dense (free dofs) x |D| arrays
-    rows = mesh.elements.size if free_e else nf
-    dense = 0 if free_e else mesh.free_nodes.size * nf
-    fits = p * (rows + p) <= _LEAST_SQUARES_MAX_ENTRIES and dense <= _FRICTION_RESPONSE_MAX_ENTRIES
+    fits = not free_e or p * (problem.mesh.elements.size + p) <= _LEAST_SQUARES_MAX_ENTRIES
     method = "trf" if 0 < p and fits else "L-BFGS-B"
     message = run.least_squares() if method == "trf" else run.lbfgsb()
     accepted, n_accepted = run.accepted, len(run.objective_history)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse.linalg import spsolve
 
 from vi_ident.kernels import modulus_smooth, modulus_value
 
@@ -146,6 +147,15 @@ def linearized_matrix(problem, e, f, kernel, eps: float, u_full) -> sp.csc_matri
     diag = np.zeros(mesh.free_nodes.size)
     diag[mesh.friction_free_positions] = mesh.friction_weights * f.values * second
     return (problem.operator(e).matrix + sp.diags(diag)).tocsc()
+
+
+def friction_response(problem, e) -> np.ndarray:
+    """``Z = T(e)^{-1} E_D``, the dense (free dofs) x |D| response of the free
+    dofs to a unit load at each friction node, by ``spsolve``."""
+    pos = problem.mesh.friction_free_positions
+    E_D = np.zeros((problem.mesh.free_nodes.size, pos.size))
+    E_D[pos, np.arange(pos.size)] = 1.0
+    return spsolve(problem.operator(e).matrix.tocsc(), E_D)
 
 
 # --- CSV cells ------------------------------------------------------------------

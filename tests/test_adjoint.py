@@ -33,9 +33,9 @@ from vi_ident import (
 )
 from vi_ident.adjoint import friction_jacobian, friction_misfit_factor, misfit_gram
 from vi_ident.discretization import free_part, full_part, h1_gram, mass_matrix
-from vi_ident.forward import factorize
+from vi_ident.forward import Factorization
 
-from .helpers import linearized_matrix
+from .helpers import friction_response, linearized_matrix
 
 identify_module = importlib.import_module("vi_ident.identify")
 KERNEL = get_kernel("sigmoid")
@@ -272,10 +272,16 @@ def test_the_misfit_gram_is_the_mass_or_v_gram(mesh):
         misfit_gram(problem, "H2")
 
 
-@pytest.mark.parametrize("misfit_norm", ["L2", "V"])
-@pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
-def test_the_friction_set_reduction_keeps_the_misfit_and_its_jacobian(kernel_name, misfit_norm):
-    mesh = unit_square_mesh(6)
+# the 2D n = 6 mesh under every kernel and misfit norm, and n = 20, whose |D|
+# of 19 the build splits into more blocks, the last one short
+REDUCTION_CASES = [(kernel_name, misfit_norm, n) for n in (6, 20) for misfit_norm in ("L2", "V")
+                   for kernel_name in KERNEL_NAMES]
+
+
+@pytest.mark.parametrize("kernel_name, misfit_norm, n", REDUCTION_CASES,
+                         ids=[f"{k}-{norm}" + (f"-n{n}" if n != 6 else "") for k, norm, n in REDUCTION_CASES])
+def test_the_friction_set_reduction_keeps_the_misfit_and_its_jacobian(monkeypatch, kernel_name, misfit_norm, n):
+    mesh = unit_square_mesh(n)
     problem = Problem(mesh, source=10.0)
     kernel, eps = get_kernel(kernel_name), 1e-2
     e = ellipticity_field(mesh, 1.0)
@@ -283,12 +289,15 @@ def test_the_friction_set_reduction_keeps_the_misfit_and_its_jacobian(kernel_nam
     observation = synthesize_observation(problem, e, friction_field(mesh, 0.25), noise_level=0.05, seed=3)
     op, pos = problem.operator(e), mesh.friction_free_positions
     T = op.matrix
-    Z = factorize(op, mesh).friction_response()
-    E_D = np.zeros_like(Z)
-    E_D[pos, np.arange(Z.shape[1])] = 1.0
-    assert np.abs(T @ Z - E_D).max() <= 1e-13 * abs(T).max() * np.abs(Z).max()
+    Z = friction_response(problem, e)  # dense, off the factorization
 
+    widths = []  # the columns of each block T-solve the build makes
+    solve = Factorization.solve
+    monkeypatch.setattr(Factorization, "solve",
+                        lambda fac, rhs: widths.extend(np.shape(rhs)[1:]) or solve(fac, rhs))
     R_Z, c_D, kappa = friction_misfit_factor(problem, e, observation, misfit_norm)
+    monkeypatch.undo()
+    assert len(widths) >= 4 and max(widths) < pos.size  # two solves a block, at least two blocks
     assert friction_misfit_factor(problem, e, observation, misfit_norm)[1] is c_D  # kept on the factorization
     B = np.linalg.cholesky(misfit_gram(problem, misfit_norm).toarray()).T  # any B with B^T B = G
     BZ = B @ Z
@@ -308,6 +317,11 @@ def test_the_friction_set_reduction_keeps_the_misfit_and_its_jacobian(kernel_nam
     r0 = B @ (y - free_part(mesh, observation))
     outside = r0 - BZ @ np.linalg.lstsq(BZ, r0, rcond=None)[0]
     assert abs(kappa - 0.5 * outside @ outside) <= 1e-10 * kappa
+    # the dense build from the whole Z
+    c_dense = np.linalg.solve(L, BZ.T @ r0)
+    assert np.linalg.norm(c_D - c_dense) <= 1e-12 * np.linalg.norm(c_dense)
+    unreached = r0 - BZ @ np.linalg.solve(L.T, c_dense)
+    assert abs(kappa - 0.5 * unreached @ unreached) <= 1e-12 * kappa
 
     for f_values in (f.values, 0.5 * f.values):
         u = free_part(mesh, solution_map(e, f.with_values(f_values), eps, problem, kernel, tol=1e-13).u)

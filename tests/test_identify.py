@@ -33,6 +33,8 @@ from vi_ident.discretization import free_part
 from vi_ident.experiments import _ident_config, _twin_setup
 from vi_ident.forward import Factorization, factorize
 
+from .helpers import friction_response
+
 KERNEL = get_kernel("sigmoid")
 # The package re-exports the function ``identify`` under the submodule's name.
 identify_module = importlib.import_module("vi_ident.identify")
@@ -279,24 +281,19 @@ def test_forward_solves_count_every_objective_evaluation(monkeypatch, path):
 def test_the_jacobian_size_selects_the_optimizer(monkeypatch):
     mesh, problem, _, _, obs = twin()
     calls = count_calls(monkeypatch, "least_squares")
-    nf = mesh.friction_nodes.size
-    dense = mesh.free_nodes.size * nf  # the (free dofs) x |D| arrays with e fixed
-    for free_e, e_start in ((True, 1.3), (False, 1.0)):
-        p = mesh.n_elements * free_e + nf
-        # the misfit rows: 2 per element with e free, |D| with e fixed
-        entries = p * ((mesh.elements.size if free_e else nf) + p)
-        cases = [(entries, dense, "trf"), (entries - 1, dense, "L-BFGS-B"), (0, dense, "L-BFGS-B"),
-                 (entries, dense - 1, "trf" if free_e else "L-BFGS-B")]
-        for limit, dense_limit, method in cases:
-            monkeypatch.setattr(identify_module, "_LEAST_SQUARES_MAX_ENTRIES", limit)
-            monkeypatch.setattr(identify_module, "_FRICTION_RESPONSE_MAX_ENTRIES", dense_limit)
-            runs = len(calls)
-            res = identify(config(alpha=1e-8, beta=1e-8, stop_tol=1e-6), problem, obs,
-                           ellipticity_field(mesh, e_start), friction_field(mesh, 0.1), KERNEL, 1e-3,
-                           free_e=free_e)
-            assert res.stop_reason == "stationary"
-            assert res.method == method
-            assert len(calls) == runs + (method == "trf")
+    p = mesh.n_elements + mesh.friction_nodes.size
+    entries = p * (mesh.elements.size + p)  # with e free, 2 misfit rows per element
+    cases = [(True, 1.3, entries, "trf"), (True, 1.3, entries - 1, "L-BFGS-B"), (True, 1.3, 0, "L-BFGS-B"),
+             (False, 1.0, 0, "trf")]  # with e fixed, trf at any size
+    for free_e, e_start, limit, method in cases:
+        monkeypatch.setattr(identify_module, "_LEAST_SQUARES_MAX_ENTRIES", limit)
+        runs = len(calls)
+        res = identify(config(alpha=1e-8, beta=1e-8, stop_tol=1e-6), problem, obs,
+                       ellipticity_field(mesh, e_start), friction_field(mesh, 0.1), KERNEL, 1e-3,
+                       free_e=free_e)
+        assert res.stop_reason == "stationary"
+        assert res.method == method
+        assert len(calls) == runs + (method == "trf")
 
 
 def continuation_2d_twin(n):
@@ -334,10 +331,17 @@ def counted_method(monkeypatch, cls, name):
 
 
 def test_a_friction_only_continuation_builds_the_misfit_on_the_friction_set_once(monkeypatch):
-    responses = counted_method(monkeypatch, Factorization, "friction_response")
     extensions = counted_method(monkeypatch, Factorization, "extend")
     mesh, problem, e, obs = continuation_2d_twin(6)
     assert len(extensions) == 1  # the oracle's
+    builds = []  # the misfit norm of each (R_Z, c_D, kappa) stored on the factorization
+
+    class CountedBuilds(dict):
+        def __setitem__(self, key, value):
+            builds.append(key[0])
+            super().__setitem__(key, value)
+
+    factorize(problem.operator(e), mesh).friction_misfits = CountedBuilds()
     for misfit_norm in ("L2", "V"):
         results = continuation_identify(
             config(alpha=1e-8, beta=1e-8, eps_schedule=(1e-1, 1e-2, 1e-3), misfit_norm=misfit_norm),
@@ -347,7 +351,7 @@ def test_a_friction_only_continuation_builds_the_misfit_on_the_friction_set_once
         assert [res.stop_reason for res in results] == ["stationary"] * 3
     # e and the misfit norm are the same at every level; each level extends
     # Newton's x on D to a full-space state once, where it stops
-    assert len(responses) == 2
+    assert builds == ["L2", "V"]
     assert len(extensions) == 1 + 2 * 3
 
 
@@ -360,7 +364,7 @@ def full_space_continuation(cfg, problem, obs, e, f0, kernel):
     stop reason, forward solves."""
     mesh = problem.mesh
     B = np.linalg.cholesky(misfit_gram(problem, cfg.misfit_norm).toarray()).T
-    Q = np.linalg.qr(B @ factorize(problem.operator(e), mesh).friction_response())[0]
+    Q = np.linalg.qr(B @ friction_response(problem, e))[0]
     gram = f0.reg_inner_product
     R = np.sqrt(cfg.beta) * np.linalg.cholesky(gram.toarray() if hasattr(gram, "toarray") else gram).T
     nf = f0.values.size

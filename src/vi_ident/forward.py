@@ -20,8 +20,8 @@ the condensed energy ``1/2 (x - y_D)^T S (x - y_D) + sum_i w_i f_i m(x_i)``.
   ``S + diag(w f M''_eps(x))`` is SPD.  A cold start begins at the oracle's
   ``x``, within ``sqrt(8 k eps sum(w f))`` of the smoothed solution in the
   energy norm.  :func:`solve_regularized` follows it with
-  :func:`friction_set_state`; identification with ``e`` fixed calls the two
-  on their own and extends only the ``x`` it stops at.
+  :func:`friction_set_state`; identification calls the two on its own, and
+  with ``e`` fixed extends only the ``x`` it stops at.
 
 Each solver builds ``u`` with one final ``T``-solve and reports the
 full-space residual of that ``u``.  :func:`factorize` factorizes ``T(e)`` once
@@ -48,7 +48,6 @@ from .discretization import (
     DiscreteOperator,
     Mesh,
     ParameterField,
-    free_part,
     full_part,
     h1_gram,
     load_vector,
@@ -146,11 +145,10 @@ class Factorization:
     ``friction_misfits`` holds identification's misfit on D at this ``e``,
     ``(R_Z, c_D, kappa)`` per misfit norm and observation
     (:func:`~vi_ident.adjoint.friction_misfit_factor`).
-    ``last_oracle`` holds the oracle's last ``(w f, x)``.  ``tau`` is the
-    step of the oracle's proximal-gradient residual,
-    ``1 / max(1, max row sum of |T|)``.  Raises ``ValueError`` if ``op.matrix``
-    is not stored on ``mesh.operator_pattern``, and ``SolverError`` if the
-    LU's own permutations move D out of the trailing block.
+    ``last_oracle`` holds the oracle's last ``(w f, x)``.  Raises
+    ``ValueError`` if ``op.matrix`` is not stored on
+    ``mesh.operator_pattern``, and ``SolverError`` if the LU's own
+    permutations move D out of the trailing block.
     """
 
     def __init__(self, op: DiscreteOperator, mesh: Mesh):
@@ -158,7 +156,6 @@ class Factorization:
         if not mesh.operator_pattern.holds(K):
             raise ValueError("the operator matrix is not stored on the mesh's operator pattern")
         self.positions = mesh.friction_free_positions
-        self.tau = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
         self._load = op.load
         self.last_oracle = (None, None)
         self.friction_misfits = {}
@@ -256,9 +253,11 @@ def _condensed_energy(r: np.ndarray, q: np.ndarray, wf: np.ndarray, m: np.ndarra
     return float(0.5 * r @ q + wf @ m)
 
 
-def _prox_residual(op, mesh, f, u_free, tau) -> float:
-    """Norm of the scaled proximal-gradient step; zero exactly at the minimizer."""
+def _prox_residual(op, mesh, f, u_free) -> float:
+    """Norm of the proximal-gradient step over its size ``tau``, the inverse
+    of ``max(1, max row sum of |K|)``; zero exactly at the minimizer."""
     K, l = op.matrix, op.load
+    tau = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
     wf = mesh.friction_weights * f.values
     z = u_free - tau * (K @ u_free - l)
     prox = z.copy()
@@ -316,7 +315,7 @@ def solve_vi_oracle(
     x, lam, iterations = _active_set(fac, wf)
     fac.last_oracle = (wf, x)
     u = fac.extend(x, lam)
-    residual = _prox_residual(op, mesh, f, u, fac.tau)
+    residual = _prox_residual(op, mesh, f, u)
     if residual > tol:
         raise SolverError(f"oracle residual {residual:.3e} above tol {tol:.1e}", residual=residual)
     return ForwardState(u=full_part(mesh, u), residual_norm=residual, iterations=iterations, eps=0.0)
@@ -447,7 +446,7 @@ def solve_regularized(
         If Newton fails from the oracle's ``x``, or the returned ``u`` misses
         ``tol``.
     """
-    starts = () if u0_full is None else (free_part(mesh, u0_full)[mesh.friction_free_positions],)
+    starts = () if u0_full is None else (np.asarray(u0_full)[mesh.friction_nodes],)
     solution = solve_friction_set(op, mesh, f, kernel, eps, tol, max_iter, starts)
     return friction_set_state(op, mesh, f, kernel, eps, solution, tol)
 
@@ -470,7 +469,7 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
             reason = "stalled at the attainable precision" if stalled >= 2 else f"did not converge in {max_iter} iterations"
             raise SolverError(f"Newton {reason} (residual {history[-1]:.3e}, tol {tol:.1e})", residual=history[-1])
         iterations += 1
-        d = -cho_solve(cho_factor(S + np.diag(wf * sm.second_derivative)), g)
+        d = -cho_solve(fac.shifted_factor(wf * sm.second_derivative), g)
         # Full step first: near the solution Newton contracts the residual and
         # the energy decrease underflows double precision, so the Armijo test
         # is reserved for the globalization phase.

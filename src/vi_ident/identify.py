@@ -9,18 +9,20 @@ over the admissible boxes.  The objective is a sum of squares, and the
 regularized solution map is smooth, so a run with few coefficients is bounded
 Gauss-Newton: scipy's trust-region least squares ``trf`` (Branch, Coleman,
 Li, SIAM J. Sci. Comput. 21, 1999) with a dense Jacobian, about ten forward
-solves per run.  With ``e`` free the misfit rows are ``C (u - observation)``,
-``C`` the dense upper Cholesky factor of the misfit Gram matrix ``G`` on the
-free dofs (:func:`~vi_ident.adjoint.misfit_gram`), and the Jacobian is the
-solution map's, from one block solve.  With only ``f`` free the state is
-affine in ``x = u_D``, so the run stays on the friction set D: every trial is
-a Newton solve on D
-(:func:`~vi_ident.forward.solve_friction_set`) started from the first-order
-prediction ``x + (dx/df)(f - f_at)`` of the last Jacobian, the misfit rows
+solves per run.  The state is the harmonic extension of its values
+``x = u_D`` on the friction set D, so every trial is one Newton solve on D
+(:func:`~vi_ident.forward.solve_friction_set`), under Gauss-Newton started
+from the last Jacobian's prediction ``x_at + (dx/dy)(y - y_at)`` in the
+free coefficients ``y``.  With ``e`` free the misfit rows are
+``C (u - observation)``, ``C`` the dense upper Cholesky factor of the
+misfit Gram matrix ``G`` on the free dofs
+(:func:`~vi_ident.adjoint.misfit_gram`), and the Jacobian is the solution
+map's, from one block solve; its rows on D are ``dx/dy``.  With only ``f``
+free the state is affine in ``x``, so the run stays on D: the misfit rows
 are the |D| rows ``c_D + R_Z S (x - y_D)`` of
 :func:`~vi_ident.adjoint.friction_misfit_factor` (the misfit up to a
-constant), and the |D| x |D| Jacobian takes one Cholesky factorization and
-no solve with ``T``.  Trials are accepted on Newton's gradient test on D,
+constant), the |D| x |D| Jacobian takes one Cholesky factorization and no
+solve with ``T``, and trials are accepted on Newton's gradient test on D,
 the full-space residual of the harmonic extension of ``x``; the full-space
 state, with its own residual check, is built once per run, where it stops
 (and for the adjoint gradient, when asked).  A run with only ``f`` free is
@@ -61,7 +63,6 @@ from .adjoint import (
     misfit_gram,
     projected_residual,
     reduced_gradients,
-    reduced_objective,
     regularization,
     solution_derivative,
 )
@@ -148,18 +149,19 @@ class _Stop(Exception):
 @dataclass
 class _Point:
     """One evaluation: the optimizer's variable x and what the driver needs at
-    it.  With ``e`` fixed and Gauss-Newton, ``friction`` holds Newton's
-    solution on D and ``rows`` the misfit rows; the full-space ``state`` is
-    then built when first needed.  The gradient and the stationarity are
-    filled in when first needed."""
+    it.  ``friction`` holds Newton's solution on D.  With ``e`` free the
+    full-space ``state`` is built with the point, for its misfit; with ``e``
+    fixed ``rows`` holds the misfit rows on D and the state is built when
+    first needed.  The gradient and the stationarity are filled in when
+    first needed."""
 
     x: np.ndarray
     e: ParameterField
     f: ParameterField
-    value: float
-    misfit: float
+    friction: FrictionSetSolution
+    value: float = float("nan")
+    misfit: float = float("nan")
     state: ForwardState | None = None
-    friction: FrictionSetSolution | None = None
     rows: np.ndarray | None = None
     grad: np.ndarray | None = None
     stationarity: tuple[float, float] | None = None
@@ -183,62 +185,58 @@ class _Run:
         self.stationarity_history: list[tuple[float, float]] = []
         self.last = self.accepted = None  # the last evaluated and the last accepted _Point
         self.forward_solves = 0
-        # Gauss-Newton with e fixed: (R_Z, c_D, kappa) of friction_misfit_factor,
-        # and (f, x, dx/df) at the last Jacobian
+        # Gauss-Newton with e fixed: (R_Z, c_D, kappa) of friction_misfit_factor;
+        # Gauss-Newton: (y, x, dx/dy) at the last Jacobian, y the free coefficients
         self.friction_misfit = self.prediction = None
 
     def evaluate(self, x) -> _Point:
-        """The _Point at x: one forward solve, unless x was evaluated last.
-        With ``friction_misfit`` set it is Newton on D alone, started from
-        the first-order prediction of the last Jacobian, then from that
-        Jacobian's ``x``."""
+        """The _Point at x: one Newton solve on D, unless x was evaluated
+        last.  Newton starts from the first-order prediction of the last
+        Jacobian, then from that Jacobian's ``x``; with no Jacobian yet, from
+        the last trial's ``x``; before any trial, from ``u0_full`` on D.  The
+        misfit is ``1/2 |rows|^2 + kappa`` on D with ``friction_misfit`` set,
+        else ``1/2 r^T G r`` of the full-space state."""
         if self.last is not None and np.array_equal(x, self.last.x):
             return self.last
-        cfg = self.config
+        cfg, mesh = self.config, self.problem.mesh
         clipped = np.clip(x, self.lower, self.upper)
         e, f = self.e0.with_values(clipped[: self.ne]), self.f0.with_values(clipped[self.ne :])
+        if self.prediction is not None:
+            y_at, x_at, dx_dy = self.prediction
+            starts = (x_at + dx_dy @ (clipped[self.free] - y_at), x_at)
+        elif self.last is not None:
+            starts = (self.last.friction.x,)
+        elif self.u0_full is not None:
+            starts = (np.asarray(self.u0_full)[mesh.friction_nodes],)
+        else:
+            starts = ()
         try:
-            if self.friction_misfit is None:
-                point = _Point(x.copy(), e, f, *reduced_objective(
-                    e, f, self.problem, self.observation, self.kernel, self.eps, cfg.alpha, cfg.beta,
-                    cfg.misfit_norm, tol=cfg.forward_tol,
-                    u0_full=self.u0_full if self.last is None else self.last.state.u,
-                ))
-            else:
-                point = self._on_friction_set(x, e, f)
+            solution = solve_friction_set(
+                self.problem.operator(e), mesh, f, self.kernel, self.eps, cfg.forward_tol, starts=starts
+            )
         except SolverError as err:
             self._attach_iterate(err, e, f, len(self.objective_history))
             raise
+        point = _Point(x.copy(), e, f, solution)
+        if self.friction_misfit is None:
+            r = free_part(mesh, self.state(point).u) - free_part(mesh, self.observation)
+            point.misfit = 0.5 * float(r @ (misfit_gram(self.problem, cfg.misfit_norm) @ r))
+        else:
+            R_Z, c_D, kappa = self.friction_misfit
+            point.rows = c_D + R_Z @ solution.q
+            point.misfit = 0.5 * float(point.rows @ point.rows) + kappa
+        point.value = point.misfit + regularization(e, f, cfg.alpha, cfg.beta)
         self.forward_solves += 1
         self.last = point
         return point
-
-    def _on_friction_set(self, x, e, f) -> _Point:
-        R_Z, c_D, kappa = self.friction_misfit
-        mesh = self.problem.mesh
-        if self.prediction is not None:
-            f_at, x_at, dx_df = self.prediction
-            starts = (x_at + dx_df @ (f.values - f_at), x_at)
-        elif self.u0_full is not None:
-            starts = (free_part(mesh, self.u0_full)[mesh.friction_free_positions],)
-        else:
-            starts = ()
-        solution = solve_friction_set(
-            self.problem.operator(e), mesh, f, self.kernel, self.eps, self.config.forward_tol, starts=starts
-        )
-        rows = c_D + R_Z @ solution.q
-        misfit = 0.5 * float(rows @ rows) + kappa
-        value = misfit + regularization(e, f, self.config.alpha, self.config.beta)
-        return _Point(x.copy(), e, f, value, misfit, friction=solution, rows=rows)
 
     @staticmethod
     def _attach_iterate(err, e, f, iteration):
         err.iterate = {"iteration": iteration, "e": e.values.copy(), "f": f.values.copy()}
 
     def state(self, point) -> ForwardState:
-        """The full-space state at ``point``; on the friction set, the
-        harmonic extension of Newton's ``x`` with its full-space residual
-        check, built once."""
+        """The full-space state at ``point``: the harmonic extension of
+        Newton's ``x`` with its full-space residual check, built once."""
         if point.state is None:
             try:
                 point.state = friction_set_state(
@@ -311,8 +309,8 @@ class _Run:
         The misfit rows are ``C (u - observation)`` with ``e`` free.  With
         ``e`` fixed they are the |D| rows ``c_D + R_Z S (x - y_D)`` of
         :func:`~vi_ident.adjoint.friction_misfit_factor`, which differ from
-        the misfit by a constant, read off Newton's solution on D; the
-        Jacobian's ``dx/df`` also predicts where the next trial's Newton
+        the misfit by a constant, read off Newton's solution on D.  Either
+        way the Jacobian's ``dx/dy`` predicts where the next trial's Newton
         starts.  ``trf`` evaluates
         the Jacobian only at its start and at the points it accepts, each of
         lower cost than the one before, so the Jacobian records each one and
@@ -345,7 +343,7 @@ class _Run:
 
             def misfit_jacobian(point):
                 du = solution_derivative(point.state, problem, point.e, point.f, kernel, eps, directions)
-                return C @ free_part(mesh, du)
+                return C @ free_part(mesh, du), du[mesh.friction_nodes]
         else:
             self.friction_misfit = friction_misfit_factor(problem, self.e0, self.observation, cfg.misfit_norm)
             R_Z = self.friction_misfit[0]
@@ -354,9 +352,7 @@ class _Run:
                 return point.rows
 
             def misfit_jacobian(point):
-                J, dx_df = friction_jacobian(point.friction.x, problem, point.e, point.f, kernel, eps, R_Z)
-                self.prediction = point.f.values, point.friction.x, dx_df
-                return J
+                return friction_jacobian(point.friction.x, problem, point.e, point.f, kernel, eps, R_Z)
 
         def full(y):
             x = self.x0.copy()
@@ -369,7 +365,9 @@ class _Run:
         def jac(y):
             x = full(y)
             point = self.evaluate(x)
-            J = np.vstack([misfit_jacobian(point), R])
+            J_misfit, dx_dy = misfit_jacobian(point)
+            self.prediction = np.concatenate([point.e.values, point.f.values])[free], point.friction.x, dx_dy
+            J = np.vstack([J_misfit, R])
             grad = np.zeros(x.size)
             grad[free] = J.T @ fun(y)
             if self.accept(self.set_gradient(point, grad)):

@@ -91,8 +91,8 @@ class LinearizedMap:
     cached factorization of ``T(e)`` with the diagonal shift applied on D by
     :meth:`~vi_ident.forward.Factorization.solve_shifted` (a Cholesky solve
     with ``S + diag(w f M''_eps)``, ``S`` the Schur complement of ``T(e)``
-    onto D), so building a map costs one |D| x |D| Cholesky factorization,
-    kept for every solve with the map.  A solve takes a vector or an (n, k)
+    onto D).  Each solve with the map factors its own |D| x |D| Cholesky, so a
+    map that is never solved costs none.  A solve takes a vector or an (n, k)
     block.  Building the map twice for the same state gives results identical
     to reuse (pure function of the state).
     """
@@ -122,10 +122,9 @@ class LinearizedMap:
         )
         self._shift = mesh.friction_weights * f.values * sm.second_derivative
         self._factorization = factorize(problem.operator(e), mesh)
-        self._cholesky = self._factorization.shifted_factor(self._shift) if np.any(self._shift) else None
 
     def solve(self, rhs_free: np.ndarray) -> np.ndarray:
-        return self._factorization.solve_shifted(self._shift, rhs_free, self._cholesky)
+        return self._factorization.solve_shifted(self._shift, rhs_free)
 
 
 def _linmap(state, problem, e, f, kernel, eps, linmap):

@@ -3,9 +3,10 @@
     vi-ident <subcommand> --config <path> [--out <dir>] [--seed <n>] [--strict]
 
 Subcommands map one-to-one onto experiment kinds; the config's
-``experiment.kind`` must match the subcommand.  Exit codes: 0 on success, 1
-when ``--strict`` is set and a result check failed (or a solver failed), 2 on
-configuration errors.
+``experiment.kind`` must match the subcommand.  ``--seed`` takes a
+nonnegative integer.  One parser, built at import, serves every subcommand.
+Exit codes: 0 on success, 1 when ``--strict`` is set and a result check failed
+(or a solver failed), 2 on configuration and command-line errors.
 """
 
 from __future__ import annotations
@@ -28,28 +29,26 @@ _COMMAND_KINDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vi-ident",
-        description="Friction variational inequalities: forward solves, "
-        "gradient checks, and coefficient identification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, kind in _COMMAND_KINDS.items():
-        p = sub.add_parser(name, help=f"run a '{kind}' experiment from a config file")
-        p.add_argument("--config", required=True, help="path to the YAML config")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="exit nonzero if any result check fails",
-        )
-    return parser
+def _seed(text: str) -> int:
+    if not text.isdecimal():  # numpy's default_rng takes no negative seed
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+_PARSER = argparse.ArgumentParser(
+    prog="vi-ident",
+    description="Friction variational inequalities: forward solves, "
+    "gradient checks, and coefficient identification.",
+)
+_PARSER.add_argument("command", choices=_COMMAND_KINDS, help="the experiment; the config's kind must match it")
+_PARSER.add_argument("--config", required=True, help="path to the YAML config")
+_PARSER.add_argument("--out", default=None, help="output directory (overrides config)")
+_PARSER.add_argument("--seed", type=_seed, default=0, help="nonnegative random seed (default 0)")
+_PARSER.add_argument("--strict", action="store_true", help="exit nonzero if any result check fails")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = parse_config(args.config)
         expected = _COMMAND_KINDS[args.command]

@@ -157,8 +157,8 @@ def _validate_problem(block) -> dict:
     if dimension not in (1, 2):
         raise ConfigError("problem.mesh.dimension: must be 1 or 2")
     n = _coerce(mesh.get("n"), 1, "problem.mesh.n")
-    if n < 1:
-        raise ConfigError("problem.mesh.n: must be an integer >= 1")
+    if n < dimension:  # a 1 x 1 unit square has no free node and no friction node
+        raise ConfigError(f"problem.mesh.n: must be an integer >= {dimension} at dimension {dimension}")
     form = block.get("form", "grad_grad")
     if form not in FORMS:
         raise ConfigError(f"problem.form: unknown form {form!r}")

@@ -156,21 +156,30 @@ def run_gradient_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> dict:
     h = exp["fd_step"]
     tol = cfg.solver["newton_tol"]
 
+    rng = np.random.default_rng(seed)
+    directions = []
+    for _ in range(exp["n_directions"]):
+        de = rng.standard_normal(e.values.size)
+        df = rng.standard_normal(f.values.size)
+        scale = np.sqrt(np.sum(de**2) + np.sum(df**2))
+        directions.append((de / scale, df / scale))
+        for name, field, d in zip(("ellipticity", "friction"), (e, f), directions[-1]):
+            for point in (field.values + h * d, field.values - h * d):
+                if not np.array_equal(field.project(point), point):
+                    raise ConfigError(
+                        f"experiment.fd_step: a central-difference point at step {h} leaves "
+                        f"problem.{name}'s box [{field.lower_bound}, {field.upper_bound}]"
+                    )
+
     observation = synthesize_observation(problem, e, f, noise_level=0.05, seed=seed)
     state = solution_map(e, f, eps, problem, kernel, tol=tol)
     lm = LinearizedMap(state, problem, e, f, kernel, eps)
     p = adjoint_solve(state, problem, e, f, kernel, eps, observation, linmap=lm)
     bundle = reduced_gradients(state, p, problem, e, f, kernel, eps, alpha, beta, linmap=lm)
 
-    rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
-    for idx in range(exp["n_directions"]):
-        de = rng.standard_normal(e.values.size)
-        df = rng.standard_normal(f.values.size)
-        scale = np.sqrt(np.sum(de**2) + np.sum(df**2))
-        de /= scale
-        df /= scale
+    for idx, (de, df) in enumerate(directions):
         adj = float(bundle.grad_e @ de + bundle.grad_f @ df)
         plus_v, _, _ = reduced_objective(
             e.with_values(e.values + h * de), f.with_values(f.values + h * df),

@@ -197,7 +197,7 @@ class Factorization:
         """``cho_factor(S + diag(shift))``, for :meth:`solve_shifted`."""
         return cho_factor(self.schur + np.diag(shift))
 
-    def solve_shifted(self, shift: np.ndarray, rhs: np.ndarray, factor: tuple | None = None) -> np.ndarray:
+    def solve_shifted(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(T + E_D diag(shift) E_D^T) x = rhs`` for a vector or an
         (n, k) block, with two ``T``-solves of the same shape.
 
@@ -205,15 +205,14 @@ class Factorization:
         ``(S + diag(shift)) x_D = S y_D``, SPD for ``shift >= 0``, and
         ``x = T^{-1}(rhs - E_D (shift * x_D))``.  ``x_D`` is taken from the
         small solve, not from the second ``T``-solve, where it is the
-        difference of two nearly equal terms once ``shift >> S``.
-        ``factor`` is :meth:`shifted_factor` of ``shift``, built here when
-        not given.
+        difference of two nearly equal terms once ``shift >> S``.  Each
+        call builds its own :meth:`shifted_factor` of ``shift``.
         """
         y = self.solve(rhs)
         if not np.any(shift):
             return y
         pos, S = self.positions, self.schur
-        x_D = cho_solve(self.shifted_factor(shift) if factor is None else factor, S @ y[pos])
+        x_D = cho_solve(self.shifted_factor(shift), S @ y[pos])
         corrected = np.array(rhs, dtype=float)
         corrected[pos] -= (shift * x_D.T).T
         x = self.solve(corrected)

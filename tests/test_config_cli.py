@@ -374,6 +374,28 @@ MALFORMED = [
         MESH_8 + "experiment: {kind: gradient-check, fd_step: 0.0}",
     ),
     ("experiment.fd_step", "check-gradient", MESH_8 + "experiment: {kind: gradient-check, fd_step: -1.0e-5}"),
+    # a 1 x 1 unit square has no free node and no friction node
+    (
+        "problem.mesh.n: must be an integer >= 2 at dimension 2",
+        "solve-forward",
+        MINIMAL_FORWARD.replace("{dimension: 1, n: 32}", "{dimension: 2, n: 1}"),
+    ),
+    (
+        "problem.mesh.n: must be an integer >= 2",
+        "kernel-check",
+        "problem: {mesh: {dimension: 2, n: 1}}\nexperiment: {kind: kernel-check}",
+    ),
+    # every central-difference point must stay in the box: f = 0 sits on its lower bound
+    (
+        "experiment.fd_step: a central-difference point at step 1e-05 leaves problem.friction's box",
+        "check-gradient",
+        "problem:\n  mesh: {dimension: 1, n: 8}\n  friction: {value: 0.0}\nexperiment: {kind: gradient-check}",
+    ),
+    (
+        "experiment.fd_step: a central-difference point at step 10.0 leaves problem.ellipticity's box",
+        "check-gradient",
+        MESH_8 + "experiment: {kind: gradient-check, fd_step: 10.0}",
+    ),
 ]
 
 
@@ -382,6 +404,15 @@ def test_cli_malformed_values_are_config_errors(tmp_path, capsys, field, command
     cfg_path = write(tmp_path, text)
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys):
+    cfg_path = write(tmp_path, MESH_8 + "experiment: {kind: gradient-check}")
+    with pytest.raises(SystemExit) as exc:
+        main(["check-gradient", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

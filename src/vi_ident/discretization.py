@@ -21,7 +21,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spilu
 
 from .errors import ConfigError
 
@@ -82,6 +81,13 @@ class Mesh:
     def friction_free_positions(self) -> np.ndarray:
         """Positions of the friction nodes inside the free-dof vector."""
         return self.free_index[self.friction_nodes]
+
+    @cached_property
+    def element_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(measures, midpoints)`` of the elements, shapes (E,) and
+        (E, dimension), as read-only arrays built once per mesh on first
+        use."""
+        return _element_geometry(self)
 
     @cached_property
     def local_matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -284,17 +290,27 @@ def friction_field(
 # ---------------------------------------------------------------------------
 
 
-def element_measures(mesh: Mesh) -> np.ndarray:
+def _element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     pts = mesh.nodes[mesh.elements]
     if mesh.dimension == 1:
-        return np.abs(pts[:, 1, 0] - pts[:, 0, 0])
-    d1 = pts[:, 1] - pts[:, 0]
-    d2 = pts[:, 2] - pts[:, 0]
-    return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        measures = np.abs(pts[:, 1, 0] - pts[:, 0, 0])
+    else:
+        d1 = pts[:, 1] - pts[:, 0]
+        d2 = pts[:, 2] - pts[:, 0]
+        measures = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    midpoints = pts.mean(axis=1)
+    measures.flags.writeable = midpoints.flags.writeable = False
+    return measures, midpoints
+
+
+def element_measures(mesh: Mesh) -> np.ndarray:
+    """The elements' lengths (1D) or areas (2D), read-only."""
+    return mesh.element_geometry[0]
 
 
 def element_midpoints(mesh: Mesh) -> np.ndarray:
-    return mesh.nodes[mesh.elements].mean(axis=1)
+    """The elements' midpoints (1D) or centroids (2D), read-only."""
+    return mesh.element_geometry[1]
 
 
 def _form_matrices(mesh: Mesh, form: str) -> np.ndarray:
@@ -312,7 +328,8 @@ class OperatorPattern:
     ``slots[k]`` is the index into the CSR data that entry k of the flattened
     (E, m, m) local matrices adds to; entries in a Dirichlet row or column get
     the slot ``nnz`` and are dropped.  Assembly is one ``np.bincount`` onto the
-    fixed pattern, so ``T(e).data`` is exactly linear in ``e``.
+    fixed pattern, so ``T(e).data`` is exactly linear in ``e``.  ``points``
+    holds the free dofs' coordinates, which the elimination order reads.
     """
 
     def __init__(self, mesh: Mesh):
@@ -329,6 +346,7 @@ class OperatorPattern:
         self.slots = np.full(rows.size, keys.size, dtype=np.int32)
         self.slots[keep] = slots
         self.friction_positions = mesh.friction_free_positions
+        self.points = mesh.nodes[mesh.free_nodes]
 
     def assemble(self, local: np.ndarray) -> sp.csr_matrix:
         """Sum per-element matrices of shape (E, m, m) onto the pattern."""
@@ -350,27 +368,14 @@ class OperatorPattern:
         the CSC matrix ``A[order][:, order]`` of a matrix ``A`` on this
         pattern as ``(A.data[data_map], indices, indptr)``.
 
-        The order is SuperLU's minimum-degree order of the dofs off the
-        friction set D, then D in ``friction_positions`` order, so D is
-        eliminated last.  The minimum-degree order depends on the pattern
-        alone; an incomplete LU that drops every fill entry computes it at a
-        fraction of the cost of a full factorization.
+        The order is a nested-dissection order of the dofs off the friction
+        set D (:func:`_dissection_order`, from the dof coordinates and the
+        pattern alone), then D in ``friction_positions`` order, so D is
+        eliminated last.
         """
         n = self.shape[0]
         D = self.friction_positions
-        rest = np.setdiff1d(np.arange(n), D)
-        # a strictly diagonally dominant matrix on the pattern: SPD, so the
-        # incomplete factorization cannot break down
-        row = np.repeat(np.arange(n), np.diff(self.indptr))
-        dominant = sp.csr_matrix(
-            (np.where(row == self.indices, np.diff(self.indptr)[row], -1.0), self.indices, self.indptr),
-            shape=self.shape,
-        )
-        if rest.size:
-            ilu = spilu(
-                dominant[rest][:, rest].tocsc(), drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A"
-            )
-            rest = rest[np.argsort(ilu.perm_c)]
+        rest = _dissection_order(self.points, self.indptr, self.indices, np.setdiff1d(np.arange(n), D))
         order = np.concatenate([rest, D]).astype(np.int32)
         rank = np.empty_like(order)
         rank[order] = np.arange(n, dtype=np.int32)
@@ -379,6 +384,46 @@ class OperatorPattern:
         )
         csc = numbered[order][:, order].tocsc()
         return order, rank, csc.indptr, csc.indices, csc.data - 1
+
+
+_LEAF_SIZE = 16  # nested dissection keeps a part of at most this many dofs in its order
+
+
+def _dissection_order(points, indptr, indices, part) -> np.ndarray:
+    """George's nested dissection of the dofs ``part`` of the CSR pattern
+    ``(indptr, indices)``, by the dofs' coordinates ``points``.
+
+    The part is cut at the median coordinate along its longest extent; the
+    separator is the low-side dofs with a pattern neighbour on the high side.
+    The order is the low side less the separator, then the high side, each
+    dissected in turn, then the separator.  A part of at most ``_LEAF_SIZE``
+    dofs, or one with no proper split, keeps its order.
+    """
+    n = indptr.size - 1
+    # row i lists the pattern neighbours of dof i, padded with i itself
+    degree = np.diff(indptr)
+    width = degree.max(initial=1)
+    neighbours = np.repeat(np.arange(n), width).reshape(n, width)
+    row = np.repeat(np.arange(n), degree)
+    neighbours[row, np.arange(row.size) - indptr[row]] = indices
+    high = np.zeros(n, dtype=bool)  # the high side of the part being cut
+
+    def dissect(part):
+        if part.size <= _LEAF_SIZE:
+            return part
+        coords = points[part]
+        x = coords[:, np.ptp(coords, axis=0).argmax()]
+        k = (x.size - 1) // 2
+        low = x <= np.partition(x, k)[k]  # the median, or the lower of the two middle values
+        if low.all():
+            return part
+        high[part[~low]] = True
+        separator = low.copy()
+        separator[low] = high[neighbours[part[low]]].any(axis=1)
+        high[part[~low]] = False
+        return np.concatenate([dissect(part[low & ~separator]), dissect(part[~low]), part[separator]])
+
+    return dissect(part)
 
 
 @dataclass(frozen=True)

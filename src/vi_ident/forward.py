@@ -135,10 +135,10 @@ _NEWTON_TOL = 1e-12  # the smoothed solver's default tolerance
 class Factorization:
     """One sparse LU of ``T(e)`` on the free dofs, with the friction set D last.
 
-    The LU runs in the mesh's elimination order (minimum degree off D, then
-    D; :attr:`OperatorPattern.elimination`) with diagonal pivots, so for SPD
-    ``T`` the trailing block of ``U`` gives the Schur complement of ``T``
-    onto D, ``S = R^T R`` with ``R = diag(U_DD)^{-1/2} U_DD``.
+    The LU runs in the mesh's elimination order (nested dissection off D,
+    then D; :attr:`OperatorPattern.elimination`) with diagonal pivots, so
+    for SPD ``T`` the trailing block of ``U`` gives the Schur complement of
+    ``T`` onto D, ``S = R^T R`` with ``R = diag(U_DD)^{-1/2} U_DD``.
     ``load_solution`` ``y = T^{-1} l``, ``schur_factor`` ``R`` and ``schur``
     ``S`` (the inverse of ``E_D^T T^{-1} E_D``) are built on first use; the
     forward solvers iterate on these, then call :meth:`extend` once.
@@ -252,11 +252,18 @@ def _condensed_energy(r: np.ndarray, q: np.ndarray, wf: np.ndarray, m: np.ndarra
     return float(0.5 * r @ q + wf @ m)
 
 
+def _prox_step(K: sp.csr_matrix) -> float:
+    """The proximal-gradient step size ``tau``, the inverse of
+    ``max(1, max row sum of |K|)``.  Every row of ``K`` stores its diagonal,
+    so none is empty."""
+    return 1.0 / max(np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max(), 1.0)
+
+
 def _prox_residual(op, mesh, f, u_free) -> float:
-    """Norm of the proximal-gradient step over its size ``tau``, the inverse
-    of ``max(1, max row sum of |K|)``; zero exactly at the minimizer."""
+    """Norm of the proximal-gradient step over its size :func:`_prox_step`;
+    zero exactly at the minimizer."""
     K, l = op.matrix, op.load
-    tau = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
+    tau = _prox_step(K)
     wf = mesh.friction_weights * f.values
     z = u_free - tau * (K @ u_free - l)
     prox = z.copy()

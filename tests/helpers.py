@@ -10,9 +10,19 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import spilu, spsolve
 
+from vi_ident.discretization import interval_mesh, unit_square_mesh
 from vi_ident.kernels import modulus_smooth, modulus_value
+
+# --- meshes -------------------------------------------------------------------
+
+# one friction node (1D), and |D| = 15 and 39 friction nodes (2D)
+MESHES = {
+    "1d": lambda: interval_mesh(0.0, 1.0, 32),
+    "2d": lambda: unit_square_mesh(16),
+    "2d_40": lambda: unit_square_mesh(40),
+}
 
 # --- densities, written out independently of the library ---------------------
 
@@ -156,6 +166,31 @@ def friction_response(problem, e) -> np.ndarray:
     E_D = np.zeros((problem.mesh.free_nodes.size, pos.size))
     E_D[pos, np.arange(pos.size)] = 1.0
     return spsolve(problem.operator(e).matrix.tocsc(), E_D)
+
+
+# --- elimination orders ----------------------------------------------------------
+
+
+def minimum_degree_order(pattern) -> np.ndarray:
+    """Reference elimination order: SuperLU's minimum-degree order of the dofs
+    off the friction set D, then D in ``friction_positions`` order.
+
+    An incomplete LU that drops every fill entry computes the order at a
+    fraction of the cost of a full factorization; it runs on a strictly
+    diagonally dominant matrix on the pattern, SPD, so it cannot break down.
+    """
+    n = pattern.shape[0]
+    D = pattern.friction_positions
+    rest = np.setdiff1d(np.arange(n), D)
+    degree = np.diff(pattern.indptr)
+    row = np.repeat(np.arange(n), degree)
+    dominant = sp.csr_matrix(
+        (np.where(row == pattern.indices, degree[row], -1.0), pattern.indices, pattern.indptr), shape=pattern.shape
+    )
+    if rest.size:
+        ilu = spilu(dominant[rest][:, rest].tocsc(), drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A")
+        rest = rest[np.argsort(ilu.perm_c)]
+    return np.concatenate([rest, D]).astype(np.int32)
 
 
 # --- CSV cells ------------------------------------------------------------------

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from vi_ident import (
     ConfigError,
@@ -24,6 +25,7 @@ from vi_ident import (
 from vi_ident import discretization
 from vi_ident.discretization import (
     element_measures,
+    element_midpoints,
     elementwise_h1_gram,
     free_part,
     friction_gram,
@@ -31,7 +33,9 @@ from vi_ident.discretization import (
     load_vector,
     operator_jacobian,
 )
-from vi_ident.forward import Problem
+from vi_ident.forward import Problem, factorize
+
+from .helpers import MESHES, minimum_degree_order
 
 
 def spd_check(A) -> bool:
@@ -281,6 +285,42 @@ def test_the_operator_pattern_is_built_once_per_mesh_on_first_use(monkeypatch):
     assert np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr)
 
 
+def test_the_element_geometry_is_built_once_per_mesh_on_first_use(monkeypatch):
+    builds = []
+    geometry = discretization._element_geometry
+
+    def counting_geometry(mesh):
+        builds.append(mesh)
+        return geometry(mesh)
+
+    monkeypatch.setattr(discretization, "_element_geometry", counting_geometry)
+    mesh = unit_square_mesh(6)
+    assert "element_geometry" not in vars(mesh)
+    measures = element_measures(mesh)
+    for source in (1.0, lambda x: 1.0 + x[:, 0]):
+        Problem(mesh, source=source).load  # a fresh Problem on the same mesh
+    mesh.local_matrices
+    elementwise_h1_gram(mesh)
+    assert len(builds) == 1
+    assert element_measures(mesh) is measures
+
+
+@pytest.mark.parametrize("mesh", [interval_mesh(0, 2, 5), unit_square_mesh(7)], ids=["1d", "2d"])
+def test_the_element_geometry_is_read_only_and_exact(mesh):
+    measures, midpoints = element_measures(mesh), element_midpoints(mesh)
+    for cached in (measures, midpoints):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    pts = mesh.nodes[mesh.elements]
+    assert np.array_equal(midpoints, pts.mean(axis=1))
+    if mesh.dimension == 1:
+        expected = np.abs(pts[:, 1, 0] - pts[:, 0, 0])
+    else:
+        d1, d2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+        expected = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    assert np.array_equal(measures, expected)
+
+
 @pytest.mark.parametrize("mesh", [interval_mesh(0, 1, 9), unit_square_mesh(7)], ids=["1d", "2d"])
 @pytest.mark.parametrize("source", [1.0, lambda x: 1.0 + x[:, 0] ** 2], ids=["constant", "callable"])
 def test_the_problem_load_is_the_assembled_load(mesh, source):
@@ -305,6 +345,43 @@ def test_out_of_bounds_coefficient_rejected():
     e.values[:] = 50.0
     with pytest.raises(ValueError):
         assemble_operator(mesh, e)
+
+
+# --- elimination order ------------------------------------------------------------
+
+ORDER_MESHES = {
+    "1d_9": lambda: interval_mesh(0, 1, 9),
+    "1d_128": lambda: interval_mesh(0, 1, 128),
+    "2d_1": lambda: unit_square_mesh(1),  # no free dof
+    **{name: make for name, make in MESHES.items() if name.startswith("2d")},
+}
+
+
+@pytest.mark.parametrize("mesh_name", ORDER_MESHES)
+def test_the_elimination_order_puts_the_friction_set_last(mesh_name):
+    pattern = ORDER_MESHES[mesh_name]().operator_pattern
+    order, rank = pattern.elimination[:2]
+    n, D = pattern.shape[0], pattern.friction_positions
+    assert np.array_equal(np.sort(order), np.arange(n))
+    assert np.array_equal(order[n - D.size :], D)
+    assert np.array_equal(rank[order], np.arange(n))
+    # the order depends on the mesh alone: a fresh mesh of the same size gives it again
+    assert np.array_equal(ORDER_MESHES[mesh_name]().operator_pattern.elimination[0], order)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_the_elimination_order_fills_no_more_than_minimum_degree(n):
+    mesh = unit_square_mesh(n)
+    op = assemble_operator(mesh, ellipticity_field(mesh, 1.0))
+    lu = factorize(op, mesh)._lu
+    order = minimum_degree_order(mesh.operator_pattern)
+    reference = splu(
+        op.matrix[order][:, order].tocsc(),
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    assert lu.L.nnz + lu.U.nnz <= reference.L.nnz + reference.U.nnz
 
 
 # --- inner products and norms ----------------------------------------------------

@@ -32,7 +32,7 @@ from vi_ident.discretization import free_part
 from vi_ident.forward import factorize
 from vi_ident.kernels import KERNEL_NAMES, modulus_smooth
 
-from .helpers import benchmark_solution, benchmark_tip, nonsmooth_energy, smoothed_energy
+from .helpers import MESHES, benchmark_solution, benchmark_tip, nonsmooth_energy, smoothed_energy
 
 KERNEL = get_kernel("sigmoid")
 
@@ -43,14 +43,6 @@ def benchmark(n: int):
     f_of = lambda value: friction_field(mesh, value)
     op = assemble_operator(mesh, e)
     return mesh, e, f_of, op
-
-
-# one friction node (1D), and |D| = 15 and 39 friction nodes (2D)
-MESHES = {
-    "1d": lambda: interval_mesh(0.0, 1.0, 32),
-    "2d": lambda: unit_square_mesh(16),
-    "2d_40": lambda: unit_square_mesh(40),
-}
 
 
 def varied_operator(mesh, form="grad_grad"):
@@ -110,6 +102,16 @@ def test_oracle_subdifferential_conditions(mesh_name, form, friction):
     # non-friction equations are satisfied exactly
     rest = np.setdiff1d(np.arange(u_free.size), pos)
     assert np.max(np.abs(resid[rest])) < 1e-9
+
+
+@pytest.mark.parametrize("mesh_name", MESHES)
+@pytest.mark.parametrize("form", ["grad_grad", "grad_grad_plus_mass"])
+def test_the_residual_step_is_the_inverse_largest_absolute_row_sum(mesh_name, form):
+    # the reference reads |K| as a sparse matrix of its own
+    mesh = MESHES[mesh_name]()
+    K = varied_operator(mesh, form).matrix
+    expected = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
+    assert abs(forward._prox_step(K) - expected) <= 1e-15 * expected
 
 
 def test_oracle_zero_friction_is_linear_solve():

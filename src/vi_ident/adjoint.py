@@ -11,8 +11,9 @@ symmetric positive definite, and the derivative
 
 in the coefficients concat(e, f): column j of ``T'(u)`` is ``T(1_j) u``.
 :class:`LinearizedMap` builds ``N`` once and solves with ``J`` through the
-operator's cached :class:`~vi_ident.forward.Factorization` (the one the
-forward solve used) plus a |D| x |D| Cholesky solve with the Schur complement
+problem's :class:`~vi_ident.forward.Factorization` of ``T(e)``
+(:meth:`~vi_ident.forward.Problem.factorization`, the one the forward solve
+used) plus a |D| x |D| Cholesky solve with the Schur complement
 S of T(e) onto D, shifted by the diagonal: Newton's Hessian.  Every derivative
 reads these two objects:
 
@@ -32,8 +33,10 @@ rows, ``c_D + R_Z S (x - y_D)``, and a constant ``kappa``: ``1/2 |rows|^2 +
 kappa`` is ``1/2 |u - observation|_G^2`` (:func:`friction_misfit_factor`,
 kept on the factorization as ``(R_Z, c_D, kappa)``), read off Newton's ``x``
 with no ``T``-solve.  Their |D| x |D| Jacobian in ``f``
-(:func:`friction_jacobian`) takes one Cholesky factorization of Newton's
-Hessian on D and no ``LinearizedMap``.
+(:func:`friction_jacobian`) takes the factorization and Newton's
+:class:`~vi_ident.forward.FrictionSetSolution`, whose ``M'_eps`` and
+``M''_eps`` it reads: one Cholesky factorization of Newton's Hessian on D and
+no ``LinearizedMap``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .discretization import ParameterField, free_part, full_part, operator_jacobian
-from .forward import ForwardState, Problem, factorize, solution_map
+from .forward import Factorization, ForwardState, FrictionSetSolution, Problem, solution_map
 from .kernels import KernelSpec, modulus_smooth
 
 __all__ = [
@@ -121,7 +124,7 @@ class LinearizedMap:
             shape=(T_u.shape[0], T_u.shape[1] + pos.size),
         )
         self._shift = mesh.friction_weights * f.values * sm.second_derivative
-        self._factorization = factorize(problem.operator(e), mesh)
+        self._factorization = problem.factorization(e)
 
     def solve(self, rhs_free: np.ndarray) -> np.ndarray:
         return self._factorization.solve_shifted(self._shift, rhs_free)
@@ -181,9 +184,8 @@ def friction_misfit_factor(
     so no (free dofs) x |D| array is held.  Built once per misfit norm and
     observation and kept on the factorization of ``T(e)``.
     """
-    mesh = problem.mesh
-    fac = factorize(problem.operator(e), mesh)
-    observation = free_part(mesh, observation)
+    fac = problem.factorization(e)
+    observation = free_part(problem.mesh, observation)
     key = (misfit_norm, observation.tobytes())
     if key not in fac.friction_misfits:
         G = misfit_gram(problem, misfit_norm)
@@ -206,27 +208,21 @@ def friction_misfit_factor(
 
 
 def friction_jacobian(
-    x: np.ndarray,
-    problem: Problem,
-    e: ParameterField,
-    f: ParameterField,
-    kernel: KernelSpec,
-    eps: float,
-    R_Z: np.ndarray,
+    fac: Factorization, solution: FrictionSetSolution, R_Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The |D| x |D| Jacobian ``R_Z S dx/df`` of the misfit rows of
-    :func:`friction_misfit_factor` in ``f`` at ``x = u_D`` and fixed ``e``,
-    and ``dx/df = -(S + diag(w f M''_eps(x)))^{-1} diag(w M'_eps(x))``.
+    :func:`friction_misfit_factor` in ``f`` at Newton's ``x = u_D`` on the
+    factorization ``fac`` of ``T(e)``, and
+    ``dx/df = -(S + diag(w f M''_eps(x)))^{-1} diag(w M'_eps(x))``.
 
     The condensed gradient ``S (x - y_D) + w f M'_eps(x)`` vanishes at the
-    regularized solution's ``x``, which gives ``dx/df``.  One |D| x |D|
-    Cholesky factorization, no ``T``-solve.
+    regularized solution's ``x``, which gives ``dx/df``.  ``M'_eps`` and
+    ``M''_eps`` are the solution's own.  One |D| x |D| Cholesky
+    factorization, no ``T``-solve.
     """
-    mesh = problem.mesh
-    fac = factorize(problem.operator(e), mesh)
-    sm = modulus_smooth(kernel, eps, x)
-    w = mesh.friction_weights
-    dx = -cho_solve(fac.shifted_factor(w * f.values * sm.second_derivative), np.diag(w * sm.first_derivative))
+    sm = solution.modulus
+    w_dM = np.diag(fac.mesh.friction_weights * sm.first_derivative)
+    dx = -cho_solve(fac.shifted_factor(solution.wf * sm.second_derivative), w_dM)
     return R_Z @ (fac.schur @ dx), dx
 
 

@@ -15,20 +15,22 @@ the condensed energy ``1/2 (x - y_D)^T S (x - y_D) + sum_i w_i f_i m(x_i)``.
   pinned to zero.  It is the epsilon-independent ground truth.
 
 * :func:`solve_friction_set` minimizes it with ``m = M_eps`` by damped Newton
-  and returns ``x``.  The gradient ``S (x - y_D) + w f M'_eps(x)`` is the
-  full-space residual of the harmonic extension of ``x``; the Hessian
-  ``S + diag(w f M''_eps(x))`` is SPD.  A cold start begins at the oracle's
-  ``x``, within ``sqrt(8 k eps sum(w f))`` of the smoothed solution in the
-  energy norm.  :func:`solve_regularized` follows it with
+  and returns ``x`` with what it was solved at (:class:`FrictionSetSolution`).
+  The gradient ``S (x - y_D) + w f M'_eps(x)`` is the full-space residual of
+  the harmonic extension of ``x``; the Hessian ``S + diag(w f M''_eps(x))``
+  is SPD.  A cold start begins at the oracle's ``x``, within
+  ``sqrt(8 k eps sum(w f))`` of the smoothed solution in the energy norm.  :func:`solve_regularized` follows it with
   :func:`friction_set_state`; identification calls the two on its own, and
   with ``e`` fixed extends only the ``x`` it stops at.
 
 Each solver builds ``u`` with one final ``T``-solve and reports the
-full-space residual of that ``u``.  :func:`factorize` factorizes ``T(e)`` once
-per operator, D last, and keeps ``y`` and ``S`` (the trailing |D| x |D| block
-of its LU) with it; the sensitivities and the adjoint
-(:mod:`vi_ident.adjoint`) reuse it.  Outside the oracle, every dense solve on
-D is a Cholesky solve with ``S`` plus a nonnegative diagonal.
+full-space residual of that ``u``.  :func:`factorize` (for a coefficient,
+:meth:`Problem.factorization`) factorizes ``T(e)`` once per operator, D last,
+into a :class:`Factorization` that keeps ``T(e)``, the load, ``y``, ``S`` (the
+trailing |D| x |D| block of its LU) and the oracle's last solution on D
+(:meth:`Factorization.oracle`).  The solvers on D, the sensitivities and the
+adjoint (:mod:`vi_ident.adjoint`) take it.  Outside the oracle, every dense
+solve on D is a Cholesky solve with ``S`` plus a nonnegative diagonal.
 :func:`solution_map` dispatches on ``eps`` (0 means oracle).
 """
 
@@ -115,6 +117,10 @@ class Problem:
             self._last = (key, op)
         return self._last[1]
 
+    def factorization(self, e: ParameterField) -> Factorization:
+        """The :class:`Factorization` of ``T(e)`` (:meth:`operator`)."""
+        return factorize(self.operator(e), self.mesh)
+
     @cached_property
     def load(self) -> np.ndarray:
         return load_vector(self.mesh, self.source)
@@ -138,14 +144,14 @@ class Factorization:
     The LU runs in the mesh's elimination order (nested dissection off D,
     then D; :attr:`OperatorPattern.elimination`) with diagonal pivots, so
     for SPD ``T`` the trailing block of ``U`` gives the Schur complement of
-    ``T`` onto D, ``S = R^T R`` with ``R = diag(U_DD)^{-1/2} U_DD``.
-    ``load_solution`` ``y = T^{-1} l``, ``schur_factor`` ``R`` and ``schur``
-    ``S`` (the inverse of ``E_D^T T^{-1} E_D``) are built on first use; the
-    forward solvers iterate on these, then call :meth:`extend` once.
+    ``T`` onto D, ``S = R^T R`` with ``R = diag(U_DD)^{-1/2} U_DD``.  It keeps
+    ``mesh``, ``matrix`` ``T(e)`` and ``load``; ``load_solution``
+    ``y = T^{-1} l``, ``schur_factor`` ``R`` and ``schur`` ``S`` (the inverse
+    of ``E_D^T T^{-1} E_D``) are built on first use.  The forward solvers
+    iterate on these, then call :meth:`extend` once.
     ``friction_misfits`` holds identification's misfit on D at this ``e``,
     ``(R_Z, c_D, kappa)`` per misfit norm and observation
-    (:func:`~vi_ident.adjoint.friction_misfit_factor`).
-    ``last_oracle`` holds the oracle's last ``(w f, x)``.  Raises
+    (:func:`~vi_ident.adjoint.friction_misfit_factor`).  Raises
     ``ValueError`` if ``op.matrix`` is not stored on
     ``mesh.operator_pattern``, and ``SolverError`` if the LU's own
     permutations move D out of the trailing block.
@@ -155,10 +161,10 @@ class Factorization:
         K = op.matrix
         if not mesh.operator_pattern.holds(K):
             raise ValueError("the operator matrix is not stored on the mesh's operator pattern")
+        self.mesh, self.matrix, self.load = mesh, K, op.load
         self.positions = mesh.friction_free_positions
-        self._load = op.load
-        self.last_oracle = (None, None)
         self.friction_misfits = {}
+        self._oracle = (None, None)  # the last (w f, oracle(w f))
         self._order, self._rank, indptr, indices, to_csc = mesh.operator_pattern.elimination
         self._lu = splu(
             sp.csc_matrix((K.data[to_csc], indices, indptr), shape=K.shape),
@@ -175,7 +181,7 @@ class Factorization:
     @cached_property
     def load_solution(self) -> np.ndarray:
         """``y = T^{-1} l``, the frictionless solution."""
-        return self.solve(self._load)
+        return self.solve(self.load)
 
     @cached_property
     def schur_factor(self) -> np.ndarray:
@@ -192,6 +198,13 @@ class Factorization:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``T x = rhs`` for a vector or an (n, k) block of right-hand sides."""
         return self._lu.solve(rhs[self._order])[self._rank]
+
+    def oracle(self, wf: np.ndarray) -> tuple:
+        """The oracle's ``(x, lam, iterations)`` on D at ``wf = w f``
+        (:func:`_active_set`), kept for the last ``wf`` asked."""
+        if not np.array_equal(self._oracle[0], wf):
+            self._oracle = (wf, _active_set(self, wf))
+        return self._oracle[1]
 
     def shifted_factor(self, shift: np.ndarray) -> tuple:
         """``cho_factor(S + diag(shift))``, for :meth:`solve_shifted`."""
@@ -222,7 +235,7 @@ class Factorization:
     def extend(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """The ``u`` with ``u_D = x`` that solves ``T u = l - E_D lam`` off D:
         one ``T``-solve."""
-        rhs = np.array(self._load, dtype=float)
+        rhs = np.array(self.load, dtype=float)
         rhs[self.positions] -= lam
         u = self.solve(rhs)
         u[self.positions] = x
@@ -259,15 +272,13 @@ def _prox_step(K: sp.csr_matrix) -> float:
     return 1.0 / max(np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max(), 1.0)
 
 
-def _prox_residual(op, mesh, f, u_free) -> float:
+def _prox_residual(fac: Factorization, wf: np.ndarray, u_free: np.ndarray) -> float:
     """Norm of the proximal-gradient step over its size :func:`_prox_step`;
     zero exactly at the minimizer."""
-    K, l = op.matrix, op.load
-    tau = _prox_step(K)
-    wf = mesh.friction_weights * f.values
-    z = u_free - tau * (K @ u_free - l)
+    tau = _prox_step(fac.matrix)
+    z = u_free - tau * (fac.matrix @ u_free - fac.load)
     prox = z.copy()
-    pos = mesh.friction_free_positions
+    pos = fac.positions
     zd = z[pos]
     prox[pos] = np.sign(zd) * np.maximum(np.abs(zd) - tau * wf, 0.0)
     return float(np.linalg.norm(u_free - prox) / tau)
@@ -318,10 +329,9 @@ def solve_vi_oracle(
     """
     wf = mesh.friction_weights * _check_friction(f, mesh)
     fac = factorize(op, mesh)
-    x, lam, iterations = _active_set(fac, wf)
-    fac.last_oracle = (wf, x)
+    x, lam, iterations = fac.oracle(wf)
     u = fac.extend(x, lam)
-    residual = _prox_residual(op, mesh, f, u)
+    residual = _prox_residual(fac, wf, u)
     if residual > tol:
         raise SolverError(f"oracle residual {residual:.3e} above tol {tol:.1e}", residual=residual)
     return ForwardState(u=full_part(mesh, u), residual_norm=residual, iterations=iterations, eps=0.0)
@@ -329,19 +339,22 @@ def solve_vi_oracle(
 
 class FrictionSetSolution(NamedTuple):
     """Newton's converged ``x = u_D`` on the friction set, with
-    ``q = S (x - y_D)``, the smoothed modulus at ``x``, the iteration count and
-    the gradient-norm history."""
+    ``q = S (x - y_D)``, the smoothed modulus at ``x``, the iteration count,
+    the gradient-norm history, and the ``wf = w f``, kernel and ``eps`` it
+    was solved at; not its :class:`Factorization`, so as not to keep it alive."""
 
     x: np.ndarray
     q: np.ndarray
     modulus: SmoothedEval
     iterations: int
     history: list
+    wf: np.ndarray
+    kernel: KernelSpec
+    eps: float
 
 
 def solve_friction_set(
-    op: DiscreteOperator,
-    mesh: Mesh,
+    fac: Factorization,
     f: ParameterField,
     kernel: KernelSpec,
     eps: float,
@@ -354,10 +367,10 @@ def solve_friction_set(
     A full step is taken when it cuts the gradient norm on D by 10%, else an
     Armijo backtracking on the condensed energy guards against the curvature
     ``M'' ~ 1/eps``.  Newton runs from each of ``starts`` (vectors on D) in
-    turn, and from the oracle's ``x`` (reused if the oracle has solved ``op``
-    at this ``f``) when none converges.  It converges when the gradient on D,
-    the full-space residual of the harmonic extension of ``x``, is at most
-    ``tol``; no ``T``-solve is made.
+    turn, and from the oracle's ``x`` (:meth:`Factorization.oracle`) when
+    none converges.  It converges when the gradient on D, the full-space
+    residual of the harmonic extension of ``x``, is at most ``tol``; no
+    ``T``-solve is made.
 
     Raises
     ------
@@ -365,32 +378,22 @@ def solve_friction_set(
         If Newton from the oracle's ``x`` stalls on full steps, exhausts
         ``max_iter`` or its line search finds no sufficient energy decrease.
     """
-    wf = mesh.friction_weights * _check_friction(f, mesh)
+    wf = fac.mesh.friction_weights * _check_friction(f, fac.mesh)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    fac = factorize(op, mesh)
     for x0 in starts:
         try:
             return _newton(fac, wf, kernel, eps, tol, max_iter, x0)
         except SolverError:
             pass  # a poor start: try the next one
-    last_wf, x = fac.last_oracle
-    if not np.array_equal(last_wf, wf):
-        x = _active_set(fac, wf)[0]
-        fac.last_oracle = (wf, x)
-    return _newton(fac, wf, kernel, eps, tol, max_iter, x)
+    return _newton(fac, wf, kernel, eps, tol, max_iter, fac.oracle(wf)[0])
 
 
 def friction_set_state(
-    op: DiscreteOperator,
-    mesh: Mesh,
-    f: ParameterField,
-    kernel: KernelSpec,
-    eps: float,
-    solution: FrictionSetSolution,
-    tol: float = _NEWTON_TOL,
+    fac: Factorization, solution: FrictionSetSolution, tol: float = _NEWTON_TOL
 ) -> ForwardState:
-    """The :class:`ForwardState` of a :func:`solve_friction_set` solution.
+    """The :class:`ForwardState` of a :func:`solve_friction_set` solution on
+    ``fac``.
 
     ``u`` is the harmonic extension of ``x``, built with one ``T``-solve;
     ``residual_norm`` (the last entry of ``residual_history``) is its
@@ -403,32 +406,29 @@ def friction_set_state(
     SolverError
         If the returned ``u`` misses ``tol``.
     """
-    wf = mesh.friction_weights * _check_friction(f, mesh)
-    fac = factorize(op, mesh)
-    pos = fac.positions
+    pos, wf, sm = fac.positions, solution.wf, solution.modulus
 
     def residual_of(u, sm):
-        r = op.matrix @ u - op.load
+        r = fac.matrix @ u - fac.load
         r[pos] += wf * sm.first_derivative
         return r
 
-    x, q, sm, iterations, history = solution
-    u = fac.extend(x, -q)
+    u = fac.extend(solution.x, -solution.q)
     r = residual_of(u, sm)
     if np.linalg.norm(r) > tol:
         # the gradient on D does not see the round-off of the T-solve
         u += fac.solve_shifted(wf * sm.second_derivative, -r)
-        sm = modulus_smooth(kernel, eps, u[pos])
+        sm = modulus_smooth(solution.kernel, solution.eps, u[pos])
         r = residual_of(u, sm)
     residual = float(np.linalg.norm(r))
     if residual > tol:
         raise SolverError(f"Newton residual {residual:.3e} above tol {tol:.1e}", residual=residual)
     return ForwardState(
-        u=full_part(mesh, u),
+        u=full_part(fac.mesh, u),
         residual_norm=residual,
-        iterations=iterations,
-        eps=float(eps),
-        residual_history=(*history[:-1], residual),
+        iterations=solution.iterations,
+        eps=float(solution.eps),
+        residual_history=(*solution.history[:-1], residual),
     )
 
 
@@ -453,8 +453,8 @@ def solve_regularized(
         ``tol``.
     """
     starts = () if u0_full is None else (np.asarray(u0_full)[mesh.friction_nodes],)
-    solution = solve_friction_set(op, mesh, f, kernel, eps, tol, max_iter, starts)
-    return friction_set_state(op, mesh, f, kernel, eps, solution, tol)
+    fac = factorize(op, mesh)
+    return friction_set_state(fac, solve_friction_set(fac, f, kernel, eps, tol, max_iter, starts), tol)
 
 
 def _newton(fac, wf, kernel, eps, tol, max_iter, x):
@@ -502,7 +502,7 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
         # A full step that no longer reduces the residual: double precision is
         # exhausted, so fail fast instead of looping to the iteration cap.
         stalled = stalled + 1 if step == 1.0 and history[-1] >= 0.9999 * history[-2] else 0
-    return FrictionSetSolution(x, q, sm, iterations, history)
+    return FrictionSetSolution(x, q, sm, iterations, history, wf, kernel, eps)
 
 
 def solution_map(

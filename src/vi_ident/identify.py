@@ -11,11 +11,12 @@ Gauss-Newton: scipy's trust-region least squares ``trf`` (Branch, Coleman,
 Li, SIAM J. Sci. Comput. 21, 1999) with a dense Jacobian, about ten forward
 solves per run.  The state is the harmonic extension of its values
 ``x = u_D`` on the friction set D, so every trial is one Newton solve on D
-(:func:`~vi_ident.forward.solve_friction_set`), under Gauss-Newton started
-from the last Jacobian's prediction ``x_at + (dx/dy)(y - y_at)`` in the
-free coefficients ``y``.  With ``e`` free the misfit rows are
-``C (u - observation)``, ``C`` the dense upper Cholesky factor of the
-misfit Gram matrix ``G`` on the free dofs
+(:func:`~vi_ident.forward.solve_friction_set` on the factorization of
+``T(e)``, :meth:`~vi_ident.forward.Problem.factorization`), under
+Gauss-Newton started from the last Jacobian's prediction
+``x_at + (dx/dy)(y - y_at)`` in the free coefficients ``y``.  With ``e``
+free the misfit rows are ``C (u - observation)``, ``C`` the dense upper
+Cholesky factor of the misfit Gram matrix ``G`` on the free dofs
 (:func:`~vi_ident.adjoint.misfit_gram`), and the Jacobian is the solution
 map's, from one block solve; its rows on D are ``dx/dy``.  With only ``f``
 free the state is affine in ``x``, so the run stays on D: the misfit rows
@@ -29,10 +30,11 @@ state, with its own residual check, is built once per run, where it stops
 ``trf`` at any size.  With ``e`` free it is ``trf`` while the Jacobian
 (misfit rows plus one regularization row per free coefficient, times the
 free coefficients) has at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries, with
-the misfit rows counted as m per element of m nodes; above that, and with no
-field free, it is scipy's L-BFGS-B (Byrd, Lu, Nocedal, Zhu, SIAM J. Sci.
-Comput. 16, 1995), one forward and one adjoint solve per evaluation.  Either
-way scipy's own stopping tests are at most round-off: a run stops on the
+the misfit rows counted as m per element of m nodes; above that it is
+scipy's L-BFGS-B (Byrd, Lu, Nocedal, Zhu, SIAM J. Sci. Comput. 16, 1995),
+one forward and one adjoint solve per evaluation.  With no field free a run
+(``method`` ``"none"``) evaluates its start and stops there.  Either way
+scipy's own stopping tests are at most round-off: a run stops on the
 projected-gradient residuals, which vanish exactly at discrete KKT points of
 the box-constrained problem.
 ``trf`` reads the gradient ``J^T r`` off the Jacobian it has just built;
@@ -128,7 +130,7 @@ class IdentificationResult:
     misfit: float = field(default=float("nan"))
     stop_reason: str = ""  # "stationary", "max_iters" or scipy's message
     forward_solves: int = 0  # objective evaluations, one forward solve each
-    method: str = ""  # "trf" or "L-BFGS-B"
+    method: str = ""  # "trf", "L-BFGS-B", or "none" with no field free
 
 
 # The largest dense Jacobian (residual length x free coefficients) for which
@@ -211,9 +213,8 @@ class _Run:
         else:
             starts = ()
         try:
-            solution = solve_friction_set(
-                self.problem.operator(e), mesh, f, self.kernel, self.eps, cfg.forward_tol, starts=starts
-            )
+            fac = self.problem.factorization(e)
+            solution = solve_friction_set(fac, f, self.kernel, self.eps, cfg.forward_tol, starts=starts)
         except SolverError as err:
             self._attach_iterate(err, e, f, len(self.objective_history))
             raise
@@ -239,10 +240,8 @@ class _Run:
         Newton's ``x`` with its full-space residual check, built once."""
         if point.state is None:
             try:
-                point.state = friction_set_state(
-                    self.problem.operator(point.e), self.problem.mesh, point.f, self.kernel, self.eps,
-                    point.friction, self.config.forward_tol,
-                )
+                fac = self.problem.factorization(point.e)
+                point.state = friction_set_state(fac, point.friction, self.config.forward_tol)
             except SolverError as err:
                 accepted = point is self.accepted
                 self._attach_iterate(err, point.e, point.f, len(self.objective_history) - accepted)
@@ -319,7 +318,6 @@ class _Run:
         on by a relative 1e-10.  Scipy's own tests are set to round-off.
         """
         cfg, problem, mesh, free = self.config, self.problem, self.problem.mesh, self.free
-        kernel, eps = self.kernel, self.eps
         # R^T R = the regularization Grams of the free fields, scaled
         R = block_diag(*(
             np.sqrt(weight) * cholesky(gram.toarray() if sp.issparse(gram) else gram)
@@ -342,7 +340,7 @@ class _Run:
                 return C @ (free_part(mesh, point.state.u) - obs)
 
             def misfit_jacobian(point):
-                du = solution_derivative(point.state, problem, point.e, point.f, kernel, eps, directions)
+                du = solution_derivative(point.state, problem, point.e, point.f, self.kernel, self.eps, directions)
                 return C @ free_part(mesh, du), du[mesh.friction_nodes]
         else:
             self.friction_misfit = friction_misfit_factor(problem, self.e0, self.observation, cfg.misfit_norm)
@@ -352,7 +350,7 @@ class _Run:
                 return point.rows
 
             def misfit_jacobian(point):
-                return friction_jacobian(point.friction.x, problem, point.e, point.f, kernel, eps, R_Z)
+                return friction_jacobian(problem.factorization(point.e), point.friction, R_Z)
 
         def full(y):
             x = self.x0.copy()
@@ -408,9 +406,10 @@ def identify(
     has at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries, counting m misfit rows
     per element of m nodes.  With ``e`` fixed the misfit rows are the |D|
     rows of :func:`~vi_ident.adjoint.friction_misfit_factor`, and a run with
-    ``f`` free is ``trf`` at any size.  Above that size with ``e`` free, or
-    with no field free, the run is L-BFGS-B with the adjoint gradient.  The
-    result's ``method`` is ``"trf"`` or ``"L-BFGS-B"``.
+    ``f`` free is ``trf`` at any size.  Above that size with ``e`` free the
+    run is L-BFGS-B with the adjoint gradient.  With no field free the start
+    is evaluated once and returned, stationary, with no gradient.  The
+    result's ``method`` is ``"trf"``, ``"L-BFGS-B"`` or ``"none"``.
     The run stops at the first accepted iterate whose stationarity is at most
     ``stop_tol`` (the start included), after ``max_iters`` accepted iterates,
     or when the optimizer gives up; the last accepted iterate is returned.
@@ -419,9 +418,13 @@ def identify(
     """
     run = _Run(config, problem, observation, e0, f0, kernel, eps, free_e, free_f, u0_full)
     p = np.count_nonzero(run.free)
-    fits = not free_e or p * (problem.mesh.elements.size + p) <= _LEAST_SQUARES_MAX_ENTRIES
-    method = "trf" if 0 < p and fits else "L-BFGS-B"
-    message = run.least_squares() if method == "trf" else run.lbfgsb()
+    if p == 0:  # no coefficient can move: the start is stationary
+        method, message = "none", "stationary"
+        run.accept(run.set_gradient(run.evaluate(run.x0), np.zeros_like(run.x0)))
+    else:
+        fits = not free_e or p * (problem.mesh.elements.size + p) <= _LEAST_SQUARES_MAX_ENTRIES
+        method = "trf" if fits else "L-BFGS-B"
+        message = run.least_squares() if method == "trf" else run.lbfgsb()
     accepted, n_accepted = run.accepted, len(run.objective_history)
     if max(accepted.stationarity) <= config.stop_tol:
         stop_reason = "stationary"

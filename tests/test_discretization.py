@@ -384,6 +384,19 @@ def test_the_elimination_order_fills_no_more_than_minimum_degree(n):
     assert lu.L.nnz + lu.U.nnz <= reference.L.nnz + reference.U.nnz
 
 
+def test_a_part_with_no_proper_split_keeps_its_order():
+    # 17 dofs on a line, 8 at x = 0 and 9 at x = 1: every dof lies at or below
+    # the median, so no cut splits the part, and dissecting it again would
+    # recurse without end
+    n = 17
+    points = np.repeat([[0.0], [1.0]], [8, 9], axis=0)
+    chain = sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
+    part = np.random.default_rng(0).permutation(n)
+    order = discretization._dissection_order(points, chain.indptr, chain.indices, part.copy())
+    assert part.size > discretization._LEAF_SIZE
+    assert np.array_equal(order, part)
+
+
 # --- inner products and norms ----------------------------------------------------
 
 

@@ -314,6 +314,28 @@ def test_solution_map_rejects_negative_eps():
         solution_map(e, f, -1e-3, problem, kernel=KERNEL)
 
 
+@pytest.mark.parametrize("case, message", [
+    ("wrong_length", "friction field length must match the friction node count"),
+    ("negative_oracle", "friction coefficient must be nonnegative"),
+    ("negative_regularized", "friction coefficient must be nonnegative"),
+    ("no_kernel", "a kernel is required for eps > 0"),
+])
+def test_the_forward_solvers_check_their_inputs(case, message):
+    mesh = unit_square_mesh(8)
+    problem = Problem(mesh)
+    e = ellipticity_field(mesh, 1.0)
+    op = problem.operator(e)
+    negative = friction_field(mesh, -0.1, lower=-1.0)
+    solves = {
+        "wrong_length": lambda: solve_vi_oracle(op, mesh, friction_field(unit_square_mesh(4), 0.1)),
+        "negative_oracle": lambda: solve_vi_oracle(op, mesh, negative),
+        "negative_regularized": lambda: solve_regularized(op, mesh, negative, KERNEL, 1e-2),
+        "no_kernel": lambda: solution_map(e, friction_field(mesh, 0.1), 1e-2, problem),
+    }
+    with pytest.raises(ValueError, match=message):
+        solves[case]()
+
+
 def test_problem_operator_cache_reuses_assembly():
     mesh = interval_mesh(0, 1, 16)
     problem = Problem(mesh)
@@ -542,6 +564,24 @@ def test_only_the_operator_requested_last_keeps_its_factorization():
     assert op1_ref() is None and lu1_ref() is None
     # e1 again assembles a new operator, not yet factorized
     assert problem.operator(e1).factorization is None
+
+
+def test_a_friction_set_solution_records_its_point_and_not_its_factorization():
+    mesh = unit_square_mesh(8)
+    problem = Problem(mesh)
+    e, f = ellipticity_field(mesh, 1.0), friction_field(mesh, 0.1)
+    fac = problem.factorization(e)
+    solution = forward.solve_friction_set(fac, f, KERNEL, 1e-3)
+    assert np.array_equal(solution.wf, mesh.friction_weights * f.values)
+    assert solution.kernel is KERNEL and solution.eps == 1e-3
+    assert fac.oracle(solution.wf) is fac.oracle(mesh.friction_weights * f.values)  # the cold start, kept
+    state = forward.friction_set_state(fac, solution)
+    assert np.array_equal(state.u, solution_map(e, f, 1e-3, problem, KERNEL).u)
+    # the solution keeps no reference to the LU of its T(e)
+    problem.operator(ellipticity_field(mesh, 2.0))
+    fac_ref = weakref.ref(fac)
+    del fac
+    assert fac_ref() is None
 
 
 def test_newton_raises_when_its_line_search_fails():

@@ -217,18 +217,18 @@ def test_failure_inside_the_line_search_carries_the_trial_point(monkeypatch, set
     problem, e0, run, iteration = setting()
     real, calls = identify_module.solve_friction_set, []
 
-    def failing_on_third_call(op, mesh, f, *args, **kwargs):
-        calls.append((op, f.values.copy()))
+    def failing_on_third_call(fac, f, *args, **kwargs):
+        calls.append((fac, f.values.copy()))
         if len(calls) == 3:
             raise SolverError("injected failure", residual=1.0)
-        return real(op, mesh, f, *args, **kwargs)
+        return real(fac, f, *args, **kwargs)
 
     monkeypatch.setattr(identify_module, "solve_friction_set", failing_on_third_call)
     with pytest.raises(SolverError) as err:
         run()
     snap = err.value.iterate
     assert snap["iteration"] >= 1 if iteration is None else snap["iteration"] == iteration
-    assert problem.operator(e0.with_values(snap["e"])) is calls[-1][0]  # the trial's e
+    assert problem.factorization(e0.with_values(snap["e"])) is calls[-1][0]  # the trial's e
     assert np.array_equal(snap["f"], calls[-1][1])
     assert not np.array_equal(calls[-1][1], calls[0][1])  # a trial, not the start
 
@@ -356,6 +356,50 @@ def test_a_2d_friction_only_run_is_gauss_newton_on_the_friction_set():
     assert res.method == "trf"
     assert res.stop_reason == "stationary"
     assert res.forward_solves <= 20
+
+
+def test_a_run_with_no_free_field_evaluates_its_start_and_stops(monkeypatch):
+    mesh, problem, e, obs = continuation_2d_twin(6)
+    f0, kernel, cfg = friction_field(mesh, 1.0), get_kernel("sqrt"), config(alpha=1e-8, beta=1e-8)
+    calls = {name: count_calls(monkeypatch, name) for name in ("LinearizedMap", "least_squares", "minimize")}
+    res = identify(cfg, problem, obs, e, f0, kernel, 1e-1, free_e=False, free_f=False)
+    assert (res.method, res.stop_reason, res.forward_solves) == ("none", "stationary", 1)
+    assert res.stationarity_history == ((0.0, 0.0),)
+    assert not any(calls.values())  # no optimizer and no adjoint
+    assert np.array_equal(res.e_hat.values, e.values) and np.array_equal(res.f_hat.values, f0.values)
+    value, misfit, state = reduced_objective(e, f0, problem, obs, kernel, 1e-1, cfg.alpha, cfg.beta,
+                                             tol=cfg.forward_tol)
+    assert res.objective_history == (value,) and res.misfit == misfit
+    assert np.array_equal(res.final_state.u, state.u)
+
+
+@pytest.mark.parametrize("setting", ["f_only_2d", "joint_1d"])
+def test_a_trf_run_can_stop_on_scipys_own_test(monkeypatch, setting):
+    # with stop_tol = 0 the stationarity test does not stop these runs; trf
+    # ends on its gtol test, and the run returns its last accepted iterate
+    accepted = []
+    real_accept = identify_module._Run.accept
+
+    def recording(run, point):
+        accepted.append(point)
+        return real_accept(run, point)
+
+    monkeypatch.setattr(identify_module._Run, "accept", recording)
+    if setting == "f_only_2d":
+        mesh, problem, e0, obs = continuation_2d_twin(6)
+        args = (e0, friction_field(mesh, 1.0), get_kernel("sqrt"), 1e-1, False)
+    else:
+        mesh, problem, _, _, obs = twin(n=8)
+        args = (ellipticity_field(mesh, 1.3), friction_field(mesh, 0.1), KERNEL, 1e-3, True)
+    res = identify(config(alpha=1e-8, beta=1e-8, stop_tol=0.0), problem, obs, *args)
+    assert res.method == "trf"
+    assert res.stop_reason == "`gtol` termination condition is satisfied."
+    last = accepted[-1]
+    assert len(res.objective_history) == len(accepted) > 1
+    assert res.stationarity_history[-1] == last.stationarity and max(last.stationarity) > 0.0
+    assert np.array_equal(res.e_hat.values, last.e.values) and np.array_equal(res.f_hat.values, last.f.values)
+    assert res.objective_history[-1] == last.value and res.misfit == last.misfit
+    assert res.final_state is last.state
 
 
 def counted_method(monkeypatch, cls, name):

@@ -71,7 +71,16 @@ _EXPERIMENTS = {  # kind -> {field: default}
 EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 _SOLVER = {"newton_tol": _NEWTON_TOL, "oracle_tol": _ORACLE_TOL}
 # The lower bounds the types do not imply; eps = 0 (the oracle) is forward-only.
-_MINIMA = {"eps": 0.0, "t_points": 1, "n_directions": 1, "max_iters": 0, "noise_level": 0.0}
+_MINIMA = {
+    "eps": 0.0,
+    "t_points": 1,
+    "n_directions": 1,
+    "max_iters": 0,
+    "stop_tol": 0.0,
+    "alpha": 0.0,
+    "beta": 0.0,
+    "noise_level": 0.0,
+}
 
 
 @dataclass(frozen=True)

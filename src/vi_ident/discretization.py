@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import combinations
 from typing import Callable, Mapping
 
 import numpy as np
@@ -49,6 +48,7 @@ __all__ = [
 ]
 
 FORMS = ("grad_grad", "grad_grad_plus_mass")
+SUPPORTS = ("elements", "friction_set")  # where a ParameterField's values live
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,18 @@ class Mesh:
         """The pattern every operator on this mesh is assembled on, built on
         first use."""
         return OperatorPattern(self)
+
+    @cached_property
+    def element_gram(self) -> sp.csr_matrix:
+        """The regularization Gram of elementwise fields
+        (:func:`elementwise_h1_gram`), built once per mesh on first read."""
+        return elementwise_h1_gram(self)
+
+    @cached_property
+    def friction_set_gram(self):
+        """The regularization Gram of fields on the friction nodes
+        (:func:`friction_gram`), built once per mesh on first read."""
+        return friction_gram(self)
 
 
 def _finish_mesh(dimension, nodes, elements, dirichlet, friction, weights) -> Mesh:
@@ -229,20 +241,30 @@ def build_mesh(spec: Mapping) -> Mesh:
 
 @dataclass(frozen=True)
 class ParameterField:
-    """A coefficient vector with box bounds and a regularization Gram matrix.
+    """A coefficient vector on a mesh, with box bounds and a regularization
+    Gram matrix.
 
-    For the ellipticity coefficient the values live one-per-element; for the
-    friction coefficient one-per-friction-node.  ``reg_inner_product`` is the
-    SPD matrix of the field's regularization inner product.
+    The ellipticity coefficient lives one value per element (``support`` is
+    ``"elements"``), the friction coefficient one value per friction node
+    (``"friction_set"``).  ``reg_inner_product`` is the SPD matrix of the
+    field's regularization inner product: the mesh's
+    :attr:`Mesh.element_gram` or :attr:`Mesh.friction_set_gram`, built once
+    per mesh on first read and shared by every field on that mesh, so a field
+    whose Gram is never read (a forward solve) builds none.  The shared Gram
+    must not be modified in place.  :func:`elementwise_h1_gram` matches the
+    elements' shared facets by one stable sort of integer facet keys.
     """
 
     values: np.ndarray
     lower_bound: float
     upper_bound: float
-    reg_inner_product: object  # dense or scipy.sparse, SPD
+    mesh: Mesh = field(repr=False, compare=False)
+    support: str
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.support not in SUPPORTS:
+            raise ValueError(f"support must be one of {SUPPORTS}, got {self.support!r}")
         if not self.lower_bound < self.upper_bound:
             raise ConfigError(
                 f"bounds must satisfy lower < upper, got [{self.lower_bound}, {self.upper_bound}]"
@@ -251,6 +273,12 @@ class ParameterField:
             initial=-np.inf
         ) > self.upper_bound:
             raise ValueError("field values violate the box bounds")
+
+    @property
+    def reg_inner_product(self):
+        """The SPD Gram matrix of the regularization inner product (dense or
+        scipy.sparse), read off the mesh."""
+        return self.mesh.element_gram if self.support == "elements" else self.mesh.friction_set_gram
 
     def with_values(self, values: np.ndarray) -> "ParameterField":
         return replace(self, values=values)
@@ -272,17 +300,19 @@ def _broadcast(values, size) -> np.ndarray:
 def ellipticity_field(
     mesh: Mesh, values, lower: float = 0.1, upper: float = 10.0
 ) -> ParameterField:
-    """Elementwise ellipticity coefficient with the default H1-type Gram."""
+    """Elementwise ellipticity coefficient, regularized by the mesh's
+    H1-type Gram (:attr:`Mesh.element_gram`)."""
     vals = _broadcast(values, mesh.n_elements)
-    return ParameterField(vals, float(lower), float(upper), elementwise_h1_gram(mesh))
+    return ParameterField(vals, float(lower), float(upper), mesh, "elements")
 
 
 def friction_field(
     mesh: Mesh, values, lower: float = 0.0, upper: float = 5.0
 ) -> ParameterField:
-    """Nodewise friction coefficient on D with the default Gram."""
+    """Nodewise friction coefficient on D, regularized by the mesh's Gram
+    along D (:attr:`Mesh.friction_set_gram`)."""
     vals = _broadcast(values, mesh.friction_nodes.size)
-    return ParameterField(vals, float(lower), float(upper), friction_gram(mesh))
+    return ParameterField(vals, float(lower), float(upper), mesh, "friction_set")
 
 
 # ---------------------------------------------------------------------------
@@ -538,29 +568,41 @@ def elementwise_h1_gram(mesh: Mesh) -> sp.csr_matrix:
     Mass part: diagonal of element measures.  Stiffness part: a finite-volume
     difference across each interior facet with weight |facet| / (centroid
     distance), the two-point flux analogue of int grad e . grad e for fields
-    that are constant per element.  A facet is a sorted (m-1)-subset of an
-    element's nodes (an edge in 2D, a node in 1D, where |facet| = 1); the
-    interior ones are those two elements share.
+    that are constant per element.  A facet is an edge in 2D, keyed by its
+    node pair as ``min * n_nodes + max``, and a node in 1D (|facet| = 1),
+    keyed by the node itself; the interior facets are the keys two elements
+    share, found by one stable sort of the keys.  :attr:`Mesh.element_gram`
+    holds this matrix once built.
     """
     E, m = mesh.elements.shape
-    subsets = list(combinations(range(m), m - 1))
-    facets = np.sort(mesh.elements[:, subsets], axis=2).reshape(-1, m - 1)
-    key = np.ravel_multi_index(tuple(facets.T), (mesh.n_nodes,) * (m - 1))
+    if mesh.dimension == 1:
+        key = mesh.elements.ravel()
+    else:
+        # the edges (0, 1), (0, 2), (1, 2) of each triangle, element by element
+        p, q = mesh.elements[:, [0, 0, 1]].ravel(), mesh.elements[:, [1, 2, 2]].ravel()
+        low, high = np.minimum(p, q), np.maximum(p, q)
+        key = low * mesh.n_nodes + high
     order = np.argsort(key, kind="stable")
     twin = np.flatnonzero(key[order[1:]] == key[order[:-1]])
     first, second = order[twin], order[twin + 1]
     a, b = first // m, second // m
-    mids = element_midpoints(mesh)
-    size = 1.0
-    if mesh.dimension == 2:
-        ends = mesh.nodes[facets[first]]
-        size = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1)
-    w = size / np.linalg.norm(mids[a] - mids[b], axis=1)
-    diag = np.arange(E)
-    rows = np.concatenate([diag, a, b, a, b])
-    cols = np.concatenate([diag, a, b, b, a])
-    vals = np.concatenate([element_measures(mesh), w, w, -w, -w])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(E, E)).tocsr()
+    size = 1.0 if mesh.dimension == 1 else _distances(mesh.nodes, low[first], high[first])
+    w = size / _distances(element_midpoints(mesh), a, b)
+    rows = np.concatenate([np.arange(E), a, b])
+    cols = np.concatenate([np.arange(E), b, a])
+    # each diagonal entry sums its element's measure, then its facet weights
+    diag = np.bincount(rows, weights=np.concatenate([element_measures(mesh), w, w]), minlength=E)
+    return sp.coo_matrix((np.concatenate([diag, -w, -w]), (rows, cols)), shape=(E, E)).tocsr()
+
+
+def _distances(points: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The Euclidean distances between the rows ``p`` and ``q`` of
+    ``points``, summed coordinate by coordinate."""
+    squared = 0.0
+    for x in points.T:
+        d = x[p] - x[q]
+        squared = squared + d * d
+    return np.sqrt(squared)
 
 
 def friction_gram(mesh: Mesh):
@@ -569,6 +611,7 @@ def friction_gram(mesh: Mesh):
     The 1D point-friction case uses the scalar 1.  In 2D it is the P1
     mass+stiffness matrix of the bottom edge with its Dirichlet endpoints
     eliminated, i.e. a discrete H1 inner product along D.
+    :attr:`Mesh.friction_set_gram` holds it once built.
     """
     nf = mesh.friction_nodes.size
     if mesh.dimension == 1:

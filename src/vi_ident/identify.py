@@ -112,6 +112,8 @@ class IdentificationConfig:
         object.__setattr__(self, "eps_schedule", tuple(float(x) for x in self.eps_schedule))
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be nonnegative")
+        if self.stop_tol < 0:
+            raise ConfigError(f"stop_tol must be nonnegative, got {self.stop_tol}")
         if self.misfit_norm not in MISFIT_NORMS:
             raise ConfigError(f"misfit_norm must be one of {MISFIT_NORMS}, got {self.misfit_norm!r}")
         sched = self.eps_schedule

@@ -335,6 +335,10 @@ MALFORMED = [
         MESH_8 + "experiment: {kind: gradient-check, n_directions: 0, tolerance: 1.0e-30}",
     ),
     ("experiment.max_iters: must be >= 0", "identify", IDENTIFY_TWIN + "  max_iters: -1\n"),
+    # a negative stop_tol would never stop a run "stationary"
+    ("experiment.stop_tol: must be >= 0", "identify", IDENTIFY_TWIN.replace("stop_tol: 1.0e-9", "stop_tol: -1.0")),
+    ("experiment.alpha: must be >= 0", "identify", IDENTIFY_TWIN.replace("alpha: 1.0e-8", "alpha: -1.0")),
+    ("experiment.beta: must be >= 0", "check-gradient", MESH_8 + "experiment: {kind: gradient-check, beta: -1.0}"),
     ("experiment.true_friction: must lie in", "identify", IDENTIFY_TWIN.replace("true_friction: 0.25", "true_friction: 6.0")),
     ("experiment.initial_ellipticity: must lie in", "identify", IDENTIFY_TWIN + "  initial_ellipticity: 20.0\n"),
     ("experiment.eps: must be >= 0", "solve-forward", MINIMAL_FORWARD.replace("eps: 0.0", "eps: -1.0e-3")),

@@ -33,7 +33,8 @@ from vi_ident.discretization import (
     load_vector,
     operator_jacobian,
 )
-from vi_ident.forward import Problem, factorize
+from vi_ident.forward import Problem, factorize, solution_map
+from vi_ident.kernels import get_kernel
 
 from .helpers import MESHES, minimum_degree_order
 
@@ -305,6 +306,44 @@ def test_the_element_geometry_is_built_once_per_mesh_on_first_use(monkeypatch):
     assert element_measures(mesh) is measures
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_the_regularization_grams_are_built_once_per_mesh_on_first_read(monkeypatch, dimension):
+    builds = []
+
+    def counting(name):
+        build = getattr(discretization, name)
+
+        def counted(mesh):
+            builds.append(name)
+            return build(mesh)
+
+        return counted
+
+    for name in ("elementwise_h1_gram", "friction_gram"):
+        monkeypatch.setattr(discretization, name, counting(name))
+    mesh = interval_mesh(0, 1, 8) if dimension == 1 else unit_square_mesh(6)
+    e, f = ellipticity_field(mesh, 1.0), friction_field(mesh, 0.3)
+    e2, f2 = e.with_values(np.full_like(e.values, 2.0)), f.with_values(f.values + 0.1)
+    problem = Problem(mesh)
+    solution_map(e, f, 0.0, problem)
+    solution_map(e2, f2, 1e-3, problem, get_kernel("sigmoid"))
+    assert builds == []  # the parameter-to-solution map reads no Gram
+    grams = [field.reg_inner_product for field in (e, f, e2, f2, ellipticity_field(mesh, 3.0))]
+    assert sorted(builds) == ["elementwise_h1_gram", "friction_gram"]
+    assert grams[0] is grams[2] is grams[4] is mesh.element_gram
+    assert grams[1] is grams[3] is mesh.friction_set_gram
+
+
+def test_an_unordered_friction_set_is_a_config_error_on_first_read():
+    mesh = unit_square_mesh(4)
+    mesh = replace(mesh, friction_nodes=mesh.friction_nodes[::-1].copy())
+    f = friction_field(mesh, 0.3)  # builds no Gram, so nothing to check yet
+    with pytest.raises(ConfigError, match="ordered"):
+        f.reg_inner_product
+    with pytest.raises(ConfigError, match="ordered"):
+        friction_gram(mesh)
+
+
 @pytest.mark.parametrize("mesh", [interval_mesh(0, 2, 5), unit_square_mesh(7)], ids=["1d", "2d"])
 def test_the_element_geometry_is_read_only_and_exact(mesh):
     measures, midpoints = element_measures(mesh), element_midpoints(mesh)
@@ -453,8 +492,10 @@ def test_elementwise_h1_gram_matches_the_facet_loop():
     # the summation order differs, so equality holds to a few ulps of the largest entry
     for mesh in (interval_mesh(0, 2, 5), interval_mesh(0, 1, 32), unit_square_mesh(3), unit_square_mesh(16)):
         expected = loop_h1_gram(mesh)
-        G = elementwise_h1_gram(mesh).toarray()
-        assert np.abs(G - expected).max() <= 1e-14 * np.abs(expected).max()
+        G = elementwise_h1_gram(mesh)
+        # sorted column indices and no duplicates, checked afresh on a copy
+        assert sp.csr_matrix((G.data, G.indices, G.indptr), shape=G.shape).has_canonical_format
+        assert np.abs(G.toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_friction_gram_values():

@@ -72,6 +72,9 @@ def test_schedule_must_be_positive_and_decreasing():
 def test_armijo_and_weights_validated():
     with pytest.raises(ConfigError):
         IdentificationConfig(alpha=-1.0)
+    IdentificationConfig(stop_tol=0.0)  # fine: the run stops on scipy's own test
+    with pytest.raises(ConfigError, match="stop_tol"):
+        IdentificationConfig(stop_tol=-1.0)
 
 
 def test_an_unknown_misfit_norm_is_a_config_error():

@@ -46,10 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 from .discretization import ParameterField, free_part, full_part, operator_jacobian
-from .forward import Factorization, ForwardState, FrictionSetSolution, Problem, solution_map
+from .forward import Factorization, ForwardState, FrictionSetSolution, Problem, cholesky_solve, solution_map
 from .kernels import KernelSpec, modulus_smooth
 
 __all__ = [
@@ -222,7 +222,7 @@ def friction_jacobian(
     """
     sm = solution.modulus
     w_dM = np.diag(fac.mesh.friction_weights * sm.first_derivative)
-    dx = -cho_solve(fac.shifted_factor(solution.wf * sm.second_derivative), w_dM)
+    dx = -cholesky_solve(fac.shifted_factor(solution.wf * sm.second_derivative), w_dM)
     return R_Z @ (fac.schur @ dx), dx
 
 

@@ -24,13 +24,20 @@ the condensed energy ``1/2 (x - y_D)^T S (x - y_D) + sum_i w_i f_i m(x_i)``.
   with ``e`` fixed extends only the ``x`` it stops at.
 
 Each solver builds ``u`` with one final ``T``-solve and reports the
-full-space residual of that ``u``.  :func:`factorize` (for a coefficient,
+full-space residual of that ``u``; that extension (:meth:`Factorization.extend`)
+builds its right-hand side in the LU's elimination order, where D is the
+trailing block.  :func:`factorize` (for a coefficient,
 :meth:`Problem.factorization`) factorizes ``T(e)`` once per operator, D last,
 into a :class:`Factorization` that keeps ``T(e)``, the load, ``y``, ``S`` (the
 trailing |D| x |D| block of its LU) and the oracle's last solution on D
 (:meth:`Factorization.oracle`).  The solvers on D, the sensitivities and the
 adjoint (:mod:`vi_ident.adjoint`) take it.  Outside the oracle, every dense
-solve on D is a Cholesky solve with ``S`` plus a nonnegative diagonal.
+solve on D goes one way: LAPACK's Cholesky ``potrf`` of ``S`` plus a
+nonnegative diagonal (:meth:`Factorization.shifted_factor`), then ``potrs``
+(:func:`cholesky_solve`).  ``S`` is checked finite once, when it is built;
+the diagonal and each right-hand side are checked on every call, at O(|D|)
+cost per column; a factorization that breaks down raises ``SolverError``.
+Every tolerance test is written so that a NaN residual fails it.
 :func:`solution_map` dispatches on ``eps`` (0 means oracle).
 """
 
@@ -42,7 +49,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import lsq_linear
 from scipy.sparse.linalg import splu
 
@@ -65,6 +73,7 @@ __all__ = [
     "FrictionSetSolution",
     "Problem",
     "factorize",
+    "cholesky_solve",
     "solve_vi_oracle",
     "solve_friction_set",
     "friction_set_state",
@@ -147,8 +156,11 @@ class Factorization:
     ``T`` onto D, ``S = R^T R`` with ``R = diag(U_DD)^{-1/2} U_DD``.  It keeps
     ``mesh``, ``matrix`` ``T(e)`` and ``load``; ``load_solution``
     ``y = T^{-1} l``, ``schur_factor`` ``R`` and ``schur`` ``S`` (the inverse
-    of ``E_D^T T^{-1} E_D``) are built on first use.  The forward solvers
-    iterate on these, then call :meth:`extend` once.
+    of ``E_D^T T^{-1} E_D``, checked finite) are built on first use.  The
+    forward solvers iterate on these, then call :meth:`extend` once, which
+    solves from the load kept in elimination order.  Every dense solve on D
+    factorizes ``S`` plus a diagonal with LAPACK's Cholesky
+    (:meth:`shifted_factor`) and solves with :func:`cholesky_solve`.
     ``friction_misfits`` holds identification's misfit on D at this ``e``,
     ``(R_Z, c_D, kappa)`` per misfit norm and observation
     (:func:`~vi_ident.adjoint.friction_misfit_factor`).  Raises
@@ -179,9 +191,14 @@ class Factorization:
             raise SolverError("the LU of T(e) does not keep the friction set as its trailing block")
 
     @cached_property
+    def _ordered_load(self) -> np.ndarray:
+        """The load in elimination order, D last."""
+        return self.load[self._order]
+
+    @cached_property
     def load_solution(self) -> np.ndarray:
         """``y = T^{-1} l``, the frictionless solution."""
-        return self.solve(self.load)
+        return self._lu.solve(self._ordered_load)[self._rank]
 
     @cached_property
     def schur_factor(self) -> np.ndarray:
@@ -191,9 +208,17 @@ class Factorization:
 
     @cached_property
     def schur(self) -> np.ndarray:
-        """``S``, the Schur complement of ``T`` onto D."""
+        """``S``, the Schur complement of ``T`` onto D, checked finite."""
         R = self.schur_factor
-        return R.T @ R
+        S = R.T @ R
+        if not np.isfinite(S).all():
+            raise SolverError("the Schur complement of T(e) onto the friction set is not finite")
+        return S
+
+    @cached_property
+    def _schur_columns(self) -> np.ndarray:
+        """``S`` in column-major order, the layout LAPACK factorizes in place."""
+        return np.asfortranarray(self.schur)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``T x = rhs`` for a vector or an (n, k) block of right-hand sides."""
@@ -206,9 +231,23 @@ class Factorization:
             self._oracle = (wf, _active_set(self, wf))
         return self._oracle[1]
 
-    def shifted_factor(self, shift: np.ndarray) -> tuple:
-        """``cho_factor(S + diag(shift))``, for :meth:`solve_shifted`."""
-        return cho_factor(self.schur + np.diag(shift))
+    def shifted_factor(self, shift: np.ndarray) -> np.ndarray:
+        """The upper Cholesky factor of ``S + diag(shift)``, for
+        :func:`cholesky_solve`: LAPACK ``potrf`` on a copy of ``S`` with
+        ``shift`` added to its diagonal.  The strict lower triangle holds
+        ``S``.
+
+        Raises ``ValueError`` if ``shift`` is not finite, and ``SolverError``
+        if ``S + diag(shift)`` is not positive definite.
+        """
+        if not np.isfinite(shift).all():
+            raise ValueError("the shift of the Schur complement must be finite")
+        H = self._schur_columns.copy(order="F")
+        H.flat[:: H.shape[0] + 1] += shift
+        factor, info = dpotrf(H, lower=0, clean=0, overwrite_a=1)
+        if info > 0:
+            raise SolverError(f"the shifted Schur complement is not positive definite (leading minor {info})")
+        return factor
 
     def solve_shifted(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(T + E_D diag(shift) E_D^T) x = rhs`` for a vector or an
@@ -225,7 +264,7 @@ class Factorization:
         if not np.any(shift):
             return y
         pos, S = self.positions, self.schur
-        x_D = cho_solve(self.shifted_factor(shift), S @ y[pos])
+        x_D = cholesky_solve(self.shifted_factor(shift), S @ y[pos])
         corrected = np.array(rhs, dtype=float)
         corrected[pos] -= (shift * x_D.T).T
         x = self.solve(corrected)
@@ -234,12 +273,25 @@ class Factorization:
 
     def extend(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """The ``u`` with ``u_D = x`` that solves ``T u = l - E_D lam`` off D:
-        one ``T``-solve."""
-        rhs = np.array(self.load, dtype=float)
-        rhs[self.positions] -= lam
-        u = self.solve(rhs)
-        u[self.positions] = x
-        return u
+        one ``T``-solve, its right-hand side built in elimination order, where
+        D is the trailing block."""
+        rhs = self._ordered_load.copy()
+        rhs[self._lead :] -= lam
+        u = self._lu.solve(rhs)
+        u[self._lead :] = x
+        return u[self._rank]
+
+
+def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(S + diag(shift)) x = rhs`` for a vector or a |D| x k block,
+    with ``factor`` from :meth:`Factorization.shifted_factor`: LAPACK
+    ``potrs``.  Raises ``ValueError`` if ``rhs`` is not finite."""
+    if not np.isfinite(rhs).all():
+        raise ValueError("the right-hand side of a solve on the friction set must be finite")
+    x, info = dpotrs(factor, rhs, lower=0)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    return x
 
 
 def factorize(op: DiscreteOperator, mesh: Mesh) -> Factorization:
@@ -254,6 +306,8 @@ def _check_friction(f: ParameterField, mesh: Mesh) -> np.ndarray:
     vals = f.values
     if vals.shape != (mesh.friction_nodes.size,):
         raise ValueError("friction field length must match the friction node count")
+    if not np.isfinite(vals).all():
+        raise ValueError("friction coefficient must be finite")
     if vals.min(initial=0.0) < 0.0:
         raise ValueError("friction coefficient must be nonnegative")
     return vals
@@ -332,7 +386,7 @@ def solve_vi_oracle(
     x, lam, iterations = fac.oracle(wf)
     u = fac.extend(x, lam)
     residual = _prox_residual(fac, wf, u)
-    if residual > tol:
+    if not residual <= tol:
         raise SolverError(f"oracle residual {residual:.3e} above tol {tol:.1e}", residual=residual)
     return ForwardState(u=full_part(mesh, u), residual_norm=residual, iterations=iterations, eps=0.0)
 
@@ -415,13 +469,13 @@ def friction_set_state(
 
     u = fac.extend(solution.x, -solution.q)
     r = residual_of(u, sm)
-    if np.linalg.norm(r) > tol:
+    if np.linalg.norm(r) > tol:  # a NaN residual takes no step and fails the check below
         # the gradient on D does not see the round-off of the T-solve
         u += fac.solve_shifted(wf * sm.second_derivative, -r)
         sm = modulus_smooth(solution.kernel, solution.eps, u[pos])
         r = residual_of(u, sm)
     residual = float(np.linalg.norm(r))
-    if residual > tol:
+    if not residual <= tol:
         raise SolverError(f"Newton residual {residual:.3e} above tol {tol:.1e}", residual=residual)
     return ForwardState(
         u=full_part(fac.mesh, u),
@@ -470,12 +524,23 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
     x, g, q, sm, energy = at(x)
     history = [float(np.linalg.norm(g))]
     iterations = stalled = 0
-    while history[-1] > tol:
-        if iterations >= max_iter or stalled >= 2:
-            reason = "stalled at the attainable precision" if stalled >= 2 else f"did not converge in {max_iter} iterations"
-            raise SolverError(f"Newton {reason} (residual {history[-1]:.3e}, tol {tol:.1e})", residual=history[-1])
+    while not history[-1] <= tol:  # a NaN norm does not pass
+        failure = (
+            "reached a non-finite gradient" if not np.isfinite(history[-1])
+            else "stalled at the attainable precision" if stalled >= 2
+            else f"did not converge in {max_iter} iterations" if iterations >= max_iter
+            else None
+        )
+        if failure:
+            raise SolverError(
+                f"Newton {failure} at eps {eps:g} (residual {history[-1]:.3e}, tol {tol:.1e})", residual=history[-1]
+            )
         iterations += 1
-        d = -cho_solve(fac.shifted_factor(wf * sm.second_derivative), g)
+        try:
+            factor = fac.shifted_factor(wf * sm.second_derivative)
+        except SolverError as err:
+            raise SolverError(f"Newton at eps {eps:g}: {err} (residual {history[-1]:.3e})", residual=history[-1]) from None
+        d = -cholesky_solve(factor, g)
         # Full step first: near the solution Newton contracts the residual and
         # the energy decrease underflows double precision, so the Armijo test
         # is reserved for the globalization phase.

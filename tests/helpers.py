@@ -193,6 +193,33 @@ def minimum_degree_order(pattern) -> np.ndarray:
     return np.concatenate([rest, D]).astype(np.int32)
 
 
+def recursive_dissection_order(points, indptr, indices, part) -> np.ndarray:
+    """Reference nested dissection of the dofs ``part``, one part at a time by
+    recursion: each part is cut at the median coordinate along its longest
+    extent, and ordered as the low side less the separator, the high side and
+    the separator (the low-side dofs with a pattern neighbour on the high
+    side).  A part of at most ``_LEAF_SIZE`` dofs, or with no proper split,
+    keeps its order."""
+    from vi_ident.discretization import _LEAF_SIZE
+
+    n = indptr.size - 1
+    neighbours = [set(indices[indptr[i] : indptr[i + 1]]) for i in range(n)]
+
+    def dissect(part):
+        if part.size <= _LEAF_SIZE:
+            return part
+        coords = points[part]
+        x = coords[:, np.ptp(coords, axis=0).argmax()]
+        low = x <= np.partition(x, (x.size - 1) // 2)[(x.size - 1) // 2]
+        if low.all():
+            return part
+        high = set(part[~low].tolist())
+        separator = np.array([low[k] and not neighbours[i].isdisjoint(high) for k, i in enumerate(part)])
+        return np.concatenate([dissect(part[low & ~separator]), dissect(part[~low]), part[separator]])
+
+    return dissect(np.asarray(part))
+
+
 # --- CSV cells ------------------------------------------------------------------
 
 

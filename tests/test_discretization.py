@@ -36,7 +36,7 @@ from vi_ident.discretization import (
 from vi_ident.forward import Problem, factorize, solution_map
 from vi_ident.kernels import get_kernel
 
-from .helpers import MESHES, minimum_degree_order
+from .helpers import MESHES, minimum_degree_order, recursive_dissection_order
 
 
 def spd_check(A) -> bool:
@@ -131,6 +131,20 @@ def test_parameter_field_bounds_enforced():
         ellipticity_field(mesh, 100.0)  # above the default upper bound
     with pytest.raises(ValueError):
         friction_field(mesh, -0.1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make, support", [(ellipticity_field, "elements"), (friction_field, "friction_set")])
+def test_a_non_finite_field_value_is_rejected(make, support, value):
+    # min/max of a vector holding a NaN are NaN, which no box test rejects
+    mesh = unit_square_mesh(8)
+    field = make(mesh, 0.5)
+    values = field.values.copy()
+    values[2] = value
+    with pytest.raises(ValueError, match=f"on the {support} must be finite"):
+        make(mesh, values)
+    with pytest.raises(ValueError, match=f"on the {support} must be finite"):
+        field.with_values(values)
 
 
 def test_parameter_field_projection_clips():
@@ -421,6 +435,34 @@ def test_the_elimination_order_fills_no_more_than_minimum_degree(n):
         options={"SymmetricMode": True},
     )
     assert lu.L.nnz + lu.U.nnz <= reference.L.nnz + reference.U.nnz
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [unit_square_mesh(n) for n in (2, 4, 5, 7, 12, 16, 31, 64, 128)]
+    + [interval_mesh(0, 1, n) for n in (4, 17, 40, 128)]
+    + [interval_mesh(-2, 3, 1000)],
+    ids=lambda mesh: f"{mesh.dimension}d_{mesh.free_nodes.size}",
+)
+def test_the_dissection_order_matches_the_recursive_dissection(mesh):
+    pattern = mesh.operator_pattern
+    rest = np.setdiff1d(np.arange(pattern.shape[0]), pattern.friction_positions)
+    expected = np.concatenate([
+        recursive_dissection_order(pattern.points, pattern.indptr, pattern.indices, rest),
+        pattern.friction_positions,
+    ])
+    assert np.array_equal(pattern.elimination[0], expected)
+
+
+def test_the_dissection_keeps_the_order_of_an_unsorted_part():
+    # a perturbed grid, so coordinates tie along neither axis, and a part
+    # given in random order: every part keeps the order of its dofs in it
+    mesh = unit_square_mesh(24)
+    pattern = mesh.operator_pattern
+    points = pattern.points + np.random.default_rng(1).uniform(-1e-3, 1e-3, pattern.points.shape)
+    part = np.random.default_rng(2).permutation(pattern.shape[0])[: pattern.shape[0] // 2]
+    args = (points, pattern.indptr, pattern.indices, part)
+    assert np.array_equal(discretization._dissection_order(*args), recursive_dissection_order(*args))
 
 
 def test_a_part_with_no_proper_split_keeps_its_order():

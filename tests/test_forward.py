@@ -614,3 +614,131 @@ def test_oracle_raises_when_its_active_set_is_wrong(monkeypatch):
     with pytest.raises(SolverError, match="residual") as err:
         solve_vi_oracle(varied_operator(mesh), mesh, friction_field(mesh, 0.05))
     assert err.value.residual > 0
+
+
+# --- non-finite values and failed Cholesky factorizations -------------------------
+
+
+@pytest.mark.parametrize("solve", ["oracle", "newton", "newton_from_u0"])
+def test_a_non_finite_friction_value_is_not_solved(solve):
+    # min(nan) and nan > tol are both False, so a NaN in f passed every check
+    # and came back as a state with residual_norm = nan
+    mesh = unit_square_mesh(8)
+    problem = Problem(mesh)
+    e = ellipticity_field(mesh, 1.0)
+    kernel = get_kernel("sqrt")
+    u0 = solution_map(e, friction_field(mesh, 0.3), 1e-3, problem, kernel).u
+    f = friction_field(mesh, 0.3)
+    f.values[2] = np.nan  # fields reject a NaN when made, so sneak one in by mutating the array
+    solves = {
+        "oracle": lambda: solution_map(e, f, 0.0, problem),
+        "newton": lambda: solution_map(e, f, 1e-3, problem, kernel),
+        "newton_from_u0": lambda: solution_map(e, f, 1e-3, problem, kernel, u0_full=u0),
+    }
+    with pytest.raises(ValueError, match="friction coefficient must be finite"):
+        solves[solve]()
+
+
+def test_a_non_finite_start_falls_back_to_the_oracle_start():
+    # a NaN start used to "converge" at once: nan > tol is False
+    mesh = unit_square_mesh(8)
+    problem = Problem(mesh)
+    e, f = ellipticity_field(mesh, 1.0), friction_field(mesh, 0.3)
+    kernel = get_kernel("sqrt")
+    cold = solution_map(e, f, 1e-3, problem, kernel)
+    warm = solution_map(e, f, 1e-3, problem, kernel, u0_full=np.full(mesh.n_nodes, np.nan))
+    assert np.array_equal(warm.u, cold.u)
+    assert warm.residual_norm <= 1e-12
+
+
+def test_a_non_finite_residual_is_a_solver_error(monkeypatch):
+    # an oracle whose x is not finite: its residual is NaN, and so is the
+    # gradient of Newton started from it; both must fail, not return
+    def non_finite_active_set(fac, wf):
+        return np.full(wf.size, np.nan), np.zeros(wf.size), 0
+
+    monkeypatch.setattr(forward, "_active_set", non_finite_active_set)
+    mesh = unit_square_mesh(8)
+    e, f = ellipticity_field(mesh, 1.0), friction_field(mesh, 0.3)
+    with pytest.raises(SolverError, match="oracle residual nan") as err:
+        solution_map(e, f, 0.0, Problem(mesh))
+    assert np.isnan(err.value.residual)
+    with pytest.raises(SolverError, match="eps 0.001") as err:
+        solution_map(e, f, 1e-3, Problem(mesh), get_kernel("sqrt"))
+    assert np.isnan(err.value.residual)
+
+
+def _schur_setup():
+    mesh = unit_square_mesh(16)
+    fac = factorize(varied_operator(mesh), mesh)
+    rng = np.random.default_rng(7)
+    d = fac.positions.size
+    return fac, rng.uniform(0.0, 50.0, d), rng.standard_normal(d), rng.standard_normal((d, 5))
+
+
+def test_the_shifted_factor_and_solve_equal_scipys_cholesky_bitwise():
+    from scipy.linalg import cho_factor, cho_solve
+
+    fac, shift, b, B = _schur_setup()
+    factor = fac.shifted_factor(shift)
+    reference = cho_factor(fac.schur + np.diag(shift))
+    assert np.array_equal(factor, reference[0])
+    for rhs in (b, B):
+        x = forward.cholesky_solve(factor, rhs)
+        assert x.shape == rhs.shape
+        assert np.array_equal(x, cho_solve(reference, rhs))
+    assert np.array_equal(fac.shifted_factor(shift), factor)  # S itself is left as it was
+
+
+def test_the_extension_solves_with_the_multipliers_on_the_friction_set():
+    fac, _, x, lam = _schur_setup()
+    lam = lam[:, 0]
+    u = fac.extend(x, lam)
+    rhs = fac.load.copy()
+    rhs[fac.positions] -= lam
+    expected = fac.solve(rhs)
+    expected[fac.positions] = x
+    assert np.array_equal(u, expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_the_cholesky_path_checks_its_inputs_are_finite(bad):
+    fac, shift, b, B = _schur_setup()
+    shift[3] = bad
+    with pytest.raises(ValueError, match="shift .* must be finite"):
+        fac.shifted_factor(shift)
+    factor = fac.shifted_factor(np.ones_like(b))
+    for rhs in (b, B):
+        rhs.flat[4] = bad
+        with pytest.raises(ValueError, match="right-hand side .* must be finite"):
+            forward.cholesky_solve(factor, rhs)
+
+
+def test_an_indefinite_shifted_schur_complement_is_a_solver_error():
+    fac, shift, b, _ = _schur_setup()
+    indefinite = -shift - np.diag(fac.schur).max()
+    with pytest.raises(SolverError, match="not positive definite"):
+        fac.shifted_factor(indefinite)
+    with pytest.raises(SolverError, match="not positive definite"):
+        fac.solve_shifted(indefinite, np.ones(fac.load.size))
+
+
+def test_newton_on_an_indefinite_hessian_raises_a_solver_error():
+    # a negative density gives M'' < 0, so S + diag(w f M'') loses definiteness
+    sigmoid = get_kernel("sigmoid")
+    negative = replace(sigmoid, kind="negative", density=lambda s: -1e6 * np.ones_like(np.asarray(s, dtype=float)))
+    mesh = unit_square_mesh(8)
+    with pytest.raises(SolverError, match="eps 0.01: .* not positive definite") as err:
+        solution_map(ellipticity_field(mesh, 1.0), friction_field(mesh, 1.0), 1e-2, Problem(mesh), negative)
+    assert err.value.residual > 0
+
+
+def test_a_non_finite_friction_set_solution_has_no_state():
+    # its residual is NaN, which the tolerance test used to pass
+    mesh = unit_square_mesh(8)
+    fac = Problem(mesh).factorization(ellipticity_field(mesh, 1.0))
+    solution = forward.solve_friction_set(fac, friction_field(mesh, 0.3), get_kernel("sqrt"), 1e-3)
+    broken = solution._replace(x=np.full_like(solution.x, np.nan))
+    with pytest.raises(SolverError, match="Newton residual nan") as err:
+        forward.friction_set_state(fac, broken)
+    assert np.isnan(err.value.residual)

@@ -491,20 +491,12 @@ def _dissection_order(points, indptr, indices, part) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Assembled operator and load on the free (non-Dirichlet) nodes.
-
-    ``matrix`` is stored on the mesh's :class:`OperatorPattern`.
-    ``factorization`` is filled on first use by
-    :func:`vi_ident.forward.factorize` and shared by every later solve with
-    this operator, so ``matrix`` must not be modified in place.  A
-    :class:`vi_ident.forward.Problem` holds only the operator requested last,
-    so an earlier operator is freed, with its factorization, once no caller
-    holds it.
-    """
+    """Assembled operator and load on the free (non-Dirichlet) nodes, with
+    ``matrix`` stored on the mesh's :class:`OperatorPattern`; a plain value,
+    which :func:`vi_ident.forward.factorize` factorizes anew on every call."""
 
     matrix: sp.csr_matrix
     load: np.ndarray
-    factorization: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def assemble_operator(
@@ -544,9 +536,11 @@ def load_vector(mesh: Mesh, g: Callable | float = 1.0) -> np.ndarray:
 
     A one-point rule (midpoint/centroid), consistent with P1 accuracy; ``g``
     is either a constant or a callable receiving the (E, dim) array of
-    element midpoints.
+    element midpoints, and a ``ValueError`` if not finite at all of them.
     """
     gv = np.asarray(g(element_midpoints(mesh)), dtype=float) if callable(g) else float(g)
+    if not np.isfinite(gv).all():
+        raise ValueError("the source g must be finite at every element midpoint")
     m = mesh.elements.shape[1]
     contrib = np.repeat(gv * element_measures(mesh) / m, m)
     return np.bincount(mesh.elements.ravel(), weights=contrib, minlength=mesh.n_nodes)[mesh.free_nodes]

@@ -23,14 +23,13 @@ the condensed energy ``1/2 (x - y_D)^T S (x - y_D) + sum_i w_i f_i m(x_i)``.
   :func:`friction_set_state`; identification calls the two on its own, and
   with ``e`` fixed extends only the ``x`` it stops at.
 
-Each solver builds ``u`` with one final ``T``-solve and reports the
-full-space residual of that ``u``; that extension (:meth:`Factorization.extend`)
-builds its right-hand side in the LU's elimination order, where D is the
-trailing block.  :func:`factorize` (for a coefficient,
-:meth:`Problem.factorization`) factorizes ``T(e)`` once per operator, D last,
-into a :class:`Factorization` that keeps ``T(e)``, the load, ``y``, ``S`` (the
-trailing |D| x |D| block of its LU) and the oracle's last solution on D
-(:meth:`Factorization.oracle`).  The solvers on D, the sensitivities and the
+Each solver builds ``u`` with one final ``T``-solve (:meth:`Factorization.extend`,
+in the LU's elimination order, D last) and tests its full-space residual
+against ``tol`` floored at round-off (:meth:`Factorization.floored_tol`).  A
+:class:`Factorization` of ``T(e)``, D last, keeps ``T(e)``, the load, ``y``,
+``S`` (the trailing |D| x |D| block of its LU) and the oracle's last solution
+on D (:meth:`Factorization.oracle`); :meth:`Problem.factorization` keeps the
+one of the ``e`` requested last.  The solvers on D, the sensitivities and the
 adjoint (:mod:`vi_ident.adjoint`) take it.  Outside the oracle, every dense
 solve on D goes one way: LAPACK's Cholesky ``potrf`` of ``S`` plus a
 nonnegative diagonal (:meth:`Factorization.shifted_factor`), then ``potrs``
@@ -102,15 +101,15 @@ class ForwardState:
 
 @dataclass
 class Problem:
-    """Mesh, bilinear form, and source, holding the operator requested last.
+    """Mesh, bilinear form, and source, holding the factorization requested last.
 
     Identification drivers re-solve at unchanged ``e`` (other ``f`` or
-    ``eps``, sensitivities, adjoints), so :meth:`operator` keeps the last
-    assembled operator, and with it its :class:`Factorization`, and none of
-    those solves assembles or factorizes ``T(e)`` again.  A driver that moves
-    ``e`` does not come back to an earlier one, so a new coefficient replaces
-    the operator held.  The load does not depend on ``e`` and is computed
-    once.  The L2 and V misfit Gram matrices ``G`` on the free dofs
+    ``eps``, sensitivities, adjoints), so :meth:`factorization` keeps the
+    last :class:`Factorization`, and none of those solves assembles or
+    factorizes ``T(e)`` again.  A driver that moves ``e`` does not come back
+    to an earlier one, so a new coefficient replaces the factorization held.
+    The load does not depend on ``e`` and is computed once.  The L2 and V
+    misfit Gram matrices ``G`` on the free dofs
     (:func:`~vi_ident.adjoint.misfit_gram`) are assembled on first use.
     """
 
@@ -119,16 +118,14 @@ class Problem:
     source: Callable | float = 1.0
     _last: tuple = field(default=(None, None), init=False, repr=False)
 
-    def operator(self, e: ParameterField) -> DiscreteOperator:
+    def factorization(self, e: ParameterField) -> Factorization:
+        """The :class:`Factorization` of ``T(e)``, built when ``e`` changes."""
         key = e.values.tobytes()
         if self._last[0] != key:
-            op = DiscreteOperator(matrix=operator_matrix(self.mesh, e, self.form), load=self.load)
-            self._last = (key, op)
+            matrix = operator_matrix(self.mesh, e, self.form)
+            self._last = (None, None)  # so that two LUs are never alive at once
+            self._last = (key, Factorization(self.mesh, matrix, self.load))
         return self._last[1]
-
-    def factorization(self, e: ParameterField) -> Factorization:
-        """The :class:`Factorization` of ``T(e)`` (:meth:`operator`)."""
-        return factorize(self.operator(e), self.mesh)
 
     @cached_property
     def load(self) -> np.ndarray:
@@ -163,30 +160,29 @@ class Factorization:
     (:meth:`shifted_factor`) and solves with :func:`cholesky_solve`.
     ``friction_misfits`` holds identification's misfit on D at this ``e``,
     ``(R_Z, c_D, kappa)`` per misfit norm and observation
-    (:func:`~vi_ident.adjoint.friction_misfit_factor`).  Raises
-    ``ValueError`` if ``op.matrix`` is not stored on
-    ``mesh.operator_pattern``, and ``SolverError`` if the LU's own
+    (:func:`~vi_ident.adjoint.friction_misfit_factor`).  ``matrix`` must
+    not be modified in place.  Raises ``ValueError`` if ``matrix`` is not
+    stored on ``mesh.operator_pattern``, and ``SolverError`` if the LU's own
     permutations move D out of the trailing block.
     """
 
-    def __init__(self, op: DiscreteOperator, mesh: Mesh):
-        K = op.matrix
-        if not mesh.operator_pattern.holds(K):
+    def __init__(self, mesh: Mesh, matrix: sp.csr_matrix, load: np.ndarray):
+        if not mesh.operator_pattern.holds(matrix):
             raise ValueError("the operator matrix is not stored on the mesh's operator pattern")
-        self.mesh, self.matrix, self.load = mesh, K, op.load
+        self.mesh, self.matrix, self.load = mesh, matrix, load
         self.positions = mesh.friction_free_positions
         self.friction_misfits = {}
         self._oracle = (None, None)  # the last (w f, oracle(w f))
         self._order, self._rank, indptr, indices, to_csc = mesh.operator_pattern.elimination
         self._lu = splu(
-            sp.csc_matrix((K.data[to_csc], indices, indptr), shape=K.shape),
+            sp.csc_matrix((matrix.data[to_csc], indices, indptr), shape=matrix.shape),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
         # SuperLU composes the given order with its elimination-tree postorder
-        lead = self._lead = K.shape[0] - self.positions.size
-        trailing = np.arange(lead, K.shape[0])
+        lead = self._lead = matrix.shape[0] - self.positions.size
+        trailing = np.arange(lead, matrix.shape[0])
         if not all(np.array_equal(perm[lead:], trailing) for perm in (self._lu.perm_c, self._lu.perm_r)):
             raise SolverError("the LU of T(e) does not keep the friction set as its trailing block")
 
@@ -214,6 +210,17 @@ class Factorization:
         if not np.isfinite(S).all():
             raise SolverError("the Schur complement of T(e) onto the friction set is not finite")
         return S
+
+    @cached_property
+    def row_sum_norm(self) -> float:
+        """``|T(e)|_inf``, the largest absolute row sum (every row stores its diagonal)."""
+        return float(np.add.reduceat(np.abs(self.matrix.data), self.matrix.indptr[:-1]).max())
+
+    def floored_tol(self, u: np.ndarray, tol: float) -> float:
+        """``tol``, floored at the round-off of a full-space residual at
+        ``u``: ``4 eps_mach (|T(e)|_inf |u| + |l|)``."""
+        scale = self.row_sum_norm * np.linalg.norm(u) + np.linalg.norm(self.load)
+        return max(tol, 4.0 * np.finfo(float).eps * scale)
 
     @cached_property
     def _schur_columns(self) -> np.ndarray:
@@ -294,12 +301,14 @@ def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def factorize(op: DiscreteOperator, mesh: Mesh) -> Factorization:
-    """The operator's :class:`Factorization`, built on the first call and
-    cached on ``op`` for every later solve."""
-    if op.factorization is None:
-        object.__setattr__(op, "factorization", Factorization(op, mesh))
-    return op.factorization
+def factorize(op: DiscreteOperator | Factorization, mesh: Mesh) -> Factorization:
+    """``op`` if it is a :class:`Factorization` on ``mesh`` (a ``ValueError``
+    if on another), else a new one of the assembled operator ``op``."""
+    if isinstance(op, Factorization):
+        if op.mesh is not mesh:
+            raise ValueError("the factorization was built on another mesh")
+        return op
+    return Factorization(mesh, op.matrix, op.load)
 
 
 def _check_friction(f: ParameterField, mesh: Mesh) -> np.ndarray:
@@ -319,17 +328,10 @@ def _condensed_energy(r: np.ndarray, q: np.ndarray, wf: np.ndarray, m: np.ndarra
     return float(0.5 * r @ q + wf @ m)
 
 
-def _prox_step(K: sp.csr_matrix) -> float:
-    """The proximal-gradient step size ``tau``, the inverse of
-    ``max(1, max row sum of |K|)``.  Every row of ``K`` stores its diagonal,
-    so none is empty."""
-    return 1.0 / max(np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max(), 1.0)
-
-
 def _prox_residual(fac: Factorization, wf: np.ndarray, u_free: np.ndarray) -> float:
-    """Norm of the proximal-gradient step over its size :func:`_prox_step`;
-    zero exactly at the minimizer."""
-    tau = _prox_step(fac.matrix)
+    """Norm of the proximal-gradient step over its size
+    ``tau = 1 / max(1, |K|_inf)``; zero exactly at the minimizer."""
+    tau = 1.0 / max(fac.row_sum_norm, 1.0)
     z = u_free - tau * (fac.matrix @ u_free - fac.load)
     prox = z.copy()
     pos = fac.positions
@@ -364,13 +366,13 @@ def _active_set(fac: Factorization, wf: np.ndarray):
 
 
 def solve_vi_oracle(
-    op: DiscreteOperator,
+    op: DiscreteOperator | Factorization,
     mesh: Mesh,
     f: ParameterField,
     tol: float = _ORACLE_TOL,
 ) -> ForwardState:
-    """Solve the variational inequality by bounded-variable least squares on
-    the dual of its condensed energy on D.
+    """Solve the variational inequality at :func:`factorize` ``(op, mesh)``
+    by bounded-variable least squares on the dual of its condensed energy on D.
 
     ``u`` is built from the multipliers with one ``T``-solve;
     ``residual_norm`` is its full-space proximal-gradient residual and
@@ -379,13 +381,14 @@ def solve_vi_oracle(
     Raises
     ------
     SolverError
-        If the returned ``u`` misses ``tol``.
+        If the returned ``u`` misses :meth:`Factorization.floored_tol` ``tol``.
     """
     wf = mesh.friction_weights * _check_friction(f, mesh)
     fac = factorize(op, mesh)
     x, lam, iterations = fac.oracle(wf)
     u = fac.extend(x, lam)
     residual = _prox_residual(fac, wf, u)
+    tol = fac.floored_tol(u, tol)
     if not residual <= tol:
         raise SolverError(f"oracle residual {residual:.3e} above tol {tol:.1e}", residual=residual)
     return ForwardState(u=full_part(mesh, u), residual_norm=residual, iterations=iterations, eps=0.0)
@@ -458,7 +461,7 @@ def friction_set_state(
     Raises
     ------
     SolverError
-        If the returned ``u`` misses ``tol``.
+        If the returned ``u`` misses :meth:`Factorization.floored_tol` ``tol``.
     """
     pos, wf, sm = fac.positions, solution.wf, solution.modulus
 
@@ -475,6 +478,7 @@ def friction_set_state(
         sm = modulus_smooth(solution.kernel, solution.eps, u[pos])
         r = residual_of(u, sm)
     residual = float(np.linalg.norm(r))
+    tol = fac.floored_tol(u, tol)
     if not residual <= tol:
         raise SolverError(f"Newton residual {residual:.3e} above tol {tol:.1e}", residual=residual)
     return ForwardState(
@@ -487,7 +491,7 @@ def friction_set_state(
 
 
 def solve_regularized(
-    op: DiscreteOperator,
+    op: DiscreteOperator | Factorization,
     mesh: Mesh,
     f: ParameterField,
     kernel: KernelSpec,
@@ -496,9 +500,10 @@ def solve_regularized(
     max_iter: int = 100,
     u0_full: np.ndarray | None = None,
 ) -> ForwardState:
-    """Newton solve of the regularized variational equation: Newton on D
-    (:func:`solve_friction_set`), started from ``u0_full`` on D when given,
-    then the full-space state of its ``x`` (:func:`friction_set_state`).
+    """Newton solve of the regularized variational equation at
+    :func:`factorize` ``(op, mesh)``: Newton on D (:func:`solve_friction_set`),
+    from ``u0_full`` on D when given, then the state of its ``x``
+    (:func:`friction_set_state`).
 
     Raises
     ------
@@ -581,13 +586,13 @@ def solution_map(
 ) -> ForwardState:
     """Evaluate S(e, f) (eps = 0) or S_eps(e, f) (eps > 0).
 
-    The problem keeps the assembled operator and its factorization for the
-    next call with the same coefficient vector.
+    The problem keeps the factorization of ``T(e)`` for the next call with
+    the same coefficient vector (:meth:`Problem.factorization`).
     """
-    op = problem.operator(e)
+    fac = problem.factorization(e)
     tol = (_ORACLE_TOL if eps == 0 else _NEWTON_TOL) if tol is None else tol
     if eps == 0:
-        return solve_vi_oracle(op, problem.mesh, f, tol)
+        return solve_vi_oracle(fac, problem.mesh, f, tol)
     if kernel is None:
         raise ValueError("a kernel is required for eps > 0")
-    return solve_regularized(op, problem.mesh, f, kernel, eps, tol, u0_full=u0_full)
+    return solve_regularized(fac, problem.mesh, f, kernel, eps, tol, u0_full=u0_full)

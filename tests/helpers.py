@@ -156,7 +156,7 @@ def linearized_matrix(problem, e, f, kernel, eps: float, u_full) -> sp.csc_matri
     second = modulus_smooth(kernel, eps, np.asarray(u_full)[mesh.friction_nodes]).second_derivative
     diag = np.zeros(mesh.free_nodes.size)
     diag[mesh.friction_free_positions] = mesh.friction_weights * f.values * second
-    return (problem.operator(e).matrix + sp.diags(diag)).tocsc()
+    return (problem.factorization(e).matrix + sp.diags(diag)).tocsc()
 
 
 def friction_response(problem, e) -> np.ndarray:
@@ -165,7 +165,7 @@ def friction_response(problem, e) -> np.ndarray:
     pos = problem.mesh.friction_free_positions
     E_D = np.zeros((problem.mesh.free_nodes.size, pos.size))
     E_D[pos, np.arange(pos.size)] = 1.0
-    return spsolve(problem.operator(e).matrix.tocsc(), E_D)
+    return spsolve(problem.factorization(e).matrix.tocsc(), E_D)
 
 
 # --- elimination orders ----------------------------------------------------------

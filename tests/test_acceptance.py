@@ -36,6 +36,7 @@ from vi_ident import (
     v_norm,
 )
 from vi_ident.discretization import h1_gram
+from vi_ident.forward import factorize
 from vi_ident.kernels import KERNEL_NAMES
 
 from .helpers import (
@@ -109,10 +110,10 @@ def test_criterion_3_oracle_reproduces_the_benchmark_table():
     t0 = time.perf_counter()
     mesh = interval_mesh(0.0, 1.0, 256)
     e = ellipticity_field(mesh, 1.0)
-    op = assemble_operator(mesh, e)
+    fac = factorize(assemble_operator(mesh, e), mesh)
     worst = 0.0
     for f_val in (0.0, 0.1, 0.25, 0.4, 0.5, 1.0):
-        state = solve_vi_oracle(op, mesh, friction_field(mesh, f_val))
+        state = solve_vi_oracle(fac, mesh, friction_field(mesh, f_val))
         worst = max(worst, abs(float(state.u[-1]) - benchmark_tip(f_val)))
     dt = time.perf_counter() - t0
     ok = worst <= 2e-3 and dt < 1.0
@@ -126,8 +127,8 @@ def test_criterion_4_regularization_error_rate():
     mesh = interval_mesh(0.0, 1.0, 64)
     e = ellipticity_field(mesh, 1.0)
     f = friction_field(mesh, 1.0)  # stick shows the generic rate
-    op = assemble_operator(mesh, e)
-    exact = solve_vi_oracle(op, mesh, f, tol=1e-12)
+    fac = factorize(assemble_operator(mesh, e), mesh)
+    exact = solve_vi_oracle(fac, mesh, f, tol=1e-12)
     gram = h1_gram(mesh)
     eps_list = np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
     slopes = {}
@@ -135,7 +136,7 @@ def test_criterion_4_regularization_error_rate():
         kernel = get_kernel(name)
         errors = []
         for eps in eps_list:
-            state = solve_regularized(op, mesh, f, kernel, float(eps), tol=1e-11, u0_full=exact.u)
+            state = solve_regularized(fac, mesh, f, kernel, float(eps), tol=1e-11, u0_full=exact.u)
             errors.append(v_norm(mesh, state.u - exact.u, gram=gram))
         slopes[name] = float(np.polyfit(np.log(eps_list), np.log(errors), 1)[0])
     dt = time.perf_counter() - t0

@@ -426,12 +426,24 @@ def test_every_kind_has_one_runner_and_one_subcommand():
 
 
 def test_cli_solver_failure_exits_1(tmp_path, capsys):
-    # Newton cannot reach a tolerance below round-off
-    text = MESH_8 + "experiment: {kind: forward, eps: 1.0e-3}\nsolver: {newton_tol: 1.0e-30}\n"
+    # Newton's gradient on D cannot reach a tolerance below round-off; in 1D
+    # (|D| = 1) it can round to exactly 0, and the state is then accepted at
+    # its round-off, so the mesh is 2D
+    text = "problem: {mesh: {dimension: 2, n: 4}}\nexperiment: {kind: forward, eps: 1.0e-3}\nsolver: {newton_tol: 1.0e-30}\n"
     cfg_path = write(tmp_path, text)
     assert main(["solve-forward", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert "solver failure" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_solve_forward_accepts_a_1d_solution_at_its_round_off(tmp_path, capsys):
+    # at n = 2048 the full-space residual's round-off is above 1e-12; the
+    # run used to exit 1 with "Newton residual 2.719e-12 above tol 1.0e-12"
+    text = "problem:\n  mesh: {dimension: 1, n: 2048}\nkernel: sqrt\nexperiment: {kind: forward, eps: 1.0e-3}\n"
+    cfg_path = write(tmp_path, text)
+    assert main(["solve-forward", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--strict"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["results"]["residual"] > 1e-12
 
 
 @pytest.mark.parametrize(
@@ -443,7 +455,7 @@ def test_cli_solver_failure_exits_1(tmp_path, capsys):
 )
 def test_cli_rate_study_skips_the_slope_without_usable_errors(tmp_path, friction, newton_tol, status):
     text = (
-        f"problem:\n  mesh: {{dimension: 1, n: 8}}\n  friction: {{value: {friction}}}\n"
+        f"problem:\n  mesh: {{dimension: 2, n: 4}}\n  friction: {{value: {friction}}}\n"
         f"solver: {{newton_tol: {newton_tol}}}\n"
         "experiment: {kind: rate-study, kernels: [sigmoid], eps_list: [1.0e-1, 1.0e-2]}\n"
     )

@@ -380,8 +380,8 @@ def test_the_problem_load_is_the_assembled_load(mesh, source):
     problem = Problem(mesh, source=source)
     e = ellipticity_field(mesh, 1.5)
     load = assemble_operator(mesh, e, g=source).load
-    assert np.array_equal(problem.operator(e).load, load)
-    assert problem.operator(ellipticity_field(mesh, 2.0)).load is problem.operator(e).load
+    assert np.array_equal(problem.factorization(e).load, load)
+    assert problem.factorization(ellipticity_field(mesh, 2.0)).load is problem.load
     # the reference: a nodal scatter with np.add.at
     g = source(discretization.element_midpoints(mesh)) if callable(source) else source
     m = mesh.elements.shape[1]
@@ -389,6 +389,23 @@ def test_the_problem_load_is_the_assembled_load(mesh, source):
     np.add.at(full, mesh.elements, (g * element_measures(mesh) / m)[:, None])
     assert np.array_equal(load, full[mesh.free_nodes])
     assert np.array_equal(load_vector(mesh, source), load)
+
+
+@pytest.mark.parametrize("source, mesh", [
+    (np.nan, unit_square_mesh(8)),
+    (np.inf, interval_mesh(0, 1, 8)),
+    (lambda x: np.where(x[:, 0] < 0.5, 1.0, np.inf), unit_square_mesh(8)),  # inf on half the square
+], ids=["nan", "inf-1d", "inf-half"])
+def test_a_non_finite_source_is_named_where_the_load_is_built(source, mesh):
+    # it used to fail inside the first solve with scipy's bare "array must
+    # not contain infs or NaNs"
+    e, f = ellipticity_field(mesh, 1.0), friction_field(mesh, 0.3)
+    with pytest.raises(ValueError, match="the source g must be finite"):
+        assemble_operator(mesh, e, g=source)
+    with pytest.raises(ValueError, match="the source g must be finite"):
+        solution_map(e, f, 0.0, Problem(mesh, source=source))
+    with pytest.raises(ValueError, match="the source g must be finite"):
+        solution_map(e, f, 1e-3, Problem(mesh, source=source), get_kernel("sqrt"))
 
 
 def test_out_of_bounds_coefficient_rejected():

@@ -38,11 +38,12 @@ KERNEL = get_kernel("sigmoid")
 
 
 def benchmark(n: int):
+    """The 1D benchmark at e = 1, factorized once for every solve of a test."""
     mesh = interval_mesh(0.0, 1.0, n)
     e = ellipticity_field(mesh, 1.0)
     f_of = lambda value: friction_field(mesh, value)
-    op = assemble_operator(mesh, e)
-    return mesh, e, f_of, op
+    fac = factorize(assemble_operator(mesh, e), mesh)
+    return mesh, e, f_of, fac
 
 
 def varied_operator(mesh, form="grad_grad"):
@@ -55,8 +56,8 @@ def varied_operator(mesh, form="grad_grad"):
 
 @pytest.mark.parametrize("f_val", [0.0, 0.1, 0.25, 0.4, 0.5, 1.0])
 def test_oracle_reproduces_the_closed_form(f_val):
-    mesh, _, f_of, op = benchmark(64)
-    state = solve_vi_oracle(op, mesh, f_of(f_val))
+    mesh, _, f_of, fac = benchmark(64)
+    state = solve_vi_oracle(fac, mesh, f_of(f_val))
     x = mesh.nodes[:, 0]
     assert abs(state.u[-1] - benchmark_tip(f_val)) < 5e-4
     assert np.max(np.abs(state.u - benchmark_solution(f_val, x))) < 5e-4
@@ -64,16 +65,16 @@ def test_oracle_reproduces_the_closed_form(f_val):
 
 def test_oracle_minimizes_the_nonsmooth_energy():
     # u solves the VI iff it minimizes 1/2 v^T K v - l^T v + sum w_i f_i |v_i|
-    mesh, _, f_of, op = benchmark(24)
+    mesh, _, f_of, fac = benchmark(24)
     f = f_of(0.3)
-    state = solve_vi_oracle(op, mesh, f)
+    state = solve_vi_oracle(fac, mesh, f)
     u_free = free_part(mesh, state.u)
-    e_star = nonsmooth_energy(op, mesh, f, u_free)
+    e_star = nonsmooth_energy(fac, mesh, f, u_free)
     rng = np.random.default_rng(0)
     for scale in (1e-1, 1e-3, 1e-6):
         for _ in range(20):
             v = u_free + scale * rng.standard_normal(u_free.size)
-            assert nonsmooth_energy(op, mesh, f, v) >= e_star - 1e-14
+            assert nonsmooth_energy(fac, mesh, f, v) >= e_star - 1e-14
 
 
 @pytest.mark.parametrize("mesh_name", MESHES)
@@ -109,24 +110,31 @@ def test_oracle_subdifferential_conditions(mesh_name, form, friction):
 def test_the_residual_step_is_the_inverse_largest_absolute_row_sum(mesh_name, form):
     # the reference reads |K| as a sparse matrix of its own
     mesh = MESHES[mesh_name]()
-    K = varied_operator(mesh, form).matrix
-    expected = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
-    assert abs(forward._prox_step(K) - expected) <= 1e-15 * expected
+    fac = factorize(varied_operator(mesh, form), mesh)
+    expected = abs(fac.matrix).sum(axis=1).max()
+    assert abs(fac.row_sum_norm - expected) <= 1e-15 * expected
+    # the step of the oracle's proximal residual is 1 / max(1, |K|_inf)
+    wf = mesh.friction_weights * 0.3
+    u = np.linspace(0.1, 1.0, fac.load.size)
+    tau = 1.0 / max(expected, 1.0)
+    z = u - tau * (fac.matrix @ u - fac.load)
+    z[fac.positions] = np.sign(z[fac.positions]) * np.maximum(np.abs(z[fac.positions]) - tau * wf, 0.0)
+    assert forward._prox_residual(fac, wf, u) == pytest.approx(np.linalg.norm(u - z) / tau, rel=1e-14)
 
 
 def test_oracle_zero_friction_is_linear_solve():
-    mesh, _, f_of, op = benchmark(16)
-    state = solve_vi_oracle(op, mesh, f_of(0.0))
+    mesh, _, f_of, fac = benchmark(16)
+    state = solve_vi_oracle(fac, mesh, f_of(0.0))
     import scipy.sparse.linalg as spla
 
-    direct = spla.spsolve(op.matrix.tocsc(), op.load)
+    direct = spla.spsolve(fac.matrix.tocsc(), fac.load)
     assert np.allclose(free_part(mesh, state.u), direct, atol=1e-12)
 
 
 def test_oracle_monotone_in_friction():
     # larger friction never increases the tip displacement
-    mesh, _, f_of, op = benchmark(32)
-    tips = [solve_vi_oracle(op, mesh, f_of(v)).u[-1] for v in (0.0, 0.2, 0.4, 0.6)]
+    mesh, _, f_of, fac = benchmark(32)
+    tips = [solve_vi_oracle(fac, mesh, f_of(v)).u[-1] for v in (0.0, 0.2, 0.4, 0.6)]
     assert all(b <= a + 1e-12 for a, b in zip(tips[:-1], tips[1:]))
 
 
@@ -140,13 +148,13 @@ def test_regularized_converges_to_oracle(kernel_name, f_val):
     # early because compact-support kernels become exact once eps is below the
     # slip magnitude, so there we only require monotone non-increase to a tiny
     # floor
-    mesh, _, f_of, op = benchmark(48)
+    mesh, _, f_of, fac = benchmark(48)
     f = f_of(f_val)
     kernel = get_kernel(kernel_name)
-    exact = solve_vi_oracle(op, mesh, f, tol=1e-12)
+    exact = solve_vi_oracle(fac, mesh, f, tol=1e-12)
     errors = []
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        state = solve_regularized(op, mesh, f, kernel, eps, tol=1e-11)
+        state = solve_regularized(fac, mesh, f, kernel, eps, tol=1e-11)
         assert state.residual_norm <= 1e-11
         errors.append(v_norm(mesh, state.u - exact.u))
     assert all(b <= a + 1e-10 for a, b in zip(errors[:-1], errors[1:]))
@@ -160,8 +168,8 @@ def test_regularized_converges_to_oracle(kernel_name, f_val):
 def test_regularized_residual_history_reaches_tolerance():
     # stick (f = 1.0): the smoothed solution leaves the oracle's x = 0, so
     # Newton must iterate from the oracle start
-    mesh, _, f_of, op = benchmark(32)
-    state = solve_regularized(op, mesh, f_of(1.0), KERNEL, 1e-3, tol=1e-12)
+    mesh, _, f_of, fac = benchmark(32)
+    state = solve_regularized(fac, mesh, f_of(1.0), KERNEL, 1e-3, tol=1e-12)
     assert state.residual_history[-1] == state.residual_norm
     assert state.residual_norm <= 1e-12
     assert state.eps == 1e-3
@@ -169,40 +177,40 @@ def test_regularized_residual_history_reaches_tolerance():
 
 
 def test_regularized_minimizes_the_smoothed_energy():
-    mesh, _, f_of, op = benchmark(24)
+    mesh, _, f_of, fac = benchmark(24)
     f = f_of(0.4)
-    state = solve_regularized(op, mesh, f, KERNEL, 1e-2, tol=1e-12)
+    state = solve_regularized(fac, mesh, f, KERNEL, 1e-2, tol=1e-12)
     u_free = free_part(mesh, state.u)
-    e_star = smoothed_energy(op, mesh, f, KERNEL, 1e-2, u_free)
+    e_star = smoothed_energy(fac, mesh, f, KERNEL, 1e-2, u_free)
     rng = np.random.default_rng(1)
     for _ in range(30):
         v = u_free + 1e-4 * rng.standard_normal(u_free.size)
-        assert smoothed_energy(op, mesh, f, KERNEL, 1e-2, v) >= e_star - 1e-15
+        assert smoothed_energy(fac, mesh, f, KERNEL, 1e-2, v) >= e_star - 1e-15
 
 
 def test_warm_start_is_consistent_and_cheap():
-    mesh, _, f_of, op = benchmark(48)
+    mesh, _, f_of, fac = benchmark(48)
     f = f_of(0.25)
-    cold = solve_regularized(op, mesh, f, KERNEL, 1e-4, tol=1e-12)
-    warm = solve_regularized(op, mesh, f, KERNEL, 1e-4, tol=1e-12, u0_full=cold.u)
+    cold = solve_regularized(fac, mesh, f, KERNEL, 1e-4, tol=1e-12)
+    warm = solve_regularized(fac, mesh, f, KERNEL, 1e-4, tol=1e-12, u0_full=cold.u)
     assert np.allclose(cold.u, warm.u, atol=1e-10)
     assert warm.iterations <= cold.iterations
 
 
 def test_warm_start_from_a_bad_guess_recovers():
     # a warm start far from the solution must not leave the solver stranded
-    mesh, _, f_of, op = benchmark(32)
+    mesh, _, f_of, fac = benchmark(32)
     f = f_of(1.0)
     bad = np.full(mesh.n_nodes, 37.0)
     bad[mesh.dirichlet_nodes] = 0.0
-    state = solve_regularized(op, mesh, f, KERNEL, 1e-4, tol=1e-11, u0_full=bad)
+    state = solve_regularized(fac, mesh, f, KERNEL, 1e-4, tol=1e-11, u0_full=bad)
     assert state.residual_norm <= 1e-11
 
 
 def test_a_failed_warm_start_falls_back_to_the_cold_path(monkeypatch):
     # from 1e3 on every free node M'_eps saturates and Newton fails within
     # max_iter; the solver must then restart from the oracle's x
-    mesh, _, f_of, op = benchmark(16)
+    mesh, _, f_of, fac = benchmark(16)
     f = f_of(1.0)
     oracle_runs = []
     active_set = forward._active_set
@@ -214,9 +222,9 @@ def test_a_failed_warm_start_falls_back_to_the_cold_path(monkeypatch):
     monkeypatch.setattr(forward, "_active_set", counting_active_set)
     far = np.full(mesh.n_nodes, 1e3)
     far[mesh.dirichlet_nodes] = 0.0
-    state = solve_regularized(op, mesh, f, KERNEL, 1e-6, max_iter=5, u0_full=far)
+    state = solve_regularized(fac, mesh, f, KERNEL, 1e-6, max_iter=5, u0_full=far)
     assert len(oracle_runs) == 1  # only the cold path runs the oracle
-    cold = solve_regularized(op, mesh, f, KERNEL, 1e-6, max_iter=5)
+    cold = solve_regularized(fac, mesh, f, KERNEL, 1e-6, max_iter=5)
     assert np.array_equal(state.u, cold.u)
 
 
@@ -224,9 +232,9 @@ def test_2d_regularized_close_to_oracle():
     mesh = unit_square_mesh(8)
     e = ellipticity_field(mesh, 1.0)
     f = friction_field(mesh, 0.05)
-    op = assemble_operator(mesh, e)
-    exact = solve_vi_oracle(op, mesh, f, tol=1e-12)
-    state = solve_regularized(op, mesh, f, KERNEL, 1e-4, tol=1e-11)
+    fac = factorize(assemble_operator(mesh, e), mesh)
+    exact = solve_vi_oracle(fac, mesh, f, tol=1e-12)
+    state = solve_regularized(fac, mesh, f, KERNEL, 1e-4, tol=1e-11)
     assert v_norm(mesh, state.u - exact.u) < 1e-2 * max(v_norm(mesh, exact.u), 1.0)
 
 
@@ -274,19 +282,19 @@ def test_plug_in_logistic_density_keeps_friction_at_small_eps():
     # P and P_t of a full-line plug-in density come from quadrature; far
     # beyond its window (x/eps ~ 2.5e5 here) they must still see the bulk of
     # the density, or M'_eps vanishes and friction is switched off
-    mesh, _, f_of, op = benchmark(16)
+    mesh, _, f_of, fac = benchmark(16)
     f = f_of(0.25)
     logistic = from_density("logistic", KERNEL.density, KERNEL.absolute_mean_k)
-    state = solve_regularized(op, mesh, f, logistic, 1e-6)
-    builtin = solve_regularized(op, mesh, f, KERNEL, 1e-6)
+    state = solve_regularized(fac, mesh, f, logistic, 1e-6)
+    builtin = solve_regularized(fac, mesh, f, KERNEL, 1e-6)
     assert abs(state.u[-1] - benchmark_tip(0.25)) <= 2.0 * KERNEL.absolute_mean_k * 1e-6
     assert np.allclose(state.u, builtin.u, atol=1e-12)
 
 
 def test_solver_error_carries_residual():
-    mesh, _, f_of, op = benchmark(32)
+    mesh, _, f_of, fac = benchmark(32)
     with pytest.raises(SolverError) as err:
-        solve_regularized(op, mesh, f_of(1.0), KERNEL, 1e-6, tol=1e-30, max_iter=3)
+        solve_regularized(fac, mesh, f_of(1.0), KERNEL, 1e-6, tol=1e-30, max_iter=3)
     assert err.value.residual is not None and err.value.residual > 0
 
 
@@ -324,12 +332,12 @@ def test_the_forward_solvers_check_their_inputs(case, message):
     mesh = unit_square_mesh(8)
     problem = Problem(mesh)
     e = ellipticity_field(mesh, 1.0)
-    op = problem.operator(e)
+    fac = problem.factorization(e)
     negative = friction_field(mesh, -0.1, lower=-1.0)
     solves = {
-        "wrong_length": lambda: solve_vi_oracle(op, mesh, friction_field(unit_square_mesh(4), 0.1)),
-        "negative_oracle": lambda: solve_vi_oracle(op, mesh, negative),
-        "negative_regularized": lambda: solve_regularized(op, mesh, negative, KERNEL, 1e-2),
+        "wrong_length": lambda: solve_vi_oracle(fac, mesh, friction_field(unit_square_mesh(4), 0.1)),
+        "negative_oracle": lambda: solve_vi_oracle(fac, mesh, negative),
+        "negative_regularized": lambda: solve_regularized(fac, mesh, negative, KERNEL, 1e-2),
         "no_kernel": lambda: solution_map(e, friction_field(mesh, 0.1), 1e-2, problem),
     }
     with pytest.raises(ValueError, match=message):
@@ -340,12 +348,26 @@ def test_problem_operator_cache_reuses_assembly():
     mesh = interval_mesh(0, 1, 16)
     problem = Problem(mesh)
     e = ellipticity_field(mesh, 1.3)
-    op1 = problem.operator(e)
-    op2 = problem.operator(e)
-    assert op1 is op2
-    # a different coefficient produces a different operator
-    op3 = problem.operator(ellipticity_field(mesh, 1.4))
-    assert op3 is not op1
+    fac1 = problem.factorization(e)
+    assert problem.factorization(ellipticity_field(mesh, 1.3)) is fac1  # equal values, one key
+    # a different coefficient produces a different factorization
+    fac3 = problem.factorization(ellipticity_field(mesh, 1.4))
+    assert fac3 is not fac1
+    assert fac3.load is fac1.load is problem.load
+
+
+def test_factorize_returns_a_factorization_as_it_is():
+    mesh = unit_square_mesh(8)
+    op = varied_operator(mesh)
+    fac = factorize(op, mesh)
+    assert factorize(fac, mesh) is fac
+    assert fac.matrix is op.matrix and fac.load is op.load
+    # a raw operator keeps no factorization: each call makes a new one
+    assert factorize(op, mesh) is not fac
+    with pytest.raises(ValueError, match="another mesh"):
+        factorize(fac, unit_square_mesh(8))
+    with pytest.raises(ValueError, match="another mesh"):
+        solve_vi_oracle(fac, unit_square_mesh(8), friction_field(mesh, 0.1))
 
 
 def test_variable_coefficient_flux_balance():
@@ -357,8 +379,7 @@ def test_variable_coefficient_flux_balance():
     vals = np.where(mesh.nodes[:-1, 0] < 0.5, 1.0, 2.0)
     e = ellipticity_field(mesh, vals)
     f = friction_field(mesh, 0.0)
-    op = assemble_operator(mesh, e)
-    state = solve_vi_oracle(op, mesh, f)
+    state = solve_vi_oracle(assemble_operator(mesh, e), mesh, f)
     # exact solution with sigma(x) = 1 - x (zero traction at the free end plus
     # unit load): u'(x) = (1 - x)/e(x)
     x = mesh.nodes[:, 0]
@@ -370,7 +391,7 @@ def test_variable_coefficient_flux_balance():
     assert np.max(np.abs(state.u - u_exact)) < 2e-3
 
 
-# --- one factorization per operator -----------------------------------------------
+# --- one factorization per coefficient ----------------------------------------------
 
 @pytest.mark.parametrize("mesh_name", MESHES)
 @pytest.mark.parametrize("form", ["grad_grad", "grad_grad_plus_mass"])
@@ -426,19 +447,20 @@ def test_cold_smoothed_solves_reuse_the_oracle_at_the_same_friction(monkeypatch)
 
     monkeypatch.setattr(forward, "_active_set", counting_active_set)
     mesh = unit_square_mesh(16)
-    op = varied_operator(mesh)
+    fac = factorize(varied_operator(mesh), mesh)
     f = friction_field(mesh, 0.05)
-    oracle = solve_vi_oracle(op, mesh, f)
+    oracle = solve_vi_oracle(fac, mesh, f)
     kernels = itertools.cycle(KERNEL_NAMES)
     for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-4):
-        state = solve_regularized(op, mesh, f, get_kernel(next(kernels)), eps)
+        state = solve_regularized(fac, mesh, f, get_kernel(next(kernels)), eps)
         assert v_norm(mesh, state.u - oracle.u) < 1e-2
     assert len(runs) == 1
-    # the start is the oracle's: the same state as a fresh run from it
+    # the start is the oracle's: the same state as a fresh run from it; a raw
+    # operator is factorized anew, with no oracle solution kept
     fresh = solve_regularized(varied_operator(mesh), mesh, f, KERNEL, 1e-6)
-    assert np.array_equal(solve_regularized(op, mesh, f, KERNEL, 1e-6).u, fresh.u)
+    assert np.array_equal(solve_regularized(fac, mesh, f, KERNEL, 1e-6).u, fresh.u)
     assert len(runs) == 2
-    solve_regularized(op, mesh, friction_field(mesh, 0.5), KERNEL, 1e-6)
+    solve_regularized(fac, mesh, friction_field(mesh, 0.5), KERNEL, 1e-6)
     assert len(runs) == 3
 
 
@@ -448,6 +470,7 @@ def test_cold_smoothed_solves_reuse_the_oracle_at_the_same_friction(monkeypatch)
 def test_shifted_solve_matches_a_direct_factorization(mesh_name, kernel_name, eps):
     mesh = MESHES[mesh_name]()
     op = varied_operator(mesh)
+    fac = factorize(op, mesh)
     pos = mesh.friction_free_positions
     rng = np.random.default_rng(4)
     # friction values straddling the smoothing zone, where M'' ~ 1/eps
@@ -455,7 +478,7 @@ def test_shifted_solve_matches_a_direct_factorization(mesh_name, kernel_name, ep
     rhs = rng.standard_normal(op.load.size)
     for friction in (0.7, 0.0):  # 0: the zero shift, solved by T alone
         shift = mesh.friction_weights * friction * modulus_smooth(get_kernel(kernel_name), eps, u_d).second_derivative
-        x = factorize(op, mesh).solve_shifted(shift, rhs)
+        x = fac.solve_shifted(shift, rhs)
         J = op.matrix + sp.diags(np.bincount(pos, weights=shift, minlength=op.load.size))
         direct = splu(J.tocsc()).solve(rhs)
         assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
@@ -469,13 +492,13 @@ def test_shifted_solve_matches_a_direct_factorization(mesh_name, kernel_name, ep
 def test_residual_norm_is_the_full_space_residual_of_the_returned_state(mesh_name, f_val):
     # at |D| = 1 (1D) the residual on D alone can round to exactly zero
     mesh = MESHES[mesh_name]()
-    op = varied_operator(mesh)
+    fac = factorize(varied_operator(mesh), mesh)
     f = friction_field(mesh, f_val)
-    K, load = op.matrix, op.load
+    K, load = fac.matrix, fac.load
     pos = mesh.friction_free_positions
     wf = mesh.friction_weights * f.values
 
-    oracle = solve_vi_oracle(op, mesh, f)
+    oracle = solve_vi_oracle(fac, mesh, f)
     u = free_part(mesh, oracle.u)
     tau = 1.0 / max(abs(K).sum(axis=1).max(), 1.0)
     z = u - tau * (K @ u - load)
@@ -485,7 +508,7 @@ def test_residual_norm_is_the_full_space_residual_of_the_returned_state(mesh_nam
 
     for kernel_name in KERNEL_NAMES:
         kernel = get_kernel(kernel_name)
-        state = solve_regularized(op, mesh, f, kernel, 1e-4)
+        state = solve_regularized(fac, mesh, f, kernel, 1e-4)
         u = free_part(mesh, state.u)
         r = K @ u - load + np.bincount(
             pos, weights=wf * modulus_smooth(kernel, 1e-4, u[pos]).first_derivative, minlength=u.size
@@ -507,16 +530,15 @@ class CountingLU:
 
 def test_a_solve_at_a_factorized_operator_takes_one_T_solve():
     mesh = unit_square_mesh(16)
-    op = varied_operator(mesh)
     f = friction_field(mesh, 0.05)
-    fac = factorize(op, mesh)
+    fac = factorize(varied_operator(mesh), mesh)
     # build y, C and C^{-1} once
-    solve_regularized(op, mesh, f, KERNEL, 1e-4)
+    solve_regularized(fac, mesh, f, KERNEL, 1e-4)
     counting = fac._lu = CountingLU(fac._lu)
     for solve in (
-        lambda: solve_vi_oracle(op, mesh, f),
-        lambda: solve_regularized(op, mesh, f, KERNEL, 1e-6),
-        lambda: solve_regularized(op, mesh, friction_field(mesh, 1.0), get_kernel("sqrt"), 1e-8),
+        lambda: solve_vi_oracle(fac, mesh, f),
+        lambda: solve_regularized(fac, mesh, f, KERNEL, 1e-6),
+        lambda: solve_regularized(fac, mesh, friction_field(mesh, 1.0), get_kernel("sqrt"), 1e-8),
     ):
         before = counting.solves
         solve()
@@ -538,7 +560,7 @@ def test_one_factorization_serves_every_solve_at_one_coefficient(monkeypatch):
     eps = 1e-3
     exact = solution_map(e, f, 0.0, problem)
     assert exact.iterations >= 1
-    state = solve_regularized(problem.operator(e), mesh, f, KERNEL, eps, tol=1e-11)
+    state = solve_regularized(problem.factorization(e), mesh, f, KERNEL, eps, tol=1e-11)
     warm = solution_map(e, f, eps, problem, KERNEL, u0_full=state.u)
     LinearizedMap(warm, problem, e, f, KERNEL, eps)
     ne = mesh.n_elements
@@ -548,22 +570,47 @@ def test_one_factorization_serves_every_solve_at_one_coefficient(monkeypatch):
     assert len(factorizations) == 1
 
 
-def test_only_the_operator_requested_last_keeps_its_factorization():
+def test_only_the_operator_requested_last_keeps_its_factorization(monkeypatch):
+    factorizations = []
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "splu", counting_splu)
     mesh = unit_square_mesh(8)
     problem = Problem(mesh)
     e1, e2 = ellipticity_field(mesh, 1.0), ellipticity_field(mesh, 2.0)
     f = friction_field(mesh, 0.05)
     solution_map(e1, f, 0.0, problem)
-    op1 = problem.operator(e1)
-    assert op1.factorization is not None
+    fac1 = problem.factorization(e1)
     solution_map(e2, f, 0.0, problem)
-    assert problem.operator(e2).factorization is not None
-    # the problem no longer holds op1, so op1 and its LU go with the last reference
-    op1_ref, lu1_ref = weakref.ref(op1), weakref.ref(op1.factorization)
-    del op1
-    assert op1_ref() is None and lu1_ref() is None
-    # e1 again assembles a new operator, not yet factorized
-    assert problem.operator(e1).factorization is None
+    assert problem.factorization(e2) is not fac1
+    # the problem no longer holds fac1, so its LU goes with the last reference
+    fac1_ref = weakref.ref(fac1)
+    del fac1
+    assert fac1_ref() is None
+    assert len(factorizations) == 2
+    # e1 again assembles and factorizes anew
+    problem.factorization(e1)
+    assert len(factorizations) == 3
+
+
+def test_the_problem_drops_its_factorization_before_building_the_next(monkeypatch):
+    # two LUs alive at once would double the peak memory of a run that moves e
+    mesh = unit_square_mesh(8)
+    problem = Problem(mesh)
+    last = weakref.ref(problem.factorization(ellipticity_field(mesh, 1.0)))
+    alive_at_build = []
+
+    def checking_splu(*args, **kwargs):
+        alive_at_build.append(last() is not None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "splu", checking_splu)
+    last = weakref.ref(problem.factorization(ellipticity_field(mesh, 2.0)))
+    problem.factorization(ellipticity_field(mesh, 3.0))
+    assert alive_at_build == [False, False]
 
 
 def test_a_friction_set_solution_records_its_point_and_not_its_factorization():
@@ -578,7 +625,7 @@ def test_a_friction_set_solution_records_its_point_and_not_its_factorization():
     state = forward.friction_set_state(fac, solution)
     assert np.array_equal(state.u, solution_map(e, f, 1e-3, problem, KERNEL).u)
     # the solution keeps no reference to the LU of its T(e)
-    problem.operator(ellipticity_field(mesh, 2.0))
+    problem.factorization(ellipticity_field(mesh, 2.0))
     fac_ref = weakref.ref(fac)
     del fac
     assert fac_ref() is None
@@ -595,9 +642,9 @@ def test_newton_raises_when_its_line_search_fails():
         P=lambda eps, t: -sigmoid.P(eps, t),
         density=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
-    mesh, _, f_of, op = benchmark(16)
+    mesh, _, f_of, fac = benchmark(16)
     with pytest.raises(SolverError, match="line search") as err:
-        solve_regularized(op, mesh, f_of(1.0), contradictory, 1e-2)
+        solve_regularized(fac, mesh, f_of(1.0), contradictory, 1e-2)
     assert err.value.residual > 0
 
 
@@ -731,6 +778,65 @@ def test_newton_on_an_indefinite_hessian_raises_a_solver_error():
     with pytest.raises(SolverError, match="eps 0.01: .* not positive definite") as err:
         solution_map(ellipticity_field(mesh, 1.0), friction_field(mesh, 1.0), 1e-2, Problem(mesh), negative)
     assert err.value.residual > 0
+
+
+# --- stop tests in the problem's own scale ----------------------------------------
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_a_1d_smoothed_solve_is_accepted_at_its_round_off(n):
+    # in 1D |K| ~ e / h, so the round-off of the full-space residual grows
+    # with n: at the defaults it was 1.4e-12 (n = 2048) and 5.9e-12
+    # (n = 4096), and the absolute test at 1e-12 rejected these solutions
+    mesh = interval_mesh(0.0, 1.0, n)
+    problem = Problem(mesh)
+    e, f, kernel, eps = ellipticity_field(mesh, 1.0), friction_field(mesh, 0.3), get_kernel("sqrt"), 1e-3
+    state = solution_map(e, f, eps, problem, kernel)
+    fac = problem.factorization(e)
+    u = free_part(mesh, state.u)
+    floor = 4.0 * np.finfo(float).eps * (fac.row_sum_norm * np.linalg.norm(u) + np.linalg.norm(fac.load))
+    assert 1e-12 < state.residual_norm <= floor == fac.floored_tol(u, 1e-12)
+    # the accepted state is the smoothed solution: within the a-priori bound
+    # of the oracle, whose own test passes
+    exact = solution_map(e, f, 0.0, problem)
+    wf = mesh.friction_weights * f.values
+    bound = np.sqrt(8.0 * kernel.absolute_mean_k * eps * wf.sum()) * np.sqrt(1.0 + 1.0 / np.pi**2)
+    assert v_norm(mesh, state.u - exact.u) <= bound
+
+
+@pytest.mark.parametrize("contrast", [1.0, 1e4])
+def test_1d_solves_at_a_large_source_are_accepted_at_their_round_off(contrast):
+    # source 100: the oracle's prox residual (contrast 1e4) and Newton's
+    # full-space residual sit above their absolute tolerances at round-off
+    mesh = interval_mesh(0.0, 1.0, 64)
+    j = np.arange(mesh.n_elements)
+    e = ellipticity_field(mesh, np.where(j % 2, 1.0, contrast), upper=2.0 * contrast)
+    problem = Problem(mesh, source=100.0)
+    f = friction_field(mesh, 0.3)
+    exact = solution_map(e, f, 0.0, problem)
+    for kernel_name in KERNEL_NAMES:
+        state = solution_map(e, f, 1e-4, problem, get_kernel(kernel_name))
+        assert state.residual_norm <= problem.factorization(e).floored_tol(free_part(mesh, state.u), 1e-12)
+        assert abs(state.u[-1] - exact.u[-1]) <= 1e-3 * abs(exact.u[-1])
+
+
+def test_the_floor_stays_below_the_default_tolerance_in_2d():
+    # in 2D |K| = O(e), so the floor changes no 2D test: on the benchmark's
+    # reproducer it is more than an order below 1e-12
+    mesh, e, f, source = _reproducer(64, 1.0)
+    problem = Problem(mesh, source=source)
+    state = solution_map(e, f, 1e-4, problem, KERNEL)
+    assert problem.factorization(e).floored_tol(free_part(mesh, state.u), 0.0) < 1e-13
+
+
+def test_the_floor_does_not_accept_a_wrong_state():
+    mesh = interval_mesh(0.0, 1.0, 2048)
+    fac = Problem(mesh).factorization(ellipticity_field(mesh, 1.0))
+    solution = forward.solve_friction_set(fac, friction_field(mesh, 0.3), get_kernel("sqrt"), 1e-3)
+    # one correction step through the full space does not bring it back
+    moved = solution._replace(x=solution.x + 1e-6)
+    with pytest.raises(SolverError, match="Newton residual .* above tol"):
+        forward.friction_set_state(fac, moved)
 
 
 def test_a_non_finite_friction_set_solution_has_no_state():

@@ -31,7 +31,7 @@ from vi_ident.adjoint import misfit_gram, projected_residual, reduced_objective,
 from vi_ident.config import parse_config
 from vi_ident.discretization import free_part
 from vi_ident.experiments import _ident_config, _twin_setup
-from vi_ident.forward import Factorization, factorize
+from vi_ident.forward import Factorization
 
 from .helpers import friction_response
 
@@ -428,7 +428,7 @@ def test_a_friction_only_continuation_builds_the_misfit_on_the_friction_set_once
             builds.append(key[0])
             super().__setitem__(key, value)
 
-    factorize(problem.operator(e), mesh).friction_misfits = CountedBuilds()
+    problem.factorization(e).friction_misfits = CountedBuilds()
     for misfit_norm in ("L2", "V"):
         results = continuation_identify(
             config(alpha=1e-8, beta=1e-8, eps_schedule=(1e-1, 1e-2, 1e-3), misfit_norm=misfit_norm),
@@ -711,8 +711,7 @@ def test_eps_used_tracks_the_schedule():
 
 def test_noiseless_observation_is_the_oracle_solution():
     mesh, problem, e_true, f_true, obs = twin()
-    op = problem.operator(e_true)
-    exact = solve_vi_oracle(op, mesh, f_true)
+    exact = solve_vi_oracle(problem.factorization(e_true), mesh, f_true)
     assert np.array_equal(obs, exact.u)
 
 

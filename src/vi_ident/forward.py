@@ -23,8 +23,8 @@ the condensed energy ``1/2 (x - y_D)^T S (x - y_D) + sum_i w_i f_i m(x_i)``.
   :func:`friction_set_state`; identification calls the two on its own, and
   with ``e`` fixed extends only the ``x`` it stops at.
 
-Each solver builds ``u`` with one final ``T``-solve (:meth:`Factorization.extend`,
-in the LU's elimination order, D last) and tests its full-space residual
+Each solver builds ``u`` from ``x`` with one back substitution with the LU's
+``U`` off D (:meth:`Factorization.extend`) and tests its full-space residual
 against ``tol`` floored at round-off (:meth:`Factorization.floored_tol`).  A
 :class:`Factorization` of ``T(e)``, D last, keeps ``T(e)``, the load, ``y``,
 ``S`` (the trailing |D| x |D| block of its LU) and the oracle's last solution
@@ -52,6 +52,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import lsq_linear
 from scipy.sparse.linalg import splu
+from scipy.sparse.linalg._dsolve._superlu import gstrs  # private: the kernel behind spsolve_triangular
 
 from .discretization import (
     DiscreteOperator,
@@ -154,9 +155,9 @@ class Factorization:
     ``mesh``, ``matrix`` ``T(e)`` and ``load``; ``load_solution``
     ``y = T^{-1} l``, ``schur_factor`` ``R`` and ``schur`` ``S`` (the inverse
     of ``E_D^T T^{-1} E_D``, checked finite) are built on first use.  The
-    forward solvers iterate on these, then call :meth:`extend` once, which
-    solves from the load kept in elimination order.  Every dense solve on D
-    factorizes ``S`` plus a diagonal with LAPACK's Cholesky
+    forward solvers iterate on these, then call :meth:`extend` once, a back
+    substitution with ``U_II``, the block of ``U`` off D.  Every dense solve
+    on D factorizes ``S`` plus a diagonal with LAPACK's Cholesky
     (:meth:`shifted_factor`) and solves with :func:`cholesky_solve`.
     ``friction_misfits`` holds identification's misfit on D at this ``e``,
     ``(R_Z, c_D, kappa)`` per misfit norm and observation
@@ -187,20 +188,52 @@ class Factorization:
             raise SolverError("the LU of T(e) does not keep the friction set as its trailing block")
 
     @cached_property
-    def _ordered_load(self) -> np.ndarray:
-        """The load in elimination order, D last."""
-        return self.load[self._order]
-
-    @cached_property
     def load_solution(self) -> np.ndarray:
         """``y = T^{-1} l``, the frictionless solution."""
-        return self._lu.solve(self._ordered_load)[self._rank]
+        return self.solve(self.load)
+
+    @cached_property
+    def _upper(self) -> sp.csc_array:
+        """SuperLU's ``U``, read once (its leading columns lose their
+        diagonal to :attr:`_back_substitution`)."""
+        return self._lu.U
 
     @cached_property
     def schur_factor(self) -> np.ndarray:
         """``R``, the upper triangular Cholesky factor of ``S = R^T R``."""
-        U_DD = self._lu.U[self._lead :, self._lead :].toarray()
+        U_DD = self._upper[self._lead :, self._lead :].toarray()
         return U_DD / np.sqrt(np.diag(U_DD))[:, None]
+
+    @cached_property
+    def _back_substitution(self) -> tuple:
+        """``(w_I, U_ID, U_II, gather)`` for :meth:`extend`.
+
+        With ``P_r T P_c = L U`` and D trailing in both permutations, the rows
+        off D of ``L U P_c^T u = P_r rhs`` read ``U_II v_I + U_ID u_D = w_I``
+        with ``v = P_c^T u`` and ``w = L^{-1} P_r rhs``; ``w_I`` is the same
+        for every ``rhs`` equal to ``l`` off D, so it is ``(U v)_I`` at the
+        load solution.  ``U_II`` is the argument list of SuperLU's ``gstrs``
+        for a solve with that block: ``gstrs`` divides by the diagonal passed
+        as ``L`` and subtracts every entry passed as ``U``, so the diagonal of
+        U's leading columns (the last entry of each) is moved out of U's own
+        arrays, in place; U is not copied.  ``gather`` takes ``v`` to
+        free-dof order.  Raises ``SolverError`` if a column of U off D does
+        not end on its diagonal.
+        """
+        U, lead = self._upper, self._lead
+        indptr = U.indptr[: lead + 1]
+        last = indptr[1:] - 1
+        if not np.array_equal(U.indices[last], np.arange(lead)):
+            raise SolverError("the columns of the LU's U off the friction set do not end on the diagonal")
+        gather = self._lu.perm_c[self._rank]
+        v = np.empty_like(self.load_solution)
+        v[gather] = self.load_solution
+        w_I = (U @ v)[:lead]
+        diagonal = U.data[last]  # fancy indexing: a copy
+        U.data[last] = 0.0
+        unit, nnz = np.arange(lead + 1, dtype=np.intc), indptr[-1]
+        U_II = (lead, lead, diagonal, unit[:-1], unit, lead, nnz, U.data[:nnz], U.indices[:nnz], indptr)
+        return w_I, U[:lead, lead:], U_II, gather
 
     @cached_property
     def schur(self) -> np.ndarray:
@@ -232,7 +265,7 @@ class Factorization:
         return self._lu.solve(rhs[self._order])[self._rank]
 
     def oracle(self, wf: np.ndarray) -> tuple:
-        """The oracle's ``(x, lam, iterations)`` on D at ``wf = w f``
+        """The oracle's ``(x, iterations)`` on D at ``wf = w f``
         (:func:`_active_set`), kept for the last ``wf`` asked."""
         if not np.array_equal(self._oracle[0], wf):
             self._oracle = (wf, _active_set(self, wf))
@@ -278,15 +311,15 @@ class Factorization:
         x[pos] = x_D
         return x
 
-    def extend(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """The ``u`` with ``u_D = x`` that solves ``T u = l - E_D lam`` off D:
-        one ``T``-solve, its right-hand side built in elimination order, where
-        D is the trailing block."""
-        rhs = self._ordered_load.copy()
-        rhs[self._lead :] -= lam
-        u = self._lu.solve(rhs)
-        u[self._lead :] = x
-        return u[self._rank]
+    def extend(self, x: np.ndarray) -> np.ndarray:
+        """The ``u`` with ``u_D = x`` that solves ``T u = l`` off D: one back
+        substitution, ``u_I = U_II^{-1} (w_I - U_ID x)``
+        (:attr:`_back_substitution`), with no ``T``-solve."""
+        w_I, U_ID, U_II, gather = self._back_substitution
+        v_I, info = gstrs("N", *U_II, w_I - U_ID @ x)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of SuperLU gstrs")
+        return np.concatenate((v_I, x))[gather]
 
 
 def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -342,7 +375,7 @@ def _prox_residual(fac: Factorization, wf: np.ndarray, u_free: np.ndarray) -> fl
 
 def _active_set(fac: Factorization, wf: np.ndarray):
     """The oracle on D by its dual, a box-constrained least-squares problem;
-    returns ``(x, lam, iterations)``.
+    returns ``(x, iterations)``.
 
     With ``S = R^T R``, ``lam = S (y_D - x)`` minimizes
     ``1/2 |R^{-T} lam - R y_D|^2`` over ``|lam| <= w f``, solved to round-off
@@ -354,15 +387,14 @@ def _active_set(fac: Factorization, wf: np.ndarray):
     """
     y = fac.load_solution[fac.positions]
     R = fac.schur_factor
-    lam, boxed = np.zeros_like(y), np.flatnonzero(wf)
+    boxed = np.flatnonzero(wf)
     if boxed.size == 0:
-        return y.copy(), lam, 0
+        return y.copy(), 0
     A = solve_triangular(R, np.eye(y.size)[:, boxed], trans="T")  # R^{-T} restricted to the boxed nodes
     fit = lsq_linear(A, R @ y, bounds=(-wf[boxed], wf[boxed]), method="bvls", tol=np.finfo(float).eps)
-    lam[boxed] = fit.x
     x = -solve_triangular(R, fit.fun)  # fun = R^{-T} lam - R y_D = -R x
     x[boxed[fit.active_mask == 0]] = 0.0
-    return x, lam, fit.nit
+    return x, fit.nit
 
 
 def solve_vi_oracle(
@@ -374,7 +406,7 @@ def solve_vi_oracle(
     """Solve the variational inequality at :func:`factorize` ``(op, mesh)``
     by bounded-variable least squares on the dual of its condensed energy on D.
 
-    ``u`` is built from the multipliers with one ``T``-solve;
+    ``u`` is the extension of the oracle's ``x`` (:meth:`Factorization.extend`);
     ``residual_norm`` is its full-space proximal-gradient residual and
     ``iterations`` counts the box solver's iterations.
 
@@ -385,8 +417,8 @@ def solve_vi_oracle(
     """
     wf = mesh.friction_weights * _check_friction(f, mesh)
     fac = factorize(op, mesh)
-    x, lam, iterations = fac.oracle(wf)
-    u = fac.extend(x, lam)
+    x, iterations = fac.oracle(wf)
+    u = fac.extend(x)
     residual = _prox_residual(fac, wf, u)
     tol = fac.floored_tol(u, tol)
     if not residual <= tol:
@@ -452,11 +484,12 @@ def friction_set_state(
     """The :class:`ForwardState` of a :func:`solve_friction_set` solution on
     ``fac``.
 
-    ``u`` is the harmonic extension of ``x``, built with one ``T``-solve;
+    ``u`` is the harmonic extension of ``x`` (:meth:`Factorization.extend`);
     ``residual_norm`` (the last entry of ``residual_history``) is its
-    full-space residual ``|K u - l + E_D (w f M'_eps(u_D))|``.  Where the
-    round-off of that solve exceeds ``tol``, one full-space Newton step
-    through :meth:`Factorization.solve_shifted` removes it.
+    full-space residual ``|K u - l + E_D (w f M'_eps(u_D))|``.  Where that
+    residual exceeds :meth:`Factorization.floored_tol` ``tol``, one
+    full-space Newton step through :meth:`Factorization.solve_shifted`
+    removes what lies above round-off.
 
     Raises
     ------
@@ -470,10 +503,10 @@ def friction_set_state(
         r[pos] += wf * sm.first_derivative
         return r
 
-    u = fac.extend(solution.x, -solution.q)
+    u = fac.extend(solution.x)
     r = residual_of(u, sm)
-    if np.linalg.norm(r) > tol:  # a NaN residual takes no step and fails the check below
-        # the gradient on D does not see the round-off of the T-solve
+    if np.linalg.norm(r) > fac.floored_tol(u, tol):  # a NaN residual takes no step and fails the check below
+        # the gradient on D does not see the round-off of the extension
         u += fac.solve_shifted(wf * sm.second_derivative, -r)
         sm = modulus_smooth(solution.kernel, solution.eps, u[pos])
         r = residual_of(u, sm)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import lsq_linear
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from vi_ident import (
     LinearizedMap,
@@ -518,7 +518,7 @@ def test_residual_norm_is_the_full_space_residual_of_the_returned_state(mesh_nam
 
 
 class CountingLU:
-    """Wraps a SuperLU object and counts its solves."""
+    """Wraps a SuperLU object and counts its full solves."""
 
     def __init__(self, lu):
         self.lu, self.solves = lu, 0
@@ -528,21 +528,24 @@ class CountingLU:
         return self.lu.solve(rhs)
 
 
-def test_a_solve_at_a_factorized_operator_takes_one_T_solve():
+def test_a_solve_at_a_factorized_operator_takes_one_back_substitution(monkeypatch):
     mesh = unit_square_mesh(16)
     f = friction_field(mesh, 0.05)
     fac = factorize(varied_operator(mesh), mesh)
-    # build y, C and C^{-1} once
+    # build y, S and the extension's U_II once
     solve_regularized(fac, mesh, f, KERNEL, 1e-4)
+    substitutions = []
+    gstrs = forward.gstrs
+    monkeypatch.setattr(forward, "gstrs", lambda *args: substitutions.append(args) or gstrs(*args))
     counting = fac._lu = CountingLU(fac._lu)
     for solve in (
         lambda: solve_vi_oracle(fac, mesh, f),
         lambda: solve_regularized(fac, mesh, f, KERNEL, 1e-6),
         lambda: solve_regularized(fac, mesh, friction_field(mesh, 1.0), get_kernel("sqrt"), 1e-8),
     ):
-        before = counting.solves
+        before = len(substitutions)
         solve()
-        assert counting.solves - before == 1
+        assert (len(substitutions) - before, counting.solves) == (1, 0)
 
 
 def test_one_factorization_serves_every_solve_at_one_coefficient(monkeypatch):
@@ -702,7 +705,7 @@ def test_a_non_finite_residual_is_a_solver_error(monkeypatch):
     # an oracle whose x is not finite: its residual is NaN, and so is the
     # gradient of Newton started from it; both must fail, not return
     def non_finite_active_set(fac, wf):
-        return np.full(wf.size, np.nan), np.zeros(wf.size), 0
+        return np.full(wf.size, np.nan), 0
 
     monkeypatch.setattr(forward, "_active_set", non_finite_active_set)
     mesh = unit_square_mesh(8)
@@ -737,15 +740,51 @@ def test_the_shifted_factor_and_solve_equal_scipys_cholesky_bitwise():
     assert np.array_equal(fac.shifted_factor(shift), factor)  # S itself is left as it was
 
 
-def test_the_extension_solves_with_the_multipliers_on_the_friction_set():
-    fac, _, x, lam = _schur_setup()
-    lam = lam[:, 0]
-    u = fac.extend(x, lam)
+def test_the_extension_keeps_x_on_the_friction_set_and_solves_off_it():
+    fac, _, b, B = _schur_setup()
+    off = np.setdiff1d(np.arange(fac.load.size), fac.positions)
+    for x in (b, 100.0 * B[:, 0]):
+        u = fac.extend(x)
+        assert np.array_equal(u[fac.positions], x)
+        r = fac.matrix @ u - fac.load
+        round_off = 4.0 * np.finfo(float).eps * (fac.row_sum_norm * np.abs(u).max() + np.abs(fac.load).max())
+        assert np.abs(r[off]).max() <= round_off
+
+
+def test_the_extension_is_the_full_solve_with_the_multipliers_of_x():
+    # lam = S (y_D - x) is the multiplier on D whose T-solve gives u_D = x
+    fac, _, x, _ = _schur_setup()
+    lam = fac.schur @ (fac.load_solution[fac.positions] - x)
     rhs = fac.load.copy()
     rhs[fac.positions] -= lam
-    expected = fac.solve(rhs)
-    expected[fac.positions] = x
-    assert np.array_equal(u, expected)
+    full = fac.solve(rhs)
+    assert np.abs(fac.extend(x) - full).max() <= 1e-13 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 9), unit_square_mesh(16)], ids=["1d_9", "2d_16"])
+def test_the_back_substitution_solves_with_the_leading_block_of_u(mesh):
+    op = varied_operator(mesh)
+    fac = factorize(op, mesh)
+    lead = fac.load.size - fac.positions.size
+    U_II = factorize(op, mesh)._lu.U[:lead, :lead]  # an LU of its own: fac's U loses its diagonal
+    b = np.random.default_rng(5).standard_normal(lead)
+    x, info = forward.gstrs("N", *fac._back_substitution[2], b)
+    expected = spsolve_triangular(U_II, b, lower=False)
+    assert info == 0
+    assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_the_back_substitution_runs_on_the_lus_own_u():
+    # U is the largest array the factorization reads; a copy of it for the
+    # extension would raise peak memory by its size
+    fac, _, x, _ = _schur_setup()
+    fac.schur_factor
+    fac.extend(x)
+    *_, data, indices, indptr = fac._back_substitution[2]
+    U = fac._upper
+    assert np.shares_memory(data, U.data)
+    assert np.shares_memory(indices, U.indices)
+    assert np.shares_memory(indptr, U.indptr)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -827,6 +866,27 @@ def test_the_floor_stays_below_the_default_tolerance_in_2d():
     problem = Problem(mesh, source=source)
     state = solution_map(e, f, 1e-4, problem, KERNEL)
     assert problem.factorization(e).floored_tol(free_part(mesh, state.u), 0.0) < 1e-13
+
+
+def test_the_correction_step_runs_only_above_the_round_off_floor(monkeypatch):
+    # at 1D n = 2048 the extension's residual sits between 1e-12 and the
+    # floor: a full-space step (two T-solves and a Cholesky on D) cannot
+    # lower it, and is not taken
+    mesh = interval_mesh(0.0, 1.0, 2048)
+    fac = Problem(mesh).factorization(ellipticity_field(mesh, 1.0))
+    kernel, eps = get_kernel("sqrt"), 1e-3
+    steps = []
+    solve_shifted = fac.solve_shifted
+    monkeypatch.setattr(fac, "solve_shifted", lambda *args: steps.append(args) or solve_shifted(*args))
+    solution = forward.solve_friction_set(fac, friction_field(mesh, 0.3), kernel, eps)
+    state = forward.friction_set_state(fac, solution)
+    assert len(steps) == 0
+    assert 1e-12 < state.residual_norm <= fac.floored_tol(free_part(mesh, state.u), 1e-12)
+    # x moved off the solution: its residual is above the floor, and one step brings it back
+    x = solution.x + 1e-8
+    state = forward.friction_set_state(fac, solution._replace(x=x, modulus=modulus_smooth(kernel, eps, x)))
+    assert len(steps) == 1
+    assert state.residual_norm <= fac.floored_tol(free_part(mesh, state.u), 1e-12)
 
 
 def test_the_floor_does_not_accept_a_wrong_state():

@@ -27,16 +27,14 @@ block of right-hand sides (the Gauss-Newton Jacobian with ``e`` free); the
 gradient needs no further forward solve.  The adjoint serves L-BFGS-B and the
 gradient check; Gauss-Newton reads its gradient off its Jacobian.
 
-With ``e`` fixed the state is affine in ``x = u_D``:
-``u = y + Z S (x - y_D)``, ``Z = T^{-1} E_D``.  The misfit then has |D|
-rows, ``c_D + R_Z S (x - y_D)``, and a constant ``kappa``: ``1/2 |rows|^2 +
-kappa`` is ``1/2 |u - observation|_G^2`` (:func:`friction_misfit_factor`,
-kept on the factorization as ``(R_Z, c_D, kappa)``), read off Newton's ``x``
-with no ``T``-solve.  Their |D| x |D| Jacobian in ``f``
-(:func:`friction_jacobian`) takes the factorization and Newton's
-:class:`~vi_ident.forward.FrictionSetSolution`, whose ``M'_eps`` and
-``M''_eps`` it reads: one Cholesky factorization of Newton's Hessian on D and
-no ``LinearizedMap``.
+With ``e`` fixed the state ``u = y + H (x - y_D)`` is affine in ``x = u_D``
+(``H`` the harmonic extension off D,
+:meth:`~vi_ident.forward.Factorization.harmonic`), so the misfit is
+``1/2 |rows|^2 + kappa`` with |D| rows ``c + W (x - y_D)``,
+``W^T W = H^T G H`` (:func:`friction_misfit_factor`, kept on the
+factorization), read off Newton's ``x`` with no solve.  Their Jacobian in
+``f`` (:func:`friction_jacobian`) takes one Cholesky factorization of
+Newton's Hessian on D and no ``LinearizedMap``.
 """
 
 from __future__ import annotations
@@ -166,64 +164,55 @@ def misfit_gram(problem: Problem, misfit_norm: str = "L2") -> sp.csr_matrix:
 def friction_misfit_factor(
     problem: Problem, e: ParameterField, observation: np.ndarray, misfit_norm: str = "L2"
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The misfit on the friction set D at fixed ``e``: ``(R_Z, c_D, kappa)``.
+    """The misfit on the friction set D at fixed ``e``: ``(W, c, kappa)``.
 
-    At fixed ``e`` the regularized state is ``u = y + Z S (x - y_D)``, with
-    ``x = u_D`` and ``Z = T^{-1} E_D``, so the residual
-    ``r = u - observation`` is ``r_0 = y - observation`` moved in the range
-    of ``Z``.  With ``G`` the assembled misfit Gram matrix and
-    ``R_Z^T R_Z = Z^T G Z``, the |D| misfit rows
-    ``c_D + R_Z S (x - y_D)``, ``c_D = R_Z^{-T} Z^T G r_0``, are the
-    coordinates of the G-orthogonal projection of ``r`` onto that range,
-    and ``1/2 |r|_G^2 = 1/2 |rows|^2 + kappa`` with
-    ``kappa = 1/2 |r_0 - Z R_Z^{-1} c_D|_G^2``, the part no ``x`` reaches,
-    computed directly, not as a difference, so that it keeps full accuracy.
-    As ``T`` is symmetric, ``Z^T G v = (T^{-1} G v)_D``: ``Z^T G Z`` is
-    built one block of about sqrt(|D|) columns of ``E_D`` at a time, two
-    block ``T``-solves each, and ``c_D`` and ``kappa`` take one solve each,
-    so no (free dofs) x |D| array is held.  Built once per misfit norm and
-    observation and kept on the factorization of ``T(e)``.
+    The residual ``r = u - observation`` of ``u = y + H (x - y_D)`` is
+    ``r_0 = y - observation`` moved in the range of ``H``.  With ``G`` the
+    misfit Gram matrix and ``W^T W = H^T G H``, the |D| rows
+    ``c + W (x - y_D)``, ``c = W^{-T} H^T G r_0``, are the coordinates of the
+    G-orthogonal projection of ``r`` onto that range, and
+    ``1/2 |r|_G^2 = 1/2 |rows|^2 + kappa`` with
+    ``kappa = 1/2 |r_0 - H W^{-1} c|_G^2``, computed directly, not as a
+    difference, so that it keeps full accuracy.  ``H^T G H`` is built about
+    sqrt(|D|) columns at a time, so no (free dofs) x |D| array is held; each
+    product with ``H`` or ``H^T`` is one back substitution and no
+    ``T``-solve.  Kept on the factorization of ``T(e)`` per misfit norm and
+    observation.
     """
     fac = problem.factorization(e)
     observation = free_part(problem.mesh, observation)
     key = (misfit_norm, observation.tobytes())
     if key not in fac.friction_misfits:
         G = misfit_gram(problem, misfit_norm)
-        pos = fac.positions
-        n, d = G.shape[0], pos.size
-        ZGZ = np.empty((d, d))
-        width = math.isqrt(d) + 1  # about sqrt(|D|) solves, each with about sqrt(|D|) columns
+        d = fac.positions.size
+        HGH = np.empty((d, d))
+        width = math.isqrt(d) + 1  # about sqrt(|D|) blocks, each of about sqrt(|D|) columns
         for b in range(0, d, width):
-            E_b = np.zeros((n, min(width, d - b)))  # a block of columns of E_D
-            E_b[pos[b : b + width], np.arange(E_b.shape[1])] = 1.0
-            ZGZ[:, b : b + width] = fac.solve(G @ fac.solve(E_b))[pos]
-        R_Z = cholesky(ZGZ)
+            E_b = np.eye(d, min(width, d - b), -b)  # a block of columns of the identity on D
+            HGH[:, b : b + width] = fac.harmonic_transpose(G @ fac.harmonic(E_b))
+        W = cholesky(HGH)
         r0 = fac.load_solution - observation
-        c_D = solve_triangular(R_Z, fac.solve(G @ r0)[pos], trans="T")
-        load = np.zeros(n)
-        load[pos] = solve_triangular(R_Z, c_D)
-        r0 -= fac.solve(load)
-        fac.friction_misfits[key] = R_Z, c_D, 0.5 * float(r0 @ (G @ r0))
+        c = solve_triangular(W, fac.harmonic_transpose(G @ r0), trans="T")
+        r0 -= fac.harmonic(solve_triangular(W, c))
+        fac.friction_misfits[key] = W, c, 0.5 * float(r0 @ (G @ r0))
     return fac.friction_misfits[key]
 
 
 def friction_jacobian(
-    fac: Factorization, solution: FrictionSetSolution, R_Z: np.ndarray
+    fac: Factorization, solution: FrictionSetSolution, W: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The |D| x |D| Jacobian ``R_Z S dx/df`` of the misfit rows of
+    """The |D| x |D| Jacobian ``W dx/df`` of the misfit rows of
     :func:`friction_misfit_factor` in ``f`` at Newton's ``x = u_D`` on the
-    factorization ``fac`` of ``T(e)``, and
-    ``dx/df = -(S + diag(w f M''_eps(x)))^{-1} diag(w M'_eps(x))``.
-
-    The condensed gradient ``S (x - y_D) + w f M'_eps(x)`` vanishes at the
-    regularized solution's ``x``, which gives ``dx/df``.  ``M'_eps`` and
-    ``M''_eps`` are the solution's own.  One |D| x |D| Cholesky
+    factorization ``fac`` of ``T(e)``, and ``dx/df``, from the condensed
+    gradient ``S (x - y_D) + w f M'_eps(x)`` that vanishes at ``x``:
+    ``dx/df = -(S + diag(w f M''_eps(x)))^{-1} diag(w M'_eps(x))``, with the
+    solution's own ``M'_eps`` and ``M''_eps``.  One |D| x |D| Cholesky
     factorization, no ``T``-solve.
     """
     sm = solution.modulus
     w_dM = np.diag(fac.mesh.friction_weights * sm.first_derivative)
     dx = -cholesky_solve(fac.shifted_factor(solution.wf * sm.second_derivative), w_dM)
-    return R_Z @ (fac.schur @ dx), dx
+    return W @ dx, dx
 
 
 def adjoint_solve(

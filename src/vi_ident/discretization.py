@@ -278,8 +278,8 @@ class ParameterField:
 
     @property
     def reg_inner_product(self):
-        """The SPD Gram matrix of the regularization inner product (dense or
-        scipy.sparse), read off the mesh."""
+        """The SPD Gram matrix of the regularization inner product, a
+        scipy.sparse CSR matrix read off the mesh."""
         return self.mesh.element_gram if self.support == "elements" else self.mesh.friction_set_gram
 
     def with_values(self, values: np.ndarray) -> "ParameterField":
@@ -632,17 +632,17 @@ def _distances(points: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(squared)
 
 
-def friction_gram(mesh: Mesh):
-    """Gram matrix of the friction field's regularization inner product.
+def friction_gram(mesh: Mesh) -> sp.csr_matrix:
+    """Gram matrix of the friction field's regularization inner product, CSR.
 
-    The 1D point-friction case uses the scalar 1.  In 2D it is the P1
-    mass+stiffness matrix of the bottom edge with its Dirichlet endpoints
-    eliminated, i.e. a discrete H1 inner product along D.
+    The 1D point-friction case uses the identity (the scalar 1 at the tip).
+    In 2D it is the P1 mass+stiffness matrix of the bottom edge with its
+    Dirichlet endpoints eliminated, i.e. a discrete H1 inner product along D.
     :attr:`Mesh.friction_set_gram` holds it once built.
     """
     nf = mesh.friction_nodes.size
     if mesh.dimension == 1:
-        return np.eye(nf)
+        return sp.identity(nf, format="csr")
     xs = mesh.nodes[mesh.friction_nodes, 0]
     if np.any(np.diff(xs) <= 0):
         raise ConfigError("friction nodes are expected ordered along the edge")

@@ -1,9 +1,11 @@
 """Forward solvers for the friction model, iterating on ``x = u_D`` alone.
 
-With ``y = T^{-1} l`` and the dense SPD Schur complement
-``S = T_DD - T_DI T_II^{-1} T_ID`` of ``T`` onto the friction set D
-(|D| x |D|), minimizing the energy over the dofs off D at fixed ``x`` leaves
-the condensed energy ``1/2 (x - y_D)^T S (x - y_D) + sum_i w_i f_i m(x_i)``.
+With ``y = T^{-1} l`` and ``H`` the discrete harmonic extension off the
+friction set D (``(H d)_D = d``, ``T H d = 0`` off D), the ``u`` with
+``u_D = x`` that solves ``T u = l`` off D is ``y + H (x - y_D)``, and its
+energy, minimized over the dofs off D, is the condensed energy
+``1/2 (x - y_D)^T S (x - y_D) + sum_i w_i f_i m(x_i)``, with
+``S = H^T T H`` the dense SPD Schur complement of ``T`` onto D.
 
 * :func:`solve_vi_oracle` minimizes it with ``m = |.|`` (the convex program
   equivalent to the variational inequality of the second kind) through its
@@ -19,25 +21,24 @@ the condensed energy ``1/2 (x - y_D)^T S (x - y_D) + sum_i w_i f_i m(x_i)``.
   The gradient ``S (x - y_D) + w f M'_eps(x)`` is the full-space residual of
   the harmonic extension of ``x``; the Hessian ``S + diag(w f M''_eps(x))``
   is SPD.  A cold start begins at the oracle's ``x``, within
-  ``sqrt(8 k eps sum(w f))`` of the smoothed solution in the energy norm.  :func:`solve_regularized` follows it with
-  :func:`friction_set_state`; identification calls the two on its own, and
-  with ``e`` fixed extends only the ``x`` it stops at.
+  ``sqrt(8 k eps sum(w f))`` of the smoothed solution in the energy norm.
+  :func:`solve_regularized` follows it with :func:`friction_set_state`;
+  identification calls the two on its own, and with ``e`` fixed extends only
+  the ``x`` it stops at.
 
-Each solver builds ``u`` from ``x`` with one back substitution with the LU's
-``U`` off D (:meth:`Factorization.extend`) and tests its full-space residual
-against ``tol`` floored at round-off (:meth:`Factorization.floored_tol`).  A
-:class:`Factorization` of ``T(e)``, D last, keeps ``T(e)``, the load, ``y``,
-``S`` (the trailing |D| x |D| block of its LU) and the oracle's last solution
-on D (:meth:`Factorization.oracle`); :meth:`Problem.factorization` keeps the
-one of the ``e`` requested last.  The solvers on D, the sensitivities and the
-adjoint (:mod:`vi_ident.adjoint`) take it.  Outside the oracle, every dense
-solve on D goes one way: LAPACK's Cholesky ``potrf`` of ``S`` plus a
-nonnegative diagonal (:meth:`Factorization.shifted_factor`), then ``potrs``
-(:func:`cholesky_solve`).  ``S`` is checked finite once, when it is built;
-the diagonal and each right-hand side are checked on every call, at O(|D|)
-cost per column; a factorization that breaks down raises ``SolverError``.
-Every tolerance test is written so that a NaN residual fails it.
-:func:`solution_map` dispatches on ``eps`` (0 means oracle).
+A :class:`Factorization` of ``T(e)`` keeps ``y``, ``S``, ``H`` and ``H^T``
+(one back substitution each with the LU's ``U`` off D) and the oracle's last
+solution on D; :meth:`Problem.factorization` keeps the one of the ``e``
+requested last.  Each solver builds ``u`` from its ``x``
+(:meth:`Factorization.extend`) and tests its full-space residual against
+``tol`` floored at round-off (:meth:`Factorization.floored_tol`).  Outside the
+oracle, every dense solve on D goes one way: LAPACK's Cholesky ``potrf`` of
+``S`` plus a nonnegative diagonal (:meth:`Factorization.shifted_factor`), then
+``potrs`` (:func:`cholesky_solve`).  ``S`` is checked finite once, when it is
+built; the diagonal and each right-hand side are checked on every call, at
+O(|D|) cost per column; a factorization that breaks down raises
+``SolverError``.  Every tolerance test is written so that a NaN residual fails
+it.  :func:`solution_map` dispatches on ``eps`` (0 means oracle).
 """
 
 from __future__ import annotations
@@ -148,23 +149,24 @@ _NEWTON_TOL = 1e-12  # the smoothed solver's default tolerance
 class Factorization:
     """One sparse LU of ``T(e)`` on the free dofs, with the friction set D last.
 
-    The LU runs in the mesh's elimination order (nested dissection off D,
-    then D; :attr:`OperatorPattern.elimination`) with diagonal pivots, so
-    for SPD ``T`` the trailing block of ``U`` gives the Schur complement of
-    ``T`` onto D, ``S = R^T R`` with ``R = diag(U_DD)^{-1/2} U_DD``.  It keeps
-    ``mesh``, ``matrix`` ``T(e)`` and ``load``; ``load_solution``
-    ``y = T^{-1} l``, ``schur_factor`` ``R`` and ``schur`` ``S`` (the inverse
-    of ``E_D^T T^{-1} E_D``, checked finite) are built on first use.  The
-    forward solvers iterate on these, then call :meth:`extend` once, a back
-    substitution with ``U_II``, the block of ``U`` off D.  Every dense solve
-    on D factorizes ``S`` plus a diagonal with LAPACK's Cholesky
+    The LU runs in the mesh's elimination order (nested dissection off D, then
+    D; :attr:`OperatorPattern.elimination`) with diagonal pivots, so for SPD
+    ``T`` the trailing block of ``U`` gives the Schur complement of ``T`` onto
+    D, ``S = R^T R`` with ``R = diag(U_DD)^{-1/2} U_DD``.  It keeps ``mesh``,
+    ``matrix`` ``T(e)`` and ``load``; ``load_solution`` ``y = T^{-1} l``,
+    ``schur_factor`` ``R`` and ``schur`` ``S`` (the inverse of
+    ``E_D^T T^{-1} E_D``, checked finite) are built on first use.  The forward
+    solvers iterate on these, then call :meth:`extend` once; it and ``H``,
+    ``H^T`` (:meth:`harmonic`, :meth:`harmonic_transpose`) are a back
+    substitution with ``U_II``, the block of ``U`` off D.  Every dense solve on
+    D factorizes ``S`` plus a diagonal with LAPACK's Cholesky
     (:meth:`shifted_factor`) and solves with :func:`cholesky_solve`.
     ``friction_misfits`` holds identification's misfit on D at this ``e``,
-    ``(R_Z, c_D, kappa)`` per misfit norm and observation
-    (:func:`~vi_ident.adjoint.friction_misfit_factor`).  ``matrix`` must
-    not be modified in place.  Raises ``ValueError`` if ``matrix`` is not
-    stored on ``mesh.operator_pattern``, and ``SolverError`` if the LU's own
-    permutations move D out of the trailing block.
+    ``(W, c, kappa)`` per misfit norm and observation
+    (:func:`~vi_ident.adjoint.friction_misfit_factor`).  ``matrix`` must not be
+    modified in place.  Raises ``ValueError`` if ``matrix`` is not stored on
+    ``mesh.operator_pattern``, and ``SolverError`` if the LU's own permutations
+    move D out of the trailing block.
     """
 
     def __init__(self, mesh: Mesh, matrix: sp.csr_matrix, load: np.ndarray):
@@ -206,34 +208,28 @@ class Factorization:
 
     @cached_property
     def _back_substitution(self) -> tuple:
-        """``(w_I, U_ID, U_II, gather)`` for :meth:`extend`.
+        """``(U_ID, U_II, gather)`` for :meth:`harmonic`.
 
         With ``P_r T P_c = L U`` and D trailing in both permutations, the rows
-        off D of ``L U P_c^T u = P_r rhs`` read ``U_II v_I + U_ID u_D = w_I``
-        with ``v = P_c^T u`` and ``w = L^{-1} P_r rhs``; ``w_I`` is the same
-        for every ``rhs`` equal to ``l`` off D, so it is ``(U v)_I`` at the
-        load solution.  ``U_II`` is the argument list of SuperLU's ``gstrs``
-        for a solve with that block: ``gstrs`` divides by the diagonal passed
-        as ``L`` and subtracts every entry passed as ``U``, so the diagonal of
-        U's leading columns (the last entry of each) is moved out of U's own
-        arrays, in place; U is not copied.  ``gather`` takes ``v`` to
-        free-dof order.  Raises ``SolverError`` if a column of U off D does
-        not end on its diagonal.
+        off D of ``T u`` vanish exactly when ``U_II v_I + U_ID v_D = 0``, with
+        ``v = P_c^T u``.  ``U_II`` is the argument list of SuperLU's ``gstrs``
+        for a solve with that block or its transpose: ``gstrs`` divides by
+        the diagonal passed as ``L`` and subtracts every entry passed as
+        ``U``, so the diagonal of U's leading columns (the last entry of
+        each) is moved out of U's own arrays, in place; U is not copied.
+        ``gather`` takes ``v`` to free-dof order.  Raises ``SolverError`` if
+        a column of U off D does not end on its diagonal.
         """
         U, lead = self._upper, self._lead
         indptr = U.indptr[: lead + 1]
         last = indptr[1:] - 1
         if not np.array_equal(U.indices[last], np.arange(lead)):
             raise SolverError("the columns of the LU's U off the friction set do not end on the diagonal")
-        gather = self._lu.perm_c[self._rank]
-        v = np.empty_like(self.load_solution)
-        v[gather] = self.load_solution
-        w_I = (U @ v)[:lead]
         diagonal = U.data[last]  # fancy indexing: a copy
         U.data[last] = 0.0
         unit, nnz = np.arange(lead + 1, dtype=np.intc), indptr[-1]
         U_II = (lead, lead, diagonal, unit[:-1], unit, lead, nnz, U.data[:nnz], U.indices[:nnz], indptr)
-        return w_I, U[:lead, lead:], U_II, gather
+        return U[:lead, lead:], U_II, self._lu.perm_c[self._rank]
 
     @cached_property
     def schur(self) -> np.ndarray:
@@ -291,35 +287,53 @@ class Factorization:
 
     def solve_shifted(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(T + E_D diag(shift) E_D^T) x = rhs`` for a vector or an
-        (n, k) block, with two ``T``-solves of the same shape.
+        (n, k) block, with one ``T``-solve of the same shape.
 
         With ``y = T^{-1} rhs`` the friction values solve
         ``(S + diag(shift)) x_D = S y_D``, SPD for ``shift >= 0``, and
-        ``x = T^{-1}(rhs - E_D (shift * x_D))``.  ``x_D`` is taken from the
-        small solve, not from the second ``T``-solve, where it is the
-        difference of two nearly equal terms once ``shift >> S``.  Each
-        call builds its own :meth:`shifted_factor` of ``shift``.
+        ``x = y + H (x_D - y_D)``, as ``T H d = E_D S d``; ``x_D`` is kept as
+        the small solve gives it, not as ``y_D`` plus a difference of nearly
+        equal terms.  Each call builds its own :meth:`shifted_factor`.
         """
         y = self.solve(rhs)
         if not np.any(shift):
             return y
-        pos, S = self.positions, self.schur
-        x_D = cholesky_solve(self.shifted_factor(shift), S @ y[pos])
-        corrected = np.array(rhs, dtype=float)
-        corrected[pos] -= (shift * x_D.T).T
-        x = self.solve(corrected)
-        x[pos] = x_D
-        return x
+        x_D = cholesky_solve(self.shifted_factor(shift), self.schur @ y[self.positions])
+        return self._extension(y, x_D)
+
+    def harmonic(self, d: np.ndarray) -> np.ndarray:
+        """``H d``, ``(H d)_D = d`` and ``T H d = 0`` off D, for a vector or a
+        |D| x k block: one back substitution, ``v_I = -U_II^{-1} U_ID d``
+        (:attr:`_back_substitution`).  ``H^T T H`` is ``S``."""
+        U_ID, U_II, gather = self._back_substitution
+        return np.concatenate((_back_substitute("N", U_II, -(U_ID @ d)), d))[gather]
+
+    def harmonic_transpose(self, v: np.ndarray) -> np.ndarray:
+        """``H^T v = v_D - U_ID^T U_II^{-T} v_I`` (``v`` in the LU's column
+        order) for a vector or an (n, k) block: one back substitution."""
+        U_ID, U_II, gather = self._back_substitution
+        p = np.empty(np.shape(v))
+        p[gather] = v
+        return p[self._lead :] - U_ID.T @ _back_substitute("T", U_II, p[: self._lead])
 
     def extend(self, x: np.ndarray) -> np.ndarray:
-        """The ``u`` with ``u_D = x`` that solves ``T u = l`` off D: one back
-        substitution, ``u_I = U_II^{-1} (w_I - U_ID x)``
-        (:attr:`_back_substitution`), with no ``T``-solve."""
-        w_I, U_ID, U_II, gather = self._back_substitution
-        v_I, info = gstrs("N", *U_II, w_I - U_ID @ x)
-        if info:
-            raise ValueError(f"illegal value in argument {-info} of SuperLU gstrs")
-        return np.concatenate((v_I, x))[gather]
+        """The ``u`` with ``u_D = x`` that solves ``T u = l`` off D:
+        ``y + H (x - y_D)`` (:meth:`harmonic`), with no ``T``-solve."""
+        return self._extension(self.load_solution, x)
+
+    def _extension(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``y + H (x - y_D)``, with ``u_D = x`` exactly."""
+        u = y + self.harmonic(x - y[self.positions])
+        u[self.positions] = x
+        return u
+
+
+def _back_substitute(trans: str, U_II: tuple, rhs: np.ndarray) -> np.ndarray:
+    """``U_II^{-1} rhs`` (``trans="N"``) or ``U_II^{-T} rhs`` (``"T"``)."""
+    x, info = gstrs(trans, *U_II, rhs)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of SuperLU gstrs")
+    return x
 
 
 def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -353,12 +367,6 @@ def _check_friction(f: ParameterField, mesh: Mesh) -> np.ndarray:
     if vals.min(initial=0.0) < 0.0:
         raise ValueError("friction coefficient must be nonnegative")
     return vals
-
-
-def _condensed_energy(r: np.ndarray, q: np.ndarray, wf: np.ndarray, m: np.ndarray) -> float:
-    """``1/2 r^T q + wf . m`` for ``r = x - y_D``, ``q = S r``: the energy of
-    the harmonic extension of ``x`` plus ``1/2 l^T y``."""
-    return float(0.5 * r @ q + wf @ m)
 
 
 def _prox_residual(fac: Factorization, wf: np.ndarray, u_free: np.ndarray) -> float:
@@ -427,13 +435,12 @@ def solve_vi_oracle(
 
 
 class FrictionSetSolution(NamedTuple):
-    """Newton's converged ``x = u_D`` on the friction set, with
-    ``q = S (x - y_D)``, the smoothed modulus at ``x``, the iteration count,
-    the gradient-norm history, and the ``wf = w f``, kernel and ``eps`` it
-    was solved at; not its :class:`Factorization`, so as not to keep it alive."""
+    """Newton's converged ``x = u_D`` on the friction set, with the smoothed
+    modulus at ``x``, the iteration count, the gradient-norm history, and the
+    ``wf = w f``, kernel and ``eps`` it was solved at; not its
+    :class:`Factorization`, so as not to keep it alive."""
 
     x: np.ndarray
-    q: np.ndarray
     modulus: SmoothedEval
     iterations: int
     history: list
@@ -554,12 +561,15 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
     y = fac.load_solution[fac.positions]
     S = fac.schur
 
-    def at(x):  # (x, gradient, S (x - y_D), modulus, energy) at x
+    def condensed(r, q, m):  # at x = y_D + r, q = S r: the energy of the extension of x, plus 1/2 l^T y
+        return float(0.5 * r @ q + wf @ m)
+
+    def at(x):  # (x, gradient, modulus, energy) at x
         q = S @ (x - y)
         sm = modulus_smooth(kernel, eps, x)
-        return x, q + wf * sm.first_derivative, q, sm, _condensed_energy(x - y, q, wf, sm.value)
+        return x, q + wf * sm.first_derivative, sm, condensed(x - y, q, sm.value)
 
-    x, g, q, sm, energy = at(x)
+    x, g, sm, energy = at(x)
     history = [float(np.linalg.norm(g))]
     iterations = stalled = 0
     while not history[-1] <= tol:  # a NaN norm does not pass
@@ -589,7 +599,7 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
             while True:
                 r = x + step * d - y
                 m = modulus_value(kernel, eps, x + step * d)
-                if _condensed_energy(r, S @ r, wf, m) <= energy + 1e-4 * step * slope:
+                if condensed(r, S @ r, m) <= energy + 1e-4 * step * slope:
                     break
                 if step < 1e-12:
                     raise SolverError(
@@ -600,12 +610,12 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
                 step *= 0.5
             if step < 1.0:
                 trial = at(x + step * d)
-        x, g, q, sm, energy = trial
+        x, g, sm, energy = trial
         history.append(float(np.linalg.norm(g)))
         # A full step that no longer reduces the residual: double precision is
         # exhausted, so fail fast instead of looping to the iteration cap.
         stalled = stalled + 1 if step == 1.0 and history[-1] >= 0.9999 * history[-2] else 0
-    return FrictionSetSolution(x, q, sm, iterations, history, wf, kernel, eps)
+    return FrictionSetSolution(x, sm, iterations, history, wf, kernel, eps)
 
 
 def solution_map(

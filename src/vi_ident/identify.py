@@ -19,21 +19,21 @@ free the misfit rows are ``C (u - observation)``, ``C`` the dense upper
 Cholesky factor of the misfit Gram matrix ``G`` on the free dofs
 (:func:`~vi_ident.adjoint.misfit_gram`), and the Jacobian is the solution
 map's, from one block solve; its rows on D are ``dx/dy``.  With only ``f``
-free the state is affine in ``x``, so the run stays on D: the misfit rows
-are the |D| rows ``c_D + R_Z S (x - y_D)`` of
-:func:`~vi_ident.adjoint.friction_misfit_factor` (the misfit up to a
-constant), the |D| x |D| Jacobian takes one Cholesky factorization and no
-solve with ``T``, and trials are accepted on Newton's gradient test on D,
-the full-space residual of the harmonic extension of ``x``; the full-space
-state, with its own residual check, is built once per run, where it stops
-(and for the adjoint gradient, when asked).  A run with only ``f`` free is
-``trf`` at any size.  With ``e`` free it is ``trf`` while the Jacobian
-(misfit rows plus one regularization row per free coefficient, times the
-free coefficients) has at most ``_LEAST_SQUARES_MAX_ENTRIES`` entries, with
-the misfit rows counted as m per element of m nodes; above that it is
-scipy's L-BFGS-B (Byrd, Lu, Nocedal, Zhu, SIAM J. Sci. Comput. 16, 1995),
-one forward and one adjoint solve per evaluation.  With no field free a run
-(``method`` ``"none"``) evaluates its start and stops there.  Either way
+free the state ``y + H (x - y_D)`` is affine in ``x`` (``H`` the harmonic
+extension off D), so the run stays on D: the misfit rows are the |D| rows
+``c + W (x - y_D)`` of :func:`~vi_ident.adjoint.friction_misfit_factor` (the
+misfit up to a constant), the |D| x |D| Jacobian takes one Cholesky
+factorization and no solve with ``T``, and trials are accepted on Newton's
+gradient test on D, the full-space residual of the harmonic extension of
+``x``; the full-space state, with its own residual check, is built once per
+run, where it stops (and for the adjoint gradient, when asked).  A run with
+only ``f`` free is ``trf`` at any size.  With ``e`` free it is ``trf`` while
+the Jacobian (misfit rows plus one regularization row per free coefficient,
+times the free coefficients) has at most ``_LEAST_SQUARES_MAX_ENTRIES``
+entries, with the misfit rows counted as m per element of m nodes; above that
+it is scipy's L-BFGS-B (Byrd, Lu, Nocedal, Zhu, SIAM J. Sci. Comput. 16,
+1995), one forward and one adjoint solve per evaluation.  With no field free a
+run (``method`` ``"none"``) evaluates its start and stops there.  Either way
 scipy's own stopping tests are at most round-off: a run stops on the
 projected-gradient residuals, which vanish exactly at discrete KKT points of
 the box-constrained problem.
@@ -52,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import block_diag, cholesky
 from scipy.optimize import Bounds, least_squares, minimize
 
@@ -189,7 +188,7 @@ class _Run:
         self.stationarity_history: list[tuple[float, float]] = []
         self.last = self.accepted = None  # the last evaluated and the last accepted _Point
         self.forward_solves = 0
-        # Gauss-Newton with e fixed: (R_Z, c_D, kappa) of friction_misfit_factor;
+        # Gauss-Newton with e fixed: (W, c, kappa) of friction_misfit_factor;
         # Gauss-Newton: (y, x, dx/dy) at the last Jacobian, y the free coefficients
         self.friction_misfit = self.prediction = None
 
@@ -225,8 +224,8 @@ class _Run:
             r = free_part(mesh, self.state(point).u) - free_part(mesh, self.observation)
             point.misfit = 0.5 * float(r @ (misfit_gram(self.problem, cfg.misfit_norm) @ r))
         else:
-            R_Z, c_D, kappa = self.friction_misfit
-            point.rows = c_D + R_Z @ solution.q
+            W, c, kappa = self.friction_misfit
+            point.rows = c + W @ (solution.x - fac.load_solution[fac.positions])
             point.misfit = 0.5 * float(point.rows @ point.rows) + kappa
         point.value = point.misfit + regularization(e, f, cfg.alpha, cfg.beta)
         self.forward_solves += 1
@@ -308,7 +307,7 @@ class _Run:
         ``x0``; scipy's message, or None when :meth:`accept` stopped the run.
 
         The misfit rows are ``C (u - observation)`` with ``e`` free.  With
-        ``e`` fixed they are the |D| rows ``c_D + R_Z S (x - y_D)`` of
+        ``e`` fixed they are the |D| rows ``c + W (x - y_D)`` of
         :func:`~vi_ident.adjoint.friction_misfit_factor`, which differ from
         the misfit by a constant, read off Newton's solution on D.  Either
         way the Jacobian's ``dx/dy`` predicts where the next trial's Newton
@@ -322,7 +321,7 @@ class _Run:
         cfg, problem, mesh, free = self.config, self.problem, self.problem.mesh, self.free
         # R^T R = the regularization Grams of the free fields, scaled
         R = block_diag(*(
-            np.sqrt(weight) * cholesky(gram.toarray() if sp.issparse(gram) else gram)
+            np.sqrt(weight) * cholesky(gram.toarray())
             for weight, gram, is_free in (
                 (cfg.alpha, self.e0.reg_inner_product, self.free_e),
                 (cfg.beta, self.f0.reg_inner_product, self.free_f),
@@ -346,13 +345,13 @@ class _Run:
                 return C @ free_part(mesh, du), du[mesh.friction_nodes]
         else:
             self.friction_misfit = friction_misfit_factor(problem, self.e0, self.observation, cfg.misfit_norm)
-            R_Z = self.friction_misfit[0]
+            W = self.friction_misfit[0]
 
             def misfit_rows(point):
                 return point.rows
 
             def misfit_jacobian(point):
-                return friction_jacobian(problem.factorization(point.e), point.friction, R_Z)
+                return friction_jacobian(problem.factorization(point.e), point.friction, W)
 
         def full(y):
             x = self.x0.copy()

@@ -289,48 +289,52 @@ def test_the_friction_set_reduction_keeps_the_misfit_and_its_jacobian(monkeypatc
     observation = synthesize_observation(problem, e, friction_field(mesh, 0.25), noise_level=0.05, seed=3)
     T, pos = assemble_operator(mesh, e).matrix, mesh.friction_free_positions
     Z = friction_response(problem, e)  # dense, off the factorization
+    H = np.linalg.solve(Z[pos].T, Z.T).T  # H = Z S with S = Z_D^{-1}: the harmonic extension off D
 
-    widths = []  # the columns of each block T-solve the build makes
-    solve = Factorization.solve
-    monkeypatch.setattr(Factorization, "solve",
-                        lambda fac, rhs: widths.extend(np.shape(rhs)[1:]) or solve(fac, rhs))
-    R_Z, c_D, kappa = friction_misfit_factor(problem, e, observation, misfit_norm)
+    widths, solves = [], []  # the columns of each block extension, and every T-solve, of the build
+    harmonic, solve = Factorization.harmonic, Factorization.solve
+    monkeypatch.setattr(Factorization, "harmonic",
+                        lambda fac, d: widths.extend(np.shape(d)[1:]) or harmonic(fac, d))
+    monkeypatch.setattr(Factorization, "solve", lambda fac, rhs: solves.append(rhs) or solve(fac, rhs))
+    W, c, kappa = friction_misfit_factor(problem, e, observation, misfit_norm)
     monkeypatch.undo()
-    assert len(widths) >= 4 and max(widths) < pos.size  # two solves a block, at least two blocks
-    assert friction_misfit_factor(problem, e, observation, misfit_norm)[1] is c_D  # kept on the factorization
+    assert len(widths) >= 2 and max(widths) < pos.size  # at least two blocks
+    assert solves == []
+    assert friction_misfit_factor(problem, e, observation, misfit_norm)[1] is c  # kept on the factorization
     B = np.linalg.cholesky(misfit_gram(problem, misfit_norm).toarray()).T  # any B with B^T B = G
-    BZ = B @ Z
-    L = np.linalg.cholesky(BZ.T @ BZ)  # R_Z^T, computed afresh
-    assert np.abs(R_Z.T - L).max() <= 1e-12 * np.abs(L).max()
+    BH = B @ H
+    L = np.linalg.cholesky(BH.T @ BH)  # W^T, computed afresh
+    assert np.abs(W.T - L).max() <= 1e-12 * np.abs(L).max()
     state = solution_map(e, f, eps, problem, kernel, tol=1e-13)
     directions = np.vstack([np.zeros((mesh.n_elements, f.values.size)), np.eye(f.values.size)])
     du = free_part(mesh, solution_derivative(state, problem, e, f, kernel, eps, directions))
     fac = problem.factorization(e)
-    J, dx_df = friction_jacobian(fac, solve_friction_set(fac, f, kernel, eps, tol=1e-13), R_Z)
+    J, dx_df = friction_jacobian(fac, solve_friction_set(fac, f, kernel, eps, tol=1e-13), W)
     assert np.linalg.norm(dx_df - du[pos]) <= 1e-10 * np.linalg.norm(du[pos])
-    reference = np.linalg.solve(L, BZ.T @ (B @ du))
+    reference = np.linalg.solve(L, BH.T @ (B @ du))
     assert np.linalg.norm(J - reference) <= 1e-10 * np.linalg.norm(reference)
 
     y = spsolve(T.tocsc(), problem.load)  # the frictionless state, off the factorization
-    # the part of B (y - observation) outside the range of B Z
+    # the part of B (y - observation) outside the range of B H
     r0 = B @ (y - free_part(mesh, observation))
-    outside = r0 - BZ @ np.linalg.lstsq(BZ, r0, rcond=None)[0]
+    outside = r0 - BH @ np.linalg.lstsq(BH, r0, rcond=None)[0]
     assert abs(kappa - 0.5 * outside @ outside) <= 1e-10 * kappa
-    # the dense build from the whole Z
-    c_dense = np.linalg.solve(L, BZ.T @ r0)
-    assert np.linalg.norm(c_D - c_dense) <= 1e-12 * np.linalg.norm(c_dense)
-    unreached = r0 - BZ @ np.linalg.solve(L.T, c_dense)
+    # the dense build from the whole H
+    c_dense = np.linalg.solve(L, BH.T @ r0)
+    assert np.linalg.norm(c - c_dense) <= 1e-12 * np.linalg.norm(c_dense)
+    unreached = r0 - BH @ np.linalg.solve(L.T, c_dense)
     assert abs(kappa - 0.5 * unreached @ unreached) <= 1e-12 * kappa
 
     for f_values in (f.values, 0.5 * f.values):
         u = free_part(mesh, solution_map(e, f.with_values(f_values), eps, problem, kernel, tol=1e-13).u)
         x, r = u[pos], B @ (u - free_part(mesh, observation))
-        rows = c_D + R_Z @ np.linalg.solve(Z[pos], x - y[pos])  # S = Z_D^{-1}
+        rows = c + W @ (x - y[pos])
+        assert np.linalg.norm(rows - np.linalg.solve(L, BH.T @ r)) <= 1e-12 * np.linalg.norm(r)
         assert abs(0.5 * rows @ rows + kappa - 0.5 * r @ r) <= 1e-12 * (r @ r)
 
     # an observation in reach: kappa is 0 up to round-off, not a difference of two misfits
     reachable = solution_map(e, f, eps, problem, kernel, tol=1e-13).u
-    R_Z, c_D, kappa = friction_misfit_factor(problem, e, reachable, misfit_norm)
+    W, c, kappa = friction_misfit_factor(problem, e, reachable, misfit_norm)
     u_norm = np.linalg.norm(B @ free_part(mesh, reachable))
     assert 0.0 <= kappa <= (1e-14 * u_norm) ** 2
 

@@ -28,7 +28,7 @@ from vi_ident import (
     v_norm,
 )
 from vi_ident import adjoint, forward
-from vi_ident.discretization import free_part
+from vi_ident.discretization import free_part, full_part
 from vi_ident.forward import factorize
 from vi_ident.kernels import KERNEL_NAMES, modulus_smooth
 
@@ -278,6 +278,38 @@ def test_cold_smoothed_solve_converges_near_the_oracle(kernel_name, eps, s, n):
     assert v_norm(mesh, state.u - exact.u) <= bound
 
 
+def _uniform_friction_input(n: int):
+    mesh = unit_square_mesh(n)
+    return mesh, ellipticity_field(mesh, 1.0), friction_field(mesh, 2.0), 10.0
+
+
+COLD_INPUTS = {"forward_2d": lambda n: _reproducer(n, 1.0), "uniform_f2": _uniform_friction_input}
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("input_name", COLD_INPUTS)
+@pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
+def test_newton_from_zero_agrees_with_newton_from_the_oracle(kernel_name, input_name, n):
+    # a start that reads nothing of the oracle: from x = 0 Newton takes up to
+    # 115 iterations (uniform_centered at eps = 1e-6, n = 64), past the
+    # library's cap of 100, which serves the start from the oracle's x
+    mesh, e, f, source = COLD_INPUTS[input_name](n)
+    problem = Problem(mesh, source=source)
+    fac = problem.factorization(e)
+    kernel = get_kernel(kernel_name)
+    wf = mesh.friction_weights * f.values
+    exact = solution_map(e, f, 0.0, problem)
+    for eps in (1e-2, 1e-4, 1e-6):
+        cold = forward._newton(fac, wf, kernel, eps, forward._NEWTON_TOL, 300, np.zeros(wf.size))
+        warm = forward.solve_friction_set(fac, f, kernel, eps)
+        assert np.linalg.norm(cold.x - warm.x) <= 1e-10 * np.linalg.norm(warm.x)
+        # the a-priori bound of test_cold_smoothed_solve_converges_near_the_oracle
+        bound = np.sqrt(8.0 * kernel.absolute_mean_k * eps * wf.sum()) * np.sqrt(
+            (1.0 + 1.0 / np.pi**2) / e.values.min()
+        )
+        assert v_norm(mesh, full_part(mesh, fac.extend(cold.x)) - exact.u) <= bound
+
+
 def test_plug_in_logistic_density_keeps_friction_at_small_eps():
     # P and P_t of a full-line plug-in density come from quadrature; far
     # beyond its window (x/eps ~ 2.5e5 here) they must still see the bulk of
@@ -296,6 +328,40 @@ def test_solver_error_carries_residual():
     with pytest.raises(SolverError) as err:
         solve_regularized(fac, mesh, f_of(1.0), KERNEL, 1e-6, tol=1e-30, max_iter=3)
     assert err.value.residual is not None and err.value.residual > 0
+
+
+# --- a manufactured 2D Tresca solution ----------------------------------------------
+
+
+def _manufactured(x, y):
+    """``u = A(x)(1 - y) + B(x) y(1 - y)`` with ``A = 20 (x - 1/2)_+^3 (1 - x)``
+    and ``B = 2 sin(pi x)``, ``-Delta u`` and ``B - A``: ``u`` is zero on
+    x = 0, x = 1 and y = 1, stuck (``u = 0``) on the friction edge y = 0 for
+    x <= 1/2 and slipping beyond, where the traction ``d_n u = A - B`` is
+    ``-f``."""
+    t = np.maximum(x - 0.5, 0.0)
+    A, A_xx = 20.0 * t**3 * (1.0 - x), 120.0 * t * (1.0 - x - t)
+    B, B_xx = 2.0 * np.sin(np.pi * x), -2.0 * np.pi**2 * np.sin(np.pi * x)
+    return A * (1.0 - y) + B * y * (1.0 - y), -A_xx * (1.0 - y) - B_xx * y * (1.0 - y) + 2.0 * B, B - A
+
+
+def test_the_oracle_converges_to_a_manufactured_tresca_solution():
+    # the discretization (lumped friction weights, one-point load rule, P1
+    # friction term) against an exact solution: on the stick part
+    # f = B + 1/2 (1/2 - x) exceeds |d_n u| = B, on the slip part it equals it
+    errors = []
+    for n in (16, 32, 64, 128):
+        mesh = unit_square_mesh(n)
+        problem = Problem(mesh, source=lambda p: _manufactured(p[:, 0], p[:, 1])[1])
+        x = mesh.nodes[mesh.friction_nodes, 0]
+        f = friction_field(mesh, _manufactured(x, 0.0)[2] + 0.5 * np.maximum(0.5 - x, 0.0))
+        state = solution_map(ellipticity_field(mesh, 1.0), f, 0.0, problem)
+        err = free_part(mesh, state.u - _manufactured(*mesh.nodes.T)[0])
+        errors.append(np.sqrt(err @ (problem.mass_gram @ err)))
+        if n >= 64:  # below, one node next to the kink at x = 1/2 is read as slip
+            assert np.array_equal(state.u[mesh.friction_nodes] == 0.0, x <= 0.5)
+    # measured: 1.28e-3, 3.22e-4, 8.07e-5, 2.02e-5, rates 1.99, 2.00, 2.00
+    assert np.all(np.log2(np.divide(errors[:-1], errors[1:])) >= 1.9)
 
 
 # --- dispatch -------------------------------------------------------------------
@@ -485,6 +551,16 @@ def test_shifted_solve_matches_a_direct_factorization(mesh_name, kernel_name, ep
         # the friction values are small where shift >> S and must keep their
         # own relative accuracy: the friction gradient is built from them
         assert np.abs(x[pos] - direct[pos]).max() <= 1e-12 * np.abs(direct[pos]).max()
+
+
+def test_the_shifted_solve_takes_one_t_solve(monkeypatch):
+    fac, shift, b, B = _schur_setup()
+    solves = []
+    solve = fac.solve
+    monkeypatch.setattr(fac, "solve", lambda rhs: solves.append(np.shape(rhs)) or solve(rhs))
+    for rhs in (np.ones(fac.load.size), np.ones((fac.load.size, 4))):
+        fac.solve_shifted(shift, rhs)
+    assert solves == [(fac.load.size,), (fac.load.size, 4)]
 
 
 @pytest.mark.parametrize("mesh_name", ["1d", "2d"])
@@ -761,6 +837,40 @@ def test_the_extension_is_the_full_solve_with_the_multipliers_of_x():
     assert np.abs(fac.extend(x) - full).max() <= 1e-13 * np.abs(full).max()
 
 
+def test_the_harmonic_extension_keeps_d_on_the_friction_set_and_solves_off_it():
+    fac, _, b, B = _schur_setup()
+    off = np.setdiff1d(np.arange(fac.load.size), fac.positions)
+    for d in (b, 100.0 * B):
+        Hd = fac.harmonic(d)
+        assert Hd.shape == (fac.load.size, *d.shape[1:])
+        assert np.array_equal(Hd[fac.positions], d)
+        round_off = 4.0 * np.finfo(float).eps * fac.row_sum_norm * np.abs(Hd).max()
+        assert np.abs((fac.matrix @ Hd)[off]).max() <= round_off
+
+
+def test_the_harmonic_extension_carries_t_to_the_schur_complement():
+    # H^T T H = S: the Steklov-Poincare form of the Schur complement
+    fac, *_ = _schur_setup()
+    S = fac.harmonic_transpose(fac.matrix @ fac.harmonic(np.eye(fac.positions.size)))
+    assert np.abs(S - fac.schur).max() <= 1e-13 * np.abs(fac.schur).max()
+
+
+@pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 9), unit_square_mesh(16)], ids=["1d_9", "2d_16"])
+def test_the_transposed_extension_solves_with_the_transpose_of_u(mesh):
+    op = varied_operator(mesh)
+    fac = factorize(op, mesh)
+    lead = fac.load.size - fac.positions.size
+    U = factorize(op, mesh)._lu.U  # an LU of its own: fac's U loses its diagonal
+    gather = fac._back_substitution[2]
+    rng = np.random.default_rng(6)
+    for v in (rng.standard_normal(fac.load.size), rng.standard_normal((fac.load.size, 3))):
+        p = np.empty_like(v)
+        p[gather] = v  # the LU's column order
+        z = spsolve_triangular(U[:lead, :lead].T.tocsr(), p[:lead], lower=True)
+        expected = p[lead:] - U[:lead, lead:].T @ z
+        assert np.abs(fac.harmonic_transpose(v) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 @pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 9), unit_square_mesh(16)], ids=["1d_9", "2d_16"])
 def test_the_back_substitution_solves_with_the_leading_block_of_u(mesh):
     op = varied_operator(mesh)
@@ -768,7 +878,7 @@ def test_the_back_substitution_solves_with_the_leading_block_of_u(mesh):
     lead = fac.load.size - fac.positions.size
     U_II = factorize(op, mesh)._lu.U[:lead, :lead]  # an LU of its own: fac's U loses its diagonal
     b = np.random.default_rng(5).standard_normal(lead)
-    x, info = forward.gstrs("N", *fac._back_substitution[2], b)
+    x, info = forward.gstrs("N", *fac._back_substitution[1], b)
     expected = spsolve_triangular(U_II, b, lower=False)
     assert info == 0
     assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
@@ -780,7 +890,7 @@ def test_the_back_substitution_runs_on_the_lus_own_u():
     fac, _, x, _ = _schur_setup()
     fac.schur_factor
     fac.extend(x)
-    *_, data, indices, indptr = fac._back_substitution[2]
+    *_, data, indices, indptr = fac._back_substitution[1]
     U = fac._upper
     assert np.shares_memory(data, U.data)
     assert np.shares_memory(indices, U.indices)
@@ -870,7 +980,7 @@ def test_the_floor_stays_below_the_default_tolerance_in_2d():
 
 def test_the_correction_step_runs_only_above_the_round_off_floor(monkeypatch):
     # at 1D n = 2048 the extension's residual sits between 1e-12 and the
-    # floor: a full-space step (two T-solves and a Cholesky on D) cannot
+    # floor: a full-space step (a T-solve and a Cholesky on D) cannot
     # lower it, and is not taken
     mesh = interval_mesh(0.0, 1.0, 2048)
     fac = Problem(mesh).factorization(ellipticity_field(mesh, 1.0))

@@ -421,7 +421,7 @@ def test_a_friction_only_continuation_builds_the_misfit_on_the_friction_set_once
     extensions = counted_method(monkeypatch, Factorization, "extend")
     mesh, problem, e, obs = continuation_2d_twin(6)
     assert len(extensions) == 1  # the oracle's
-    builds = []  # the misfit norm of each (R_Z, c_D, kappa) stored on the factorization
+    builds = []  # the misfit norm of each (W, c, kappa) stored on the factorization
 
     class CountedBuilds(dict):
         def __setitem__(self, key, value):

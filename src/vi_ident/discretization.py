@@ -425,68 +425,37 @@ def _dissection_order(points, indptr, indices, part) -> np.ndarray:
     """George's nested dissection of the dofs ``part`` of the CSR pattern
     ``(indptr, indices)``, by the dofs' coordinates ``points``.
 
-    A part is cut at the median coordinate along its longest extent; the
+    The part is cut at the median coordinate along its longest extent; the
     separator is the low-side dofs with a pattern neighbour on the high side.
     The order is the low side less the separator, then the high side, each
     dissected in turn, then the separator.  A part of at most ``_LEAF_SIZE``
     dofs, or one with no proper split, keeps its order.
-
-    Every part keeps the order its dofs have in ``part``, so the dissection
-    runs level by level, cutting all parts of a level at once: each part
-    knows where it begins in the order, each separator and each finished part
-    is written there, and the two sides of a cut part become the next level's
-    parts.  Coordinates are compared by their rank among the distinct values
-    along each axis, which keeps the ties of the float comparison.
     """
-    n, m = indptr.size - 1, part.size
-    # column i lists the pattern neighbours of dof i, padded with i itself
+    n = indptr.size - 1
+    # row i lists the pattern neighbours of dof i, padded with i itself
     degree = np.diff(indptr)
     width = degree.max(initial=1)
-    neighbours = np.tile(np.arange(n), (width, 1))
+    neighbours = np.repeat(np.arange(n), width).reshape(n, width)
     row = np.repeat(np.arange(n), degree)
-    neighbours[np.arange(row.size) - indptr[row], row] = indices
-    coords = points[part]
-    ranks = np.stack([np.unique(c, return_inverse=True)[1].reshape(-1) for c in coords.T])
-    side = np.full(n, -1)  # 2i (low) or 2i + 1 (high) for a dof of part i being cut
+    neighbours[row, np.arange(row.size) - indptr[row]] = indices
+    high = np.zeros(n, dtype=bool)  # the high side of the part being cut
 
-    order = np.empty_like(part)
-    members = np.arange(m)  # positions in ``part`` of the unfinished parts' dofs, part by part
-    bounds = np.array([0, m])  # part i is members[bounds[i] : bounds[i + 1]]
-    first = np.array([0])  # where part i begins in the order
-    while members.size:
-        start, size = bounds[:-1], np.diff(bounds)
-        which = np.repeat(np.arange(size.size), size)
-        at = np.arange(members.size) - start[which]  # a member's place in its part
-        x = coords[members]
-        axis = (np.maximum.reduceat(x, start) - np.minimum.reduceat(x, start)).argmax(axis=1)
-        x = ranks[axis[which], members]
-        # the median, or the lower of the two middle values, of each part
-        median = np.sort(which * m + x)[start + (size - 1) // 2] - np.arange(size.size) * m
-        low = x <= median[which]
-        done = ((size <= _LEAF_SIZE) | (np.bincount(which[low], minlength=size.size) == size))[which]
-        order[first[which[done]] + at[done]] = part[members[done]]
+    def dissect(part):
+        if part.size <= _LEAF_SIZE:
+            return part
+        coords = points[part]
+        x = coords[:, np.ptp(coords, axis=0).argmax()]
+        k = (x.size - 1) // 2
+        low = x <= np.partition(x, k)[k]  # the median, or the lower of the two middle values
+        if low.all():
+            return part
+        high[part[~low]] = True
+        separator = low.copy()
+        separator[low] = high[neighbours[part[low]]].any(axis=1)
+        high[part[~low]] = False
+        return np.concatenate([dissect(part[low & ~separator]), dissect(part[~low]), part[separator]])
 
-        lo, hi = low & ~done, ~low & ~done
-        child = 2 * which + hi  # the low side of part i is part 2i of the next level, its high side 2i + 1
-        dofs = part[members]
-        side[dofs[~done]] = child[~done]
-        separator = np.zeros(members.size, dtype=bool)
-        separator[lo] = (side[neighbours[:, dofs[lo]]] == child[lo] + 1).any(axis=0)
-        side[dofs[~done]] = -1
-
-        lo &= ~separator
-        n_lo, n_hi = np.bincount(which[lo], minlength=size.size), np.bincount(which[hi], minlength=size.size)
-        s = which[separator]  # a part's separator closes its span of the order
-        order[first[s] + n_lo[s] + n_hi[s] + np.arange(s.size) - np.searchsorted(s, s)] = part[members[separator]]
-
-        keep = lo | hi
-        members, child = members[keep], child[keep]
-        members = members[np.argsort(child, kind="stable")]
-        counts = np.bincount(child, minlength=2 * size.size)
-        nonempty = counts > 0
-        bounds = np.concatenate([[0], np.cumsum(counts[nonempty])])
-        first = np.stack([first, first + n_lo], axis=1).ravel()[nonempty]
-    return order
+    return dissect(part)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ from .discretization import (
     operator_matrix,
 )
 from .errors import SolverError
-from .kernels import KernelSpec, SmoothedEval, modulus_smooth, modulus_value
+from .kernels import KernelSpec, SmoothedEval, modulus_smooth
 
 __all__ = [
     "ForwardState",
@@ -598,7 +598,7 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
             slope = float(g @ d)  # negative: the Hessian is SPD
             while True:
                 r = x + step * d - y
-                m = modulus_value(kernel, eps, x + step * d)
+                m = modulus_smooth(kernel, eps, x + step * d).value
                 if condensed(r, S @ r, m) <= energy + 1e-4 * step * slope:
                     break
                 if step < 1e-12:

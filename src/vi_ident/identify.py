@@ -109,10 +109,13 @@ class IdentificationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "eps_schedule", tuple(float(x) for x in self.eps_schedule))
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be nonnegative")
-        if self.stop_tol < 0:
-            raise ConfigError(f"stop_tol must be nonnegative, got {self.stop_tol}")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("stop_tol", self.stop_tol)):
+            if not 0 <= value < np.inf:  # a NaN fails too
+                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
+        if not 0 < self.forward_tol < np.inf:
+            raise ConfigError(f"forward_tol must be finite and positive, got {self.forward_tol}")
+        if self.max_iters < 0:
+            raise ConfigError(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.misfit_norm not in MISFIT_NORMS:
             raise ConfigError(f"misfit_norm must be one of {MISFIT_NORMS}, got {self.misfit_norm!r}")
         sched = self.eps_schedule

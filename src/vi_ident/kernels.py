@@ -38,7 +38,6 @@ __all__ = [
     "from_density",
     "plus_smooth",
     "modulus_smooth",
-    "modulus_value",
 ]
 
 
@@ -317,15 +316,7 @@ def modulus_smooth(kernel: KernelSpec, eps: float, t) -> SmoothedEval:
     eps = _check_eps(eps)
     t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
     return SmoothedEval(
-        value=modulus_value(kernel, eps, t),
+        value=kernel.P(eps, t) + kernel.P(eps, -t),
         first_derivative=kernel.Pt(eps, t) - kernel.Pt(eps, -t),
         second_derivative=kernel.density(t / eps) / eps + kernel.density(-t / eps) / eps,
     )
-
-
-def modulus_value(kernel: KernelSpec, eps: float, t):
-    """The value of :func:`modulus_smooth` alone: two evaluations of P
-    instead of six, for energies that need no derivatives."""
-    eps = _check_eps(eps)
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-    return kernel.P(eps, t) + kernel.P(eps, -t)

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.sparse.linalg import spilu, spsolve
 
 from vi_ident.discretization import interval_mesh, unit_square_mesh
-from vi_ident.kernels import modulus_smooth, modulus_value
+from vi_ident.kernels import modulus_smooth
 
 # --- meshes -------------------------------------------------------------------
 
@@ -145,7 +145,7 @@ def smoothed_energy(op, mesh, f, kernel, eps: float, u_free) -> float:
     """Energy with |.| replaced by the smoothed modulus M_eps."""
     wf = mesh.friction_weights * f.values
     ud = u_free[mesh.friction_free_positions]
-    M = modulus_value(kernel, eps, ud)
+    M = modulus_smooth(kernel, eps, ud).value
     return float(0.5 * u_free @ (op.matrix @ u_free) - op.load @ u_free + wf @ M)
 
 

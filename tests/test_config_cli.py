@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vi_ident import ConfigError
+from vi_ident import ConfigError, forward
 from vi_ident.cli import _COMMAND_KINDS, main
 from vi_ident.config import EXPERIMENT_KINDS, emit_csv, parse_config, read_csv
 from vi_ident.experiments import _RUNNERS, run_experiment
@@ -465,6 +465,23 @@ def test_cli_rate_study_skips_the_slope_without_usable_errors(tmp_path, friction
     assert len(rows) == 2 and all(r[3].startswith(status) for r in rows)
     _, slopes = read_csv(tmp_path / "o" / "slopes.csv")
     assert slopes == [["sigmoid", "skipped"]]
+
+
+def test_cli_rate_study_runs_newton_once_per_failed_row(tmp_path, monkeypatch):
+    # Newton starts from the oracle's x on D; the oracle's state holds the
+    # same x, so a second start from it would repeat the failing solve
+    calls = []
+    newton = forward._newton
+    monkeypatch.setattr(forward, "_newton", lambda *args: calls.append(1) or newton(*args))
+    text = (
+        "problem: {mesh: {dimension: 2, n: 4}}\nsolver: {newton_tol: 1.0e-30}\n"
+        "experiment: {kind: rate-study, kernels: [sigmoid], eps_list: [1.0e-1, 1.0e-2]}\n"
+    )
+    cfg_path = write(tmp_path, text)
+    assert main(["rate-study", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    _, rows = read_csv(tmp_path / "o" / "rate_study.csv")
+    assert [r[3].startswith("failed: ") for r in rows] == [True, True]
+    assert len(calls) == 2
 
 
 def test_cli_strict_fails_on_unmet_checks(tmp_path, capsys):

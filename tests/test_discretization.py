@@ -458,7 +458,7 @@ def test_the_elimination_order_fills_no_more_than_minimum_degree(n):
     "mesh",
     [unit_square_mesh(n) for n in (2, 4, 5, 7, 12, 16, 31, 64, 128)]
     + [interval_mesh(0, 1, n) for n in (4, 17, 40, 128)]
-    + [interval_mesh(-2, 3, 1000)],
+    + [interval_mesh(-2, 3, 1000), interval_mesh(0, 1, 2048)],
     ids=lambda mesh: f"{mesh.dimension}d_{mesh.free_nodes.size}",
 )
 def test_the_dissection_order_matches_the_recursive_dissection(mesh):

@@ -77,6 +77,23 @@ def test_armijo_and_weights_validated():
         IdentificationConfig(stop_tol=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("alpha", float("nan")),
+        ("beta", float("inf")),
+        ("stop_tol", float("nan")),
+        ("forward_tol", float("nan")),
+        ("forward_tol", 0.0),
+        ("forward_tol", -1e-12),
+        ("max_iters", -1),
+    ],
+)
+def test_a_non_finite_or_out_of_range_setting_is_a_config_error_naming_it(field, value):
+    with pytest.raises(ConfigError, match=field):
+        IdentificationConfig(**{field: value})
+
+
 def test_an_unknown_misfit_norm_is_a_config_error():
     IdentificationConfig(misfit_norm="V")  # fine
     with pytest.raises(ConfigError, match="misfit_norm"):

@@ -11,7 +11,6 @@ from vi_ident import (
     modulus_smooth,
     plus_smooth,
 )
-from vi_ident.kernels import modulus_value
 
 from .helpers import (
     ABSOLUTE_MEANS,
@@ -184,17 +183,3 @@ def test_from_density_matches_the_full_line_closed_forms(name):
         assert np.max(np.abs(plugged.value - closed.value)) <= 1e-12, eps
         assert np.max(np.abs(plugged.first_derivative - closed.first_derivative)) <= 1e-12, eps
         assert np.array_equal(plugged.second_derivative, closed.second_derivative)
-
-
-@pytest.mark.parametrize("name", [*KERNEL_NAMES, "from_density"])
-def test_modulus_value_is_the_value_of_modulus_smooth(name):
-    if name == "from_density":
-        density = lambda s: np.maximum(1.0 - np.abs(s), 0.0)
-        kernel = from_density("triangular", density, absolute_mean_k=1.0 / 3.0, support=(-1.0, 1.0))
-        ts = np.linspace(-1.5, 1.5, 7)
-    else:
-        kernel = get_kernel(name)
-        ts = T_SAMPLES
-    for eps in EPS_SAMPLES:
-        assert np.array_equal(modulus_value(kernel, eps, ts), modulus_smooth(kernel, eps, ts).value)
-        assert modulus_value(kernel, eps, 0.7) == modulus_smooth(kernel, eps, 0.7).value

@@ -117,8 +117,8 @@ def _mapping(value, where, keys):
 def _coerce(value, default, where):
     """``value`` as the type of ``default``, or a ConfigError naming the field
     ``where``.  The types: bool (only ``true``/``false``), int (no fractional
-    part), float, a nonempty list of positive reals and a nonempty list of
-    kernel names."""
+    part), float (finite: not YAML's ``.inf`` or ``.nan``), a nonempty list of
+    positive reals and a nonempty list of kernel names."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
@@ -133,11 +133,13 @@ def _coerce(value, default, where):
         if not out or min(out) <= 0:
             raise ConfigError(f"{where}: expected a nonempty list of positive reals")
         return out
-    expected = {bool: "true or false", int: "an integer", float: "a real number"}[type(default)]
+    finite = not isinstance(value, float) or np.isfinite(value)
+    real = "a real number" if finite else "a finite real number"
+    expected = {bool: "true or false", int: "an integer", float: real}[type(default)]
     try:
         coerced = type(default)(value)
         # a bool only where a bool is expected; a number keeps its value
-        if isinstance(value, bool) != isinstance(default, bool) or coerced != float(value):
+        if isinstance(value, bool) != isinstance(default, bool) or coerced != float(value) or not finite:
             raise ValueError
         return coerced
     except (TypeError, ValueError, OverflowError):

@@ -20,8 +20,13 @@ energy, minimized over the dofs off D, is the condensed energy
   and returns ``x`` with what it was solved at (:class:`FrictionSetSolution`).
   The gradient ``S (x - y_D) + w f M'_eps(x)`` is the full-space residual of
   the harmonic extension of ``x``; the Hessian ``S + diag(w f M''_eps(x))``
-  is SPD.  A cold start begins at the oracle's ``x``, within
-  ``sqrt(8 k eps sum(w f))`` of the smoothed solution in the energy norm.
+  is SPD.  A cold start begins at the oracle's solution: its ``x`` is within
+  ``sqrt(8 k eps sum(w f))`` of the smoothed solution in the energy norm,
+  and as ``eps -> 0`` the smoothed friction force ``w f M'_eps(x)`` tends to
+  its multiplier ``lam``.  So where the kernel inverts ``M'_eps``
+  (:attr:`KernelSpec.Mt_inverse`) each stick node starts at the
+  ``eps``-preimage of its multiplier, ``M'_eps(x_i) = lam_i / (w f)_i``,
+  rather than at 0, where ``M''_eps ~ 1/eps``.
   :func:`solve_regularized` follows it with :func:`friction_set_state`;
   identification calls the two on its own, and with ``e`` fixed extends only
   the ``x`` it stops at.
@@ -71,6 +76,7 @@ from .kernels import KernelSpec, SmoothedEval, modulus_smooth
 __all__ = [
     "ForwardState",
     "Factorization",
+    "OracleSolution",
     "FrictionSetSolution",
     "Problem",
     "factorize",
@@ -260,8 +266,8 @@ class Factorization:
         """Solve ``T x = rhs`` for a vector or an (n, k) block of right-hand sides."""
         return self._lu.solve(rhs[self._order])[self._rank]
 
-    def oracle(self, wf: np.ndarray) -> tuple:
-        """The oracle's ``(x, iterations)`` on D at ``wf = w f``
+    def oracle(self, wf: np.ndarray) -> OracleSolution:
+        """The oracle's :class:`OracleSolution` on D at ``wf = w f``
         (:func:`_active_set`), kept for the last ``wf`` asked."""
         if not np.array_equal(self._oracle[0], wf):
             self._oracle = (wf, _active_set(self, wf))
@@ -381,9 +387,18 @@ def _prox_residual(fac: Factorization, wf: np.ndarray, u_free: np.ndarray) -> fl
     return float(np.linalg.norm(u_free - prox) / tau)
 
 
-def _active_set(fac: Factorization, wf: np.ndarray):
-    """The oracle on D by its dual, a box-constrained least-squares problem;
-    returns ``(x, iterations)``.
+class OracleSolution(NamedTuple):
+    """The oracle's ``x = u_D``, its multiplier ``lam = S (y_D - x)`` on D
+    (``|lam| <= w f``, inside the box where ``x`` sticks at 0) and the box
+    solver's iteration count."""
+
+    x: np.ndarray
+    multiplier: np.ndarray
+    iterations: int
+
+
+def _active_set(fac: Factorization, wf: np.ndarray) -> OracleSolution:
+    """The oracle on D by its dual, a box-constrained least-squares problem.
 
     With ``S = R^T R``, ``lam = S (y_D - x)`` minimizes
     ``1/2 |R^{-T} lam - R y_D|^2`` over ``|lam| <= w f``, solved to round-off
@@ -395,14 +410,16 @@ def _active_set(fac: Factorization, wf: np.ndarray):
     """
     y = fac.load_solution[fac.positions]
     R = fac.schur_factor
+    lam = np.zeros(y.size)
     boxed = np.flatnonzero(wf)
     if boxed.size == 0:
-        return y.copy(), 0
+        return OracleSolution(y.copy(), lam, 0)
     A = solve_triangular(R, np.eye(y.size)[:, boxed], trans="T")  # R^{-T} restricted to the boxed nodes
     fit = lsq_linear(A, R @ y, bounds=(-wf[boxed], wf[boxed]), method="bvls", tol=np.finfo(float).eps)
     x = -solve_triangular(R, fit.fun)  # fun = R^{-T} lam - R y_D = -R x
     x[boxed[fit.active_mask == 0]] = 0.0
-    return x, fit.nit
+    lam[boxed] = fit.x
+    return OracleSolution(x, lam, fit.nit)
 
 
 def solve_vi_oracle(
@@ -425,13 +442,13 @@ def solve_vi_oracle(
     """
     wf = mesh.friction_weights * _check_friction(f, mesh)
     fac = factorize(op, mesh)
-    x, iterations = fac.oracle(wf)
-    u = fac.extend(x)
+    oracle = fac.oracle(wf)
+    u = fac.extend(oracle.x)
     residual = _prox_residual(fac, wf, u)
     tol = fac.floored_tol(u, tol)
     if not residual <= tol:
         raise SolverError(f"oracle residual {residual:.3e} above tol {tol:.1e}", residual=residual)
-    return ForwardState(u=full_part(mesh, u), residual_norm=residual, iterations=iterations, eps=0.0)
+    return ForwardState(u=full_part(mesh, u), residual_norm=residual, iterations=oracle.iterations, eps=0.0)
 
 
 class FrictionSetSolution(NamedTuple):
@@ -463,15 +480,18 @@ def solve_friction_set(
     A full step is taken when it cuts the gradient norm on D by 10%, else an
     Armijo backtracking on the condensed energy guards against the curvature
     ``M'' ~ 1/eps``.  Newton runs from each of ``starts`` (vectors on D) in
-    turn, and from the oracle's ``x`` (:meth:`Factorization.oracle`) when
-    none converges.  It converges when the gradient on D, the full-space
-    residual of the harmonic extension of ``x``, is at most ``tol``; no
-    ``T``-solve is made.
+    turn, and from the oracle's solution (:meth:`Factorization.oracle`) when
+    none converges: its ``x``, with each stick node (``x_i = 0``,
+    ``|lam_i| < (w f)_i``) at ``kernel.Mt_inverse(eps, lam_i / (w f)_i)``,
+    where the smoothed friction force equals the oracle's multiplier; a
+    kernel without ``Mt_inverse`` starts at the oracle's ``x`` as it is.  It
+    converges when the gradient on D, the full-space residual of the
+    harmonic extension of ``x``, is at most ``tol``; no ``T``-solve is made.
 
     Raises
     ------
     SolverError
-        If Newton from the oracle's ``x`` stalls on full steps, exhausts
+        If Newton from the oracle's solution stalls on full steps, exhausts
         ``max_iter`` or its line search finds no sufficient energy decrease.
     """
     wf = fac.mesh.friction_weights * _check_friction(f, fac.mesh)
@@ -482,7 +502,19 @@ def solve_friction_set(
             return _newton(fac, wf, kernel, eps, tol, max_iter, x0)
         except SolverError:
             pass  # a poor start: try the next one
-    return _newton(fac, wf, kernel, eps, tol, max_iter, fac.oracle(wf)[0])
+    return _newton(fac, wf, kernel, eps, tol, max_iter, _cold_start(fac.oracle(wf), wf, kernel, eps))
+
+
+def _cold_start(oracle: OracleSolution, wf: np.ndarray, kernel: KernelSpec, eps: float) -> np.ndarray:
+    """The oracle's ``x``, each stick node at the ``eps``-preimage of its
+    multiplier; ``|r| = 1`` (``arctanh(1)`` is infinite) keeps 0."""
+    if kernel.Mt_inverse is None:
+        return oracle.x
+    r = np.divide(oracle.multiplier, wf, out=np.zeros_like(wf), where=wf > 0)
+    stick = (oracle.x == 0.0) & (wf > 0) & (np.abs(r) < 1.0)
+    x = oracle.x.copy()
+    x[stick] = kernel.Mt_inverse(eps, r[stick])
+    return x
 
 
 def friction_set_state(
@@ -548,7 +580,7 @@ def solve_regularized(
     Raises
     ------
     SolverError
-        If Newton fails from the oracle's ``x``, or the returned ``u`` misses
+        If Newton fails from the oracle's solution, or the returned ``u`` misses
         ``tol``.
     """
     starts = () if u0_full is None else (np.asarray(u0_full)[mesh.friction_nodes],)

@@ -11,9 +11,10 @@ uniform bounds |P - p| <= k*eps and |M - m| <= 2*k*eps.
 
 A kernel is its density together with P and P_t (the CDF of rho at t/eps);
 P_tt = rho(t/eps)/eps is read off the density.  Four densities with closed-form
-P and P_t are built in (selected by name through :func:`get_kernel`): the
-logistic ("sigmoid") density, an algebraic tail density giving a square-root
-form ("sqrt"), and two box densities ("uniform_centered", "uniform_shifted").
+P, P_t and inverse of M_t are built in (selected by name through
+:func:`get_kernel`): the logistic ("sigmoid") density, an algebraic tail
+density giving a square-root form ("sqrt"), and two box densities
+("uniform_centered", "uniform_shifted").
 :func:`from_density` builds a kernel from a user density, with P and P_t by
 quadrature; such kernels must declare their absolute mean explicitly.
 
@@ -70,6 +71,12 @@ class KernelSpec:
     P, Pt:
         Callables ``(eps, t) -> array`` for P and its t-derivative: closed
         forms for the built-ins, quadrature for :func:`from_density`.
+    Mt_inverse:
+        ``(eps, r) -> t`` with ``M_t(eps, t) = r`` for ``|r| < 1``, the
+        inverse of the smoothed modulus' derivative, or None: a closed form
+        for the built-ins, None for :func:`from_density`.  A cold smoothed
+        solve starts each stick node of the oracle at the preimage of its
+        multiplier (:func:`~vi_ident.forward.solve_friction_set`).
     """
 
     kind: str
@@ -77,6 +84,7 @@ class KernelSpec:
     density: Callable[[np.ndarray], np.ndarray]
     P: Callable
     Pt: Callable
+    Mt_inverse: Callable | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +109,11 @@ def _sigmoid_Pt(eps, t):
     return expit(np.asarray(t, dtype=float) / eps)
 
 
+def _sigmoid_Mt_inverse(eps, r):
+    # M_t = expit(t/eps) - expit(-t/eps) = tanh(t / (2 eps))
+    return 2.0 * eps * np.arctanh(r)
+
+
 def _sqrt_density(s):
     return 2.0 / (np.asarray(s, dtype=float) ** 2 + 4.0) ** 1.5
 
@@ -113,6 +126,12 @@ def _sqrt_P(eps, t):
 def _sqrt_Pt(eps, t):
     t = np.asarray(t, dtype=float)
     return (t / np.sqrt(t * t + 4.0 * eps * eps) + 1.0) / 2.0
+
+
+def _sqrt_Mt_inverse(eps, r):
+    # M_t = t / sqrt(t^2 + 4 eps^2)
+    r = np.asarray(r, dtype=float)
+    return 2.0 * eps * r / np.sqrt(1.0 - r * r)
 
 
 # The box densities take the half-open support [a, b), so P_tt takes its
@@ -134,6 +153,11 @@ def _uniform_centered_Pt(eps, t):
     return np.clip(np.asarray(t, dtype=float) / eps + 0.5, 0.0, 1.0)
 
 
+def _uniform_centered_Mt_inverse(eps, r):
+    # M_t = 2 t / eps on |t| <= eps / 2
+    return eps * np.asarray(r, dtype=float) / 2.0
+
+
 def _uniform_shifted_density(s):
     s = np.asarray(s, dtype=float)
     return np.where((s >= 0.0) & (s < 1.0), 1.0, 0.0)
@@ -148,6 +172,11 @@ def _uniform_shifted_Pt(eps, t):
     return np.clip(np.asarray(t, dtype=float) / eps, 0.0, 1.0)
 
 
+def _uniform_shifted_Mt_inverse(eps, r):
+    # M_t = t / eps on |t| <= eps
+    return eps * np.asarray(r, dtype=float)
+
+
 _BUILTINS = {
     "sigmoid": KernelSpec(
         kind="sigmoid",
@@ -155,6 +184,7 @@ _BUILTINS = {
         density=_sigmoid_density,
         P=_sigmoid_P,
         Pt=_sigmoid_Pt,
+        Mt_inverse=_sigmoid_Mt_inverse,
     ),
     "sqrt": KernelSpec(
         kind="sqrt",
@@ -162,6 +192,7 @@ _BUILTINS = {
         density=_sqrt_density,
         P=_sqrt_P,
         Pt=_sqrt_Pt,
+        Mt_inverse=_sqrt_Mt_inverse,
     ),
     "uniform_centered": KernelSpec(
         kind="uniform_centered",
@@ -169,6 +200,7 @@ _BUILTINS = {
         density=_uniform_centered_density,
         P=_uniform_centered_P,
         Pt=_uniform_centered_Pt,
+        Mt_inverse=_uniform_centered_Mt_inverse,
     ),
     "uniform_shifted": KernelSpec(
         kind="uniform_shifted",
@@ -176,6 +208,7 @@ _BUILTINS = {
         density=_uniform_shifted_density,
         P=_uniform_shifted_P,
         Pt=_uniform_shifted_Pt,
+        Mt_inverse=_uniform_shifted_Mt_inverse,
     ),
 }
 
@@ -210,6 +243,8 @@ def from_density(
     when one is given, and have finite absolute mean ``absolute_mean_k``
     (supplied, not computed).  P and P_t go through adaptive quadrature,
     point by point, so plug-in kernels are much slower than the built-ins.
+    The kernel has no ``Mt_inverse``, so a cold smoothed solve starts at the
+    oracle's ``x`` as it is.
     """
     if absolute_mean_k <= 0:
         raise ValueError("absolute_mean_k must be positive")

@@ -344,6 +344,28 @@ MALFORMED = [
     ("experiment.eps: must be >= 0", "solve-forward", MINIMAL_FORWARD.replace("eps: 0.0", "eps: -1.0e-3")),
     ("experiment.eps: must be positive", "check-gradient", MESH_8 + "experiment: {kind: gradient-check, eps: 0.0}"),
     ("solver.oracle_tol: must be positive", "solve-forward", MINIMAL_FORWARD + "solver: {oracle_tol: 0.0}\n"),
+    # YAML's .inf and .nan are floats: a non-finite tolerance passed every
+    # test, and an infinite eps was run and written to the manifest
+    (
+        "solver.newton_tol: expected a finite real number, got inf",
+        "solve-forward",
+        MESH_8 + "experiment: {kind: forward, eps: 1.0e-3}\nsolver: {newton_tol: .inf}\n",
+    ),
+    (
+        "experiment.eps: expected a finite real number, got inf",
+        "solve-forward",
+        MESH_8 + "experiment: {kind: forward, eps: .inf}",
+    ),
+    (
+        "problem.source: expected a finite real number, got nan",
+        "solve-forward",
+        MINIMAL_FORWARD.replace("n: 32}", "n: 32}\n  source: .nan"),
+    ),
+    (
+        "experiment.eps_list entry: expected a finite real number, got inf",
+        "rate-study",
+        MESH_8 + "experiment: {kind: rate-study, eps_list: [1.0e-2, .inf]}",
+    ),
     # the remaining checks, one case each
     ("top level must be a mapping", "solve-forward", "- problem\n- experiment\n"),
     ("problem.mesh: expected a mapping", "solve-forward", MINIMAL_FORWARD.replace("{dimension: 1, n: 32}", "[1, 32]")),

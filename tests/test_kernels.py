@@ -183,3 +183,14 @@ def test_from_density_matches_the_full_line_closed_forms(name):
         assert np.max(np.abs(plugged.value - closed.value)) <= 1e-12, eps
         assert np.max(np.abs(plugged.first_derivative - closed.first_derivative)) <= 1e-12, eps
         assert np.array_equal(plugged.second_derivative, closed.second_derivative)
+
+
+@pytest.mark.parametrize("name", sorted(DENSITIES))
+def test_the_inverse_of_the_modulus_derivative(name):
+    # M_t(eps, Mt_inverse(eps, r)) = r on |r| < 1, at the scales Newton starts from
+    kernel = get_kernel(name)
+    r = np.concatenate((np.linspace(-0.999, 0.999, 41), [0.0, 1e-12, -1.0 + 1e-9]))
+    for eps in (1.0, 1e-2, 1e-6):
+        t = kernel.Mt_inverse(eps, r)
+        assert np.max(np.abs(modulus_smooth(kernel, eps, t).first_derivative - r)) <= 4.0 * np.finfo(float).eps
+        assert np.all(np.diff(t[:41]) > 0.0)

@@ -31,19 +31,21 @@ energy, minimized over the dofs off D, is the condensed energy
   identification calls the two on its own, and with ``e`` fixed extends only
   the ``x`` it stops at.
 
-A :class:`Factorization` of ``T(e)`` keeps ``y``, ``S``, ``H`` and ``H^T``
-(one back substitution each with the LU's ``U`` off D) and the oracle's last
-solution on D; :meth:`Problem.factorization` keeps the one of the ``e``
-requested last.  Each solver builds ``u`` from its ``x``
-(:meth:`Factorization.extend`) and tests its full-space residual against
-``tol`` floored at round-off (:meth:`Factorization.floored_tol`).  Outside the
-oracle, every dense solve on D goes one way: LAPACK's Cholesky ``potrf`` of
-``S`` plus a nonnegative diagonal (:meth:`Factorization.shifted_factor`), then
-``potrs`` (:func:`cholesky_solve`).  ``S`` is checked finite once, when it is
-built; the diagonal and each right-hand side are checked on every call, at
-O(|D|) cost per column; a factorization that breaks down raises
-``SolverError``.  Every tolerance test is written so that a NaN residual fails
-it.  :func:`solution_map` dispatches on ``eps`` (0 means oracle).
+A :class:`Factorization` of ``T(e)`` keeps one triangular factor ``U``
+(``T = U^T diag(U)^{-1} U``), ``y``, ``S`` and the oracle's last solution on
+D; every solve with ``T``, ``H`` or ``H^T`` is one or two sweeps of ``U``.
+:meth:`Problem.factorization` keeps the one of the ``e`` requested last.
+Newton's gradient test on D is floored at its round-off.  Each solver builds
+``u`` from its ``x`` (:meth:`Factorization.extend`) and tests its full-space
+residual against ``tol`` floored at round-off (:meth:`Factorization.floored_tol`).
+Outside the oracle, every dense solve on D goes one way: LAPACK's Cholesky
+``potrf`` of ``S`` plus a nonnegative diagonal
+(:meth:`Factorization.shifted_factor`), then ``potrs`` (:func:`cholesky_solve`).
+``S`` is checked finite once, when it is built; the diagonal and each
+right-hand side are checked on every call, at O(|D|) cost per column; a
+factorization that breaks down raises ``SolverError``.  Every tolerance test
+is written so that a NaN residual fails it.  :func:`solution_map` dispatches
+on ``eps`` (0 means oracle).
 """
 
 from __future__ import annotations
@@ -153,26 +155,28 @@ _NEWTON_TOL = 1e-12  # the smoothed solver's default tolerance
 
 
 class Factorization:
-    """One sparse LU of ``T(e)`` on the free dofs, with the friction set D last.
+    """One sparse LU of ``T(e)`` on the free dofs, with the friction set D last,
+    kept as its triangular factor ``U``.
 
     The LU runs in the mesh's elimination order (nested dissection off D, then
-    D; :attr:`OperatorPattern.elimination`) with diagonal pivots, so for SPD
-    ``T`` the trailing block of ``U`` gives the Schur complement of ``T`` onto
-    D, ``S = R^T R`` with ``R = diag(U_DD)^{-1/2} U_DD``.  It keeps ``mesh``,
-    ``matrix`` ``T(e)`` and ``load``; ``load_solution`` ``y = T^{-1} l``,
-    ``schur_factor`` ``R`` and ``schur`` ``S`` (the inverse of
-    ``E_D^T T^{-1} E_D``, checked finite) are built on first use.  The forward
-    solvers iterate on these, then call :meth:`extend` once; it and ``H``,
-    ``H^T`` (:meth:`harmonic`, :meth:`harmonic_transpose`) are a back
-    substitution with ``U_II``, the block of ``U`` off D.  Every dense solve on
-    D factorizes ``S`` plus a diagonal with LAPACK's Cholesky
-    (:meth:`shifted_factor`) and solves with :func:`cholesky_solve`.
+    D; :attr:`OperatorPattern.elimination`) with symmetric diagonal pivots, so
+    for SPD ``T``, in the LU's order, ``T = U^T diag(U)^{-1} U``: the trailing
+    block of ``U`` gives the Schur complement of ``T`` onto D, ``S = R^T R``
+    with ``schur_factor`` ``R = diag(U_DD)^{-1/2} U_DD``, and every solve is
+    one or two sweeps of ``U' = [U_II U_ID; 0 I]``, kept in ``U``'s own
+    arrays (:meth:`_sweep`); the SuperLU object is not kept.  It keeps
+    ``mesh``, ``matrix`` ``T(e)`` and ``load``; ``load_solution``
+    ``y = T^{-1} l`` and ``schur`` ``S`` (checked finite) are built on first
+    use.  The forward solvers iterate on these, then call :meth:`extend`
+    once.  Every dense solve on D factorizes ``S`` plus a diagonal with
+    LAPACK's Cholesky (:meth:`shifted_factor`; ``R`` for a zero diagonal) and
+    solves with :func:`cholesky_solve`.
     ``friction_misfits`` holds identification's misfit on D at this ``e``,
     ``(W, c, kappa)`` per misfit norm and observation
     (:func:`~vi_ident.adjoint.friction_misfit_factor`).  ``matrix`` must not be
     modified in place.  Raises ``ValueError`` if ``matrix`` is not stored on
     ``mesh.operator_pattern``, and ``SolverError`` if the LU's own permutations
-    move D out of the trailing block.
+    move D out of the trailing block or pivot off the diagonal.
     """
 
     def __init__(self, mesh: Mesh, matrix: sp.csr_matrix, load: np.ndarray):
@@ -182,60 +186,42 @@ class Factorization:
         self.positions = mesh.friction_free_positions
         self.friction_misfits = {}
         self._oracle = (None, None)  # the last (w f, oracle(w f))
-        self._order, self._rank, indptr, indices, to_csc = mesh.operator_pattern.elimination
-        self._lu = splu(
+        order, rank, indptr, indices, to_csc = mesh.operator_pattern.elimination
+        lu = splu(
             sp.csc_matrix((matrix.data[to_csc], indices, indptr), shape=matrix.shape),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
         # SuperLU composes the given order with its elimination-tree postorder
-        lead = self._lead = matrix.shape[0] - self.positions.size
-        trailing = np.arange(lead, matrix.shape[0])
-        if not all(np.array_equal(perm[lead:], trailing) for perm in (self._lu.perm_c, self._lu.perm_r)):
+        n = matrix.shape[0]
+        lead = self._lead = n - self.positions.size
+        if not np.array_equal(lu.perm_c[lead:], np.arange(lead, n)):
             raise SolverError("the LU of T(e) does not keep the friction set as its trailing block")
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise SolverError("the LU of T(e) does not pivot on the diagonal")
+        self._gather = lu.perm_c[rank]  # the LU's order to free-dof order
+        U = lu.U
+        U_DD = U[lead:, lead:].toarray(order="F")
+        self.schur_factor = U_DD / np.sqrt(np.diag(U_DD))[:, None]
+        # U' in U's own arrays, as gstrs takes it: it divides by the diagonal
+        # passed as L and subtracts every entry passed as U.  So the diagonal
+        # off D (each column's last entry) moves into the pivots, D's pivots
+        # are 1, and U_DD, which only D's columns hold, is zeroed.
+        last = U.indptr[1 : lead + 1] - 1
+        if not np.array_equal(U.indices[last], np.arange(lead)):
+            raise SolverError("the columns of the LU's U off the friction set do not end on the diagonal")
+        self._pivots = np.ones(n)
+        self._pivots[:lead] = U.data[last]
+        U.data[last] = 0.0
+        U.data[U.indptr[lead] :][U.indices[U.indptr[lead] :] >= lead] = 0.0
+        unit = np.arange(n + 1, dtype=np.intc)
+        self._upper = (n, n, self._pivots, unit[:-1], unit, n, U.nnz, U.data, U.indices, U.indptr)
 
     @cached_property
     def load_solution(self) -> np.ndarray:
         """``y = T^{-1} l``, the frictionless solution."""
         return self.solve(self.load)
-
-    @cached_property
-    def _upper(self) -> sp.csc_array:
-        """SuperLU's ``U``, read once (its leading columns lose their
-        diagonal to :attr:`_back_substitution`)."""
-        return self._lu.U
-
-    @cached_property
-    def schur_factor(self) -> np.ndarray:
-        """``R``, the upper triangular Cholesky factor of ``S = R^T R``."""
-        U_DD = self._upper[self._lead :, self._lead :].toarray()
-        return U_DD / np.sqrt(np.diag(U_DD))[:, None]
-
-    @cached_property
-    def _back_substitution(self) -> tuple:
-        """``(U_ID, U_II, gather)`` for :meth:`harmonic`.
-
-        With ``P_r T P_c = L U`` and D trailing in both permutations, the rows
-        off D of ``T u`` vanish exactly when ``U_II v_I + U_ID v_D = 0``, with
-        ``v = P_c^T u``.  ``U_II`` is the argument list of SuperLU's ``gstrs``
-        for a solve with that block or its transpose: ``gstrs`` divides by
-        the diagonal passed as ``L`` and subtracts every entry passed as
-        ``U``, so the diagonal of U's leading columns (the last entry of
-        each) is moved out of U's own arrays, in place; U is not copied.
-        ``gather`` takes ``v`` to free-dof order.  Raises ``SolverError`` if
-        a column of U off D does not end on its diagonal.
-        """
-        U, lead = self._upper, self._lead
-        indptr = U.indptr[: lead + 1]
-        last = indptr[1:] - 1
-        if not np.array_equal(U.indices[last], np.arange(lead)):
-            raise SolverError("the columns of the LU's U off the friction set do not end on the diagonal")
-        diagonal = U.data[last]  # fancy indexing: a copy
-        U.data[last] = 0.0
-        unit, nnz = np.arange(lead + 1, dtype=np.intc), indptr[-1]
-        U_II = (lead, lead, diagonal, unit[:-1], unit, lead, nnz, U.data[:nnz], U.indices[:nnz], indptr)
-        return U[:lead, lead:], U_II, self._lu.perm_c[self._rank]
 
     @cached_property
     def schur(self) -> np.ndarray:
@@ -263,8 +249,9 @@ class Factorization:
         return np.asfortranarray(self.schur)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``T x = rhs`` for a vector or an (n, k) block of right-hand sides."""
-        return self._lu.solve(rhs[self._order])[self._rank]
+        """Solve ``T x = rhs`` for a vector or an (n, k) block of right-hand
+        sides: :meth:`solve_shifted` at a zero shift."""
+        return self._solve(self.schur_factor, rhs)
 
     def oracle(self, wf: np.ndarray) -> OracleSolution:
         """The oracle's :class:`OracleSolution` on D at ``wf = w f``
@@ -293,59 +280,63 @@ class Factorization:
 
     def solve_shifted(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(T + E_D diag(shift) E_D^T) x = rhs`` for a vector or an
-        (n, k) block, with one ``T``-solve of the same shape.
+        (n, k) block: ``[T_II^{-1} 0; 0 0] rhs + H x_D`` with
+        ``(S + diag(shift)) x_D = H^T rhs``, SPD for ``shift >= 0``.
 
-        With ``y = T^{-1} rhs`` the friction values solve
-        ``(S + diag(shift)) x_D = S y_D``, SPD for ``shift >= 0``, and
-        ``x = y + H (x_D - y_D)``, as ``T H d = E_D S d``; ``x_D`` is kept as
-        the small solve gives it, not as ``y_D`` plus a difference of nearly
-        equal terms.  Each call builds its own :meth:`shifted_factor`.
+        A ``"T"`` sweep gives ``U_II^{-T} rhs_I`` and ``H^T rhs``; the first
+        is scaled by ``diag(U_II)``, the second solved with ``R`` (a zero
+        shift) or :meth:`shifted_factor`, and an ``"N"`` sweep gives ``x``,
+        with ``x_D`` as the Cholesky solve gives it.
         """
-        y = self.solve(rhs)
-        if not np.any(shift):
-            return y
-        x_D = cholesky_solve(self.shifted_factor(shift), self.schur @ y[self.positions])
-        return self._extension(y, x_D)
+        return self._solve(self.shifted_factor(shift) if np.any(shift) else self.schur_factor, rhs)
 
     def harmonic(self, d: np.ndarray) -> np.ndarray:
         """``H d``, ``(H d)_D = d`` and ``T H d = 0`` off D, for a vector or a
-        |D| x k block: one back substitution, ``v_I = -U_II^{-1} U_ID d``
-        (:attr:`_back_substitution`).  ``H^T T H`` is ``S``."""
-        U_ID, U_II, gather = self._back_substitution
-        return np.concatenate((_back_substitute("N", U_II, -(U_ID @ d)), d))[gather]
+        |D| x k block: one sweep, ``U'^{-1} [0; d]``.  ``H^T T H`` is ``S``."""
+        z = np.zeros((self.load.size, *np.shape(d)[1:]))
+        z[self._lead :] = d
+        return self._sweep("N", z)[self._gather]
 
     def harmonic_transpose(self, v: np.ndarray) -> np.ndarray:
-        """``H^T v = v_D - U_ID^T U_II^{-T} v_I`` (``v`` in the LU's column
-        order) for a vector or an (n, k) block: one back substitution."""
-        U_ID, U_II, gather = self._back_substitution
-        p = np.empty(np.shape(v))
-        p[gather] = v
-        return p[self._lead :] - U_ID.T @ _back_substitute("T", U_II, p[: self._lead])
+        """``H^T v``, the D part of ``U'^{-T} v`` (``v`` taken to the LU's
+        order), for a vector or an (n, k) block: one sweep."""
+        return self._sweep("T", self._scatter(v))[self._lead :]
 
     def extend(self, x: np.ndarray) -> np.ndarray:
         """The ``u`` with ``u_D = x`` that solves ``T u = l`` off D:
         ``y + H (x - y_D)`` (:meth:`harmonic`), with no ``T``-solve."""
-        return self._extension(self.load_solution, x)
-
-    def _extension(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``y + H (x - y_D)``, with ``u_D = x`` exactly."""
+        y = self.load_solution
         u = y + self.harmonic(x - y[self.positions])
         u[self.positions] = x
         return u
 
+    def _solve(self, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """:meth:`solve_shifted` with ``factor``, the Cholesky factor on D."""
+        z = self._sweep("T", self._scatter(rhs))
+        z.T[...] *= self._pivots
+        z[self._lead :] = cholesky_solve(factor, z[self._lead :])
+        return self._sweep("N", z)[self._gather]
 
-def _back_substitute(trans: str, U_II: tuple, rhs: np.ndarray) -> np.ndarray:
-    """``U_II^{-1} rhs`` (``trans="N"``) or ``U_II^{-T} rhs`` (``"T"``)."""
-    x, info = gstrs(trans, *U_II, rhs)
-    if info:
-        raise ValueError(f"illegal value in argument {-info} of SuperLU gstrs")
-    return x
+    def _scatter(self, v: np.ndarray) -> np.ndarray:
+        """``v`` (free-dof order) in the LU's order."""
+        p = np.empty(np.shape(v))
+        p[self._gather] = v
+        return p
+
+    def _sweep(self, trans: str, rhs: np.ndarray) -> np.ndarray:
+        """``U'^{-1} rhs`` (``trans="N"``) or ``U'^{-T} rhs`` (``"T"``), in the
+        LU's order, through SuperLU's ``gstrs``."""
+        x, info = gstrs(trans, *self._upper, rhs)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of SuperLU gstrs")
+        return x
 
 
 def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(S + diag(shift)) x = rhs`` for a vector or a |D| x k block,
-    with ``factor`` from :meth:`Factorization.shifted_factor`: LAPACK
-    ``potrs``.  Raises ``ValueError`` if ``rhs`` is not finite."""
+    with ``factor`` from :meth:`Factorization.shifted_factor` (``schur_factor``
+    at a zero shift): LAPACK ``potrs``.  Raises ``ValueError`` if ``rhs`` is
+    not finite."""
     if not np.isfinite(rhs).all():
         raise ValueError("the right-hand side of a solve on the friction set must be finite")
     x, info = dpotrs(factor, rhs, lower=0)
@@ -486,7 +477,8 @@ def solve_friction_set(
     where the smoothed friction force equals the oracle's multiplier; a
     kernel without ``Mt_inverse`` starts at the oracle's ``x`` as it is.  It
     converges when the gradient on D, the full-space residual of the
-    harmonic extension of ``x``, is at most ``tol``; no ``T``-solve is made.
+    harmonic extension of ``x``, is at most ``tol`` floored at its round-off
+    (:func:`_newton`); no ``T``-solve is made.
 
     Raises
     ------
@@ -589,9 +581,14 @@ def solve_regularized(
 
 
 def _newton(fac, wf, kernel, eps, tol, max_iter, x):
-    """Damped Newton on D from ``x``."""
+    """Damped Newton on D from ``x``, to a gradient norm of ``tol`` floored at
+    its round-off, ``4 eps_mach (|S|_inf (|x| + |y_D|) + |w f|)``."""
     y = fac.load_solution[fac.positions]
     S = fac.schur
+    S_norm, y_norm, wf_norm = np.abs(S).sum(axis=1).max(initial=0.0), np.linalg.norm(y), np.linalg.norm(wf)
+
+    def floored(x):
+        return max(tol, 4.0 * np.finfo(float).eps * (S_norm * (np.linalg.norm(x) + y_norm) + wf_norm))
 
     def condensed(r, q, m):  # at x = y_D + r, q = S r: the energy of the extension of x, plus 1/2 l^T y
         return float(0.5 * r @ q + wf @ m)
@@ -604,7 +601,7 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
     x, g, sm, energy = at(x)
     history = [float(np.linalg.norm(g))]
     iterations = stalled = 0
-    while not history[-1] <= tol:  # a NaN norm does not pass
+    while not history[-1] <= (floor := floored(x)):  # a NaN norm does not pass
         failure = (
             "reached a non-finite gradient" if not np.isfinite(history[-1])
             else "stalled at the attainable precision" if stalled >= 2
@@ -613,7 +610,7 @@ def _newton(fac, wf, kernel, eps, tol, max_iter, x):
         )
         if failure:
             raise SolverError(
-                f"Newton {failure} at eps {eps:g} (residual {history[-1]:.3e}, tol {tol:.1e})", residual=history[-1]
+                f"Newton {failure} at eps {eps:g} (residual {history[-1]:.3e}, tol {floor:.1e})", residual=history[-1]
             )
         iterations += 1
         try:

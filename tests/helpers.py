@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.sparse.linalg import spilu, spsolve
 
+from vi_ident import forward
 from vi_ident.discretization import interval_mesh, unit_square_mesh
 from vi_ident.kernels import modulus_smooth
 
@@ -23,6 +24,25 @@ MESHES = {
     "2d": lambda: unit_square_mesh(16),
     "2d_40": lambda: unit_square_mesh(40),
 }
+
+# --- forced solver failures ---------------------------------------------------
+
+
+def cap_newton(monkeypatch) -> list:
+    """Cap every Newton run on the friction set at 0 iterations and return the
+    list each run appends its ``eps`` to.  Newton's test on D is floored at
+    round-off, so no tolerance makes a solve fail; the cap does wherever the
+    start's gradient is above the floor."""
+    runs = []
+    newton = forward._newton
+
+    def capped(fac, wf, kernel, eps, tol, max_iter, x):
+        runs.append(eps)
+        return newton(fac, wf, kernel, eps, tol, 0, x)
+
+    monkeypatch.setattr(forward, "_newton", capped)
+    return runs
+
 
 # --- densities, written out independently of the library ---------------------
 

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 import yaml
 
-from vi_ident import ConfigError, forward
+from vi_ident import ConfigError
 from vi_ident.cli import _COMMAND_KINDS, main
 from vi_ident.config import EXPERIMENT_KINDS, emit_csv, parse_config, read_csv
 from vi_ident.experiments import _RUNNERS, run_experiment
 
-from .helpers import format_cell
+from .helpers import cap_newton, format_cell
 
 MINIMAL_FORWARD = """
 problem:
@@ -447,11 +447,11 @@ def test_every_kind_has_one_runner_and_one_subcommand():
     assert len(_COMMAND_KINDS) == len(EXPERIMENT_KINDS)
 
 
-def test_cli_solver_failure_exits_1(tmp_path, capsys):
-    # Newton's gradient on D cannot reach a tolerance below round-off; in 1D
-    # (|D| = 1) it can round to exactly 0, and the state is then accepted at
-    # its round-off, so the mesh is 2D
-    text = "problem: {mesh: {dimension: 2, n: 4}}\nexperiment: {kind: forward, eps: 1.0e-3}\nsolver: {newton_tol: 1.0e-30}\n"
+def test_cli_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # Newton capped at 0 iterations fails from its start; in 1D (|D| = 1) the
+    # gradient on D can round to exactly 0 there, so the mesh is 2D
+    cap_newton(monkeypatch)
+    text = "problem: {mesh: {dimension: 2, n: 4}}\nexperiment: {kind: forward, eps: 1.0e-3}\n"
     cfg_path = write(tmp_path, text)
     assert main(["solve-forward", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert "solver failure" in capsys.readouterr().err
@@ -468,17 +468,30 @@ def test_cli_solve_forward_accepts_a_1d_solution_at_its_round_off(tmp_path, caps
     assert manifest["results"]["residual"] > 1e-12
 
 
+def test_cli_solve_forward_at_a_large_source_passes_newtons_floored_test(tmp_path):
+    # source 1e5 puts the round-off of the gradient on D above 1e-12; the
+    # run used to exit 1 with "Newton stalled at the attainable precision at
+    # eps 0.001 (residual 5.390e-12, tol 1.0e-12)"
+    text = (
+        "problem:\n  mesh: {dimension: 2, n: 16}\n  source: 1.0e5\n  friction: {value: 0.3}\n"
+        "kernel: sigmoid\nexperiment: {kind: forward, eps: 1.0e-3}\n"
+    )
+    cfg_path = write(tmp_path, text)
+    assert main(["solve-forward", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--strict"]) == 0
+
+
 @pytest.mark.parametrize(
-    "friction,newton_tol,status",
+    "friction,capped,status",
     [
-        (0.25, 1.0e-30, "failed: "),  # each smoothed solve fails; its row is kept
-        (0.0, 1.0e-12, "ok"),  # f = 0: u_eps = u, so no error is above 1e-14 to fit
+        (0.25, True, "failed: "),  # each smoothed solve fails; its row is kept
+        (0.0, False, "ok"),  # f = 0: u_eps = u, so no error is above 1e-14 to fit
     ],
 )
-def test_cli_rate_study_skips_the_slope_without_usable_errors(tmp_path, friction, newton_tol, status):
+def test_cli_rate_study_skips_the_slope_without_usable_errors(tmp_path, monkeypatch, friction, capped, status):
+    if capped:
+        cap_newton(monkeypatch)
     text = (
         f"problem:\n  mesh: {{dimension: 2, n: 4}}\n  friction: {{value: {friction}}}\n"
-        f"solver: {{newton_tol: {newton_tol}}}\n"
         "experiment: {kind: rate-study, kernels: [sigmoid], eps_list: [1.0e-1, 1.0e-2]}\n"
     )
     cfg_path = write(tmp_path, text)
@@ -492,11 +505,9 @@ def test_cli_rate_study_skips_the_slope_without_usable_errors(tmp_path, friction
 def test_cli_rate_study_runs_newton_once_per_failed_row(tmp_path, monkeypatch):
     # Newton starts from the oracle's x on D; the oracle's state holds the
     # same x, so a second start from it would repeat the failing solve
-    calls = []
-    newton = forward._newton
-    monkeypatch.setattr(forward, "_newton", lambda *args: calls.append(1) or newton(*args))
+    calls = cap_newton(monkeypatch)
     text = (
-        "problem: {mesh: {dimension: 2, n: 4}}\nsolver: {newton_tol: 1.0e-30}\n"
+        "problem: {mesh: {dimension: 2, n: 4}}\n"
         "experiment: {kind: rate-study, kernels: [sigmoid], eps_list: [1.0e-1, 1.0e-2]}\n"
     )
     cfg_path = write(tmp_path, text)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import lsq_linear
-from scipy.sparse.linalg import splu, spsolve_triangular
+from scipy.sparse.linalg import SuperLU, splu, spsolve_triangular
 
 from vi_ident import (
     LinearizedMap,
@@ -563,6 +563,57 @@ def test_a_factorization_that_moves_the_friction_set_raises(monkeypatch):
         factorize(varied_operator(mesh), mesh)
 
 
+class PivotedLU:
+    """A SuperLU whose reported row order swaps the first two dofs: a pivot
+    off the diagonal."""
+
+    def __init__(self, lu):
+        self.perm_c = lu.perm_c
+        self.perm_r = lu.perm_c.copy()
+        self.perm_r[[0, 1]] = self.perm_r[[1, 0]]
+
+
+def test_a_factorization_that_pivots_off_the_diagonal_raises(monkeypatch):
+    # T = U^T diag(U)^{-1} U, which every sweep and R rest on, needs
+    # perm_r == perm_c
+    monkeypatch.setattr(forward, "splu", lambda *args, **kwargs: PivotedLU(splu(*args, **kwargs)))
+    mesh = unit_square_mesh(8)
+    with pytest.raises(SolverError, match="pivot on the diagonal"):
+        factorize(varied_operator(mesh), mesh)
+
+
+class RecordingLU:
+    """A SuperLU stand-in with all a factorization may read of one: ``perm_c``,
+    ``perm_r`` and ``U``, and ``original``, a copy of ``U`` as the LU gave it
+    (the factorization edits ``U`` in place)."""
+
+    def __init__(self, lu):
+        self.perm_c, self.perm_r, self.U = lu.perm_c, lu.perm_r, lu.U
+        self.original = self.U.copy()
+
+
+def recorded_factorization(monkeypatch, op, mesh):
+    """``factorize(op, mesh)`` and the :class:`RecordingLU` it was built from."""
+    lus = []
+    monkeypatch.setattr(forward, "splu", lambda *args, **kwargs: lus.append(RecordingLU(splu(*args, **kwargs))) or lus[-1])
+    fac = factorize(op, mesh)
+    monkeypatch.undo()
+    return fac, lus.pop()
+
+
+def test_a_factorization_holds_no_lu_object(monkeypatch):
+    # at 2D n = 128 the SuperLU object held 15 MiB beside the 6 MiB of U:
+    # only U is kept, and the object splu returned goes
+    mesh = unit_square_mesh(16)
+    op = varied_operator(mesh)
+    fac, lu = recorded_factorization(monkeypatch, op, mesh)
+    lu_ref = weakref.ref(lu)
+    del lu
+    assert lu_ref() is None
+    fac.extend(np.zeros(fac.positions.size))  # every solve runs without it
+    assert not any(isinstance(value, SuperLU) for value in vars(factorize(op, mesh)).values())
+
+
 def test_the_factorization_rejects_a_matrix_off_the_mesh_pattern():
     mesh = unit_square_mesh(8)
     op = varied_operator(mesh)
@@ -623,14 +674,55 @@ def test_shifted_solve_matches_a_direct_factorization(mesh_name, kernel_name, ep
         assert np.abs(x[pos] - direct[pos]).max() <= 1e-12 * np.abs(direct[pos]).max()
 
 
-def test_the_shifted_solve_takes_one_t_solve(monkeypatch):
-    fac, shift, b, B = _schur_setup()
-    solves = []
-    solve = fac.solve
-    monkeypatch.setattr(fac, "solve", lambda rhs: solves.append(np.shape(rhs)) or solve(rhs))
-    for rhs in (np.ones(fac.load.size), np.ones((fac.load.size, 4))):
-        fac.solve_shifted(shift, rhs)
-    assert solves == [(fac.load.size,), (fac.load.size, 4)]
+def count_sweeps(monkeypatch) -> list:
+    """Wrap ``forward.gstrs``; returns the list each sweep appends its ``trans`` to."""
+    sweeps = []
+    gstrs = forward.gstrs
+    monkeypatch.setattr(forward, "gstrs", lambda trans, *args: sweeps.append(trans) or gstrs(trans, *args))
+    return sweeps
+
+
+def test_each_solve_takes_its_count_of_sweeps(monkeypatch):
+    # a solve, shifted or not, is two sweeps of U' around a Cholesky solve on
+    # D; H and H^T are one each
+    fac, shift, *_ = _schur_setup()
+    sweeps = count_sweeps(monkeypatch)
+    n, d = fac.load.size, fac.positions.size
+    for k in ((), (4,)):
+        for call, expected in (
+            (lambda: fac.solve(np.ones((n, *k))), ["T", "N"]),
+            (lambda: fac.solve_shifted(shift, np.ones((n, *k))), ["T", "N"]),
+            (lambda: fac.harmonic(np.ones((d, *k))), ["N"]),
+            (lambda: fac.harmonic_transpose(np.ones((n, *k))), ["T"]),
+        ):
+            sweeps.clear()
+            call()
+            assert sweeps == expected
+
+
+@pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 9), unit_square_mesh(16)], ids=["1d_9", "2d_16"])
+def test_every_solve_matches_an_independent_lu(mesh):
+    # T, T + E_D diag(s) E_D^T and T_II through splu in scipy's own order
+    op = varied_operator(mesh)
+    fac = factorize(op, mesh)
+    T, pos = op.matrix.tocsc(), fac.positions
+    off = np.setdiff1d(np.arange(T.shape[0]), pos)
+    T_II = splu(T[off][:, off].tocsc())
+    rng = np.random.default_rng(8)
+    shift = rng.uniform(0.0, 50.0, pos.size)
+    shifted = splu((T + sp.diags(np.bincount(pos, weights=shift, minlength=T.shape[0]))).tocsc())
+    for k in ((), (3,)):
+        rhs, d = rng.standard_normal((T.shape[0], *k)), rng.standard_normal((pos.size, *k))
+        Hd = np.empty_like(rhs)
+        Hd[pos], Hd[off] = d, -T_II.solve(T[off][:, pos] @ d)
+        for got, expected in (
+            (fac.solve(rhs), splu(T).solve(rhs)),
+            (fac.solve_shifted(shift, rhs), shifted.solve(rhs)),
+            (fac.harmonic(d), Hd),
+            (fac.harmonic_transpose(rhs), rhs[pos] - T[pos][:, off] @ T_II.solve(rhs[off])),
+        ):
+            assert got.shape == expected.shape
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("mesh_name", ["1d", "2d"])
@@ -663,35 +755,21 @@ def test_residual_norm_is_the_full_space_residual_of_the_returned_state(mesh_nam
         assert state.residual_history[-1] == state.residual_norm
 
 
-class CountingLU:
-    """Wraps a SuperLU object and counts its full solves."""
-
-    def __init__(self, lu):
-        self.lu, self.solves = lu, 0
-
-    def solve(self, rhs):
-        self.solves += 1
-        return self.lu.solve(rhs)
-
-
 def test_a_solve_at_a_factorized_operator_takes_one_back_substitution(monkeypatch):
     mesh = unit_square_mesh(16)
     f = friction_field(mesh, 0.05)
     fac = factorize(varied_operator(mesh), mesh)
-    # build y, S and the extension's U_II once
+    # build y and S once; a T-solve would be two sweeps
     solve_regularized(fac, mesh, f, KERNEL, 1e-4)
-    substitutions = []
-    gstrs = forward.gstrs
-    monkeypatch.setattr(forward, "gstrs", lambda *args: substitutions.append(args) or gstrs(*args))
-    counting = fac._lu = CountingLU(fac._lu)
+    sweeps = count_sweeps(monkeypatch)
     for solve in (
         lambda: solve_vi_oracle(fac, mesh, f),
         lambda: solve_regularized(fac, mesh, f, KERNEL, 1e-6),
         lambda: solve_regularized(fac, mesh, friction_field(mesh, 1.0), get_kernel("sqrt"), 1e-8),
     ):
-        before = len(substitutions)
+        sweeps.clear()
         solve()
-        assert (len(substitutions) - before, counting.solves) == (1, 0)
+        assert sweeps == ["N"]
 
 
 def test_one_factorization_serves_every_solve_at_one_coefficient(monkeypatch):
@@ -926,12 +1004,10 @@ def test_the_harmonic_extension_carries_t_to_the_schur_complement():
 
 
 @pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 9), unit_square_mesh(16)], ids=["1d_9", "2d_16"])
-def test_the_transposed_extension_solves_with_the_transpose_of_u(mesh):
-    op = varied_operator(mesh)
-    fac = factorize(op, mesh)
+def test_the_transposed_extension_solves_with_the_transpose_of_u(monkeypatch, mesh):
+    fac, lu = recorded_factorization(monkeypatch, varied_operator(mesh), mesh)
     lead = fac.load.size - fac.positions.size
-    U = factorize(op, mesh)._lu.U  # an LU of its own: fac's U loses its diagonal
-    gather = fac._back_substitution[2]
+    U, gather = lu.original, lu.perm_c[mesh.operator_pattern.elimination[1]]
     rng = np.random.default_rng(6)
     for v in (rng.standard_normal(fac.load.size), rng.standard_normal((fac.load.size, 3))):
         p = np.empty_like(v)
@@ -942,26 +1018,26 @@ def test_the_transposed_extension_solves_with_the_transpose_of_u(mesh):
 
 
 @pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 9), unit_square_mesh(16)], ids=["1d_9", "2d_16"])
-def test_the_back_substitution_solves_with_the_leading_block_of_u(mesh):
-    op = varied_operator(mesh)
-    fac = factorize(op, mesh)
+def test_the_back_substitution_solves_with_the_leading_block_of_u(monkeypatch, mesh):
+    # U' = [U_II U_ID; 0 I]
+    fac, lu = recorded_factorization(monkeypatch, varied_operator(mesh), mesh)
     lead = fac.load.size - fac.positions.size
-    U_II = factorize(op, mesh)._lu.U[:lead, :lead]  # an LU of its own: fac's U loses its diagonal
-    b = np.random.default_rng(5).standard_normal(lead)
-    x, info = forward.gstrs("N", *fac._back_substitution[1], b)
-    expected = spsolve_triangular(U_II, b, lower=False)
-    assert info == 0
-    assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
+    U = lu.original
+    b = np.random.default_rng(5).standard_normal(fac.load.size)
+    x = fac._sweep("N", b)
+    expected = spsolve_triangular(U[:lead, :lead], b[:lead] - U[:lead, lead:] @ b[lead:], lower=False)
+    assert np.array_equal(x[lead:], b[lead:])
+    assert np.abs(x[:lead] - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
-def test_the_back_substitution_runs_on_the_lus_own_u():
+def test_the_back_substitution_runs_on_the_lus_own_u(monkeypatch):
     # U is the largest array the factorization reads; a copy of it for the
-    # extension would raise peak memory by its size
-    fac, _, x, _ = _schur_setup()
-    fac.schur_factor
-    fac.extend(x)
-    *_, data, indices, indptr = fac._back_substitution[1]
-    U = fac._upper
+    # sweeps would raise peak memory by its size
+    mesh = unit_square_mesh(16)
+    fac, lu = recorded_factorization(monkeypatch, varied_operator(mesh), mesh)
+    fac.extend(np.zeros(fac.positions.size))
+    *_, data, indices, indptr = fac._upper
+    U = lu.U
     assert np.shares_memory(data, U.data)
     assert np.shares_memory(indices, U.indices)
     assert np.shares_memory(indptr, U.indptr)
@@ -1046,6 +1122,21 @@ def test_the_floor_stays_below_the_default_tolerance_in_2d():
     problem = Problem(mesh, source=source)
     state = solution_map(e, f, 1e-4, problem, KERNEL)
     assert problem.factorization(e).floored_tol(free_part(mesh, state.u), 0.0) < 1e-13
+
+
+def test_smoothed_solves_at_a_large_source_pass_newtons_floored_test_on_d():
+    # y_D near 1e3 puts the round-off of the gradient on D,
+    # eps_mach |S|_inf (|x| + |y_D|), above 1e-12: every one of these solves
+    # used to stall on Newton's absolute test on D
+    mesh = unit_square_mesh(128)
+    problem = Problem(mesh, source=1e4)
+    e, f = ellipticity_field(mesh, 1.0), friction_field(mesh, 0.3)
+    exact = solution_map(e, f, 0.0, problem)
+    fac = problem.factorization(e)
+    for kernel_name, eps in zip(KERNEL_NAMES, (1e-2, 1e-5, 1e-8, 1e-5)):
+        state = solution_map(e, f, eps, problem, get_kernel(kernel_name))
+        assert state.residual_norm <= fac.floored_tol(free_part(mesh, state.u), 1e-12)
+        assert v_norm(mesh, state.u - exact.u) <= 1e-2 * v_norm(mesh, exact.u)
 
 
 def test_the_correction_step_runs_only_above_the_round_off_floor(monkeypatch):
